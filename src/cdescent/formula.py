@@ -7,12 +7,16 @@ factor base by its prefix sum,
 
     sum_x (-1)^(|S| - sum x_j) * prod_i (1 + x_1 + ... + x_i)^(d_i),
 
-with d the gap vector of S read from the largest element down.  The same
-value can be regrouped run by run: inside a run of consecutive elements
-every gap is 1, so only the position closing a run carries an extra
-exponent.  Both evaluations are implemented, in exact integer arithmetic
-throughout, and are cross-checked against each other and against the
-brute-force oracle.
+with d the gap vector of S read from the largest element down.
+:func:`cube_sum` is the package's only evaluator of this sum, in exact
+integer arithmetic.  The closed-form routes share it and differ only in
+how they build the exponent vector: :func:`cdes_formula` from the gaps,
+:func:`cdes_formula_typed` run by run (inside a run of consecutive
+elements every gap is 1, so only the position closing a run carries
+more), ``tree.tree_weight_sum`` from a weight sequence, and
+``tableaux.count_tableaux_type_sum`` from a shape's type.  Comparing two
+of these routes tests their builders, not the sum; the brute-force scan,
+the recursions and the materialized tree stay independent of it.
 """
 
 from __future__ import annotations
@@ -79,16 +83,25 @@ def _check_query(n: int, s: Iterable[int]) -> tuple[int, ...]:
     return as_value_set(s, n=n)
 
 
-def _cube_sum(gaps: tuple[int, ...]) -> int:
+def cube_sum(exponents: tuple[int, ...]) -> int:
+    """The alternating sum over {0,1}^k of the module docstring, with the
+    k nonnegative integer ``exponents`` in place of the gap vector.
+    Callers validate the exponents.
+
+    >>> cube_sum((2, 1))
+    3
+    >>> cube_sum(())
+    1
+    """
     # Depth-first walk of {0,1}^k in ascending binary order.  The signed
     # partial product is carried down, so each of the 2^k assignments
     # costs one multiplication instead of k exponentiations.
-    k = len(gaps)
+    k = len(exponents)
 
     def walk(i: int, prefix: int, acc: int) -> int:
         if i == k:
             return acc
-        d = gaps[i]
+        d = exponents[i]
         return walk(i + 1, prefix, -acc * (1 + prefix) ** d) + walk(
             i + 1, prefix + 1, acc * (2 + prefix) ** d
         )
@@ -112,17 +125,16 @@ def cdes_formula(n: int, s: Iterable[int]) -> int:
     31
     """
     s = _check_query(n, s)
-    if not s:
-        return 1
-    if s[0] == 1:
+    if s and s[0] == 1:
         return 0
-    return _cube_sum(gap_vector(s))
+    return cube_sum(gap_vector(s))
 
 
 def cdes_formula_typed(n: int, s: Iterable[int]) -> int:
-    """Same count as :func:`cdes_formula`, evaluated through the run
-    decomposition of S: one first-power factor per cube coordinate, plus
-    one extra power where each run of consecutive elements closes.
+    """Same count as :func:`cdes_formula`, with the exponents built from
+    the run decomposition of S (:func:`set_type`) instead of the gaps:
+    exponent 1 inside each run of consecutive elements, and at the
+    position closing a run the distance down to the next run.
 
     >>> cdes_formula_typed(4, {2, 4})
     3
@@ -130,31 +142,13 @@ def cdes_formula_typed(n: int, s: Iterable[int]) -> int:
     31
     """
     s = _check_query(n, s)
-    if not s:
-        return 1
-    if s[0] == 1:
+    if s and s[0] == 1:
         return 0
+    # Inside a run every gap is 1; the position closing a run also
+    # reaches down to the next run max (or the sentinel 1).
     runs = set_type(s)
-    k = len(s)
-    # Position of the last cube coordinate of each run, with the extra
-    # exponent it carries: r_t - r_{t+1} - m_t, the next run max (or the
-    # sentinel 1) measuring how far this run is from the one below.
-    closing: dict[int, int] = {}
-    position = 0
+    exponents: list[int] = []
     for t, (run_max, run_len) in enumerate(runs):
-        position += run_len
         next_max = runs[t + 1][0] if t + 1 < len(runs) else 1
-        closing[position] = run_max - next_max - run_len
-    total = 0
-    for bits in itertools.product((0, 1), repeat=k):
-        term = 1
-        prefix = 0
-        for i, x in enumerate(bits, start=1):
-            prefix += x
-            term *= 1 + prefix
-            if i in closing:
-                term *= (1 + prefix) ** closing[i]
-        if (k - sum(bits)) % 2:
-            term = -term
-        total += term
-    return total
+        exponents += [1] * (run_len - 1) + [run_max - run_len + 1 - next_max]
+    return cube_sum(tuple(exponents))

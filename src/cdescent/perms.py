@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor
 
 DEFAULT_ENUMERATION_CAP = 10
 
@@ -37,7 +36,7 @@ def as_value_set(elements: Iterable[int], *, n: int | None = None) -> tuple[int,
     With ``n`` given, also require every element to lie in [1, n].
     """
     s = tuple(sorted(elements))
-    if any(not isinstance(v, int) or v < 1 for v in s):
+    if any(not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in s):
         raise ValueError(f"value sets contain positive integers only: {s!r}")
     if len(set(s)) != len(s):
         raise ValueError(f"value sets have distinct elements: {s!r}")
@@ -151,6 +150,9 @@ def _nwexb_block(n: int, first: int | None) -> dict[int, int]:
 
 def _gather_table(block, n: int, workers: int) -> dict[tuple[int, ...], int]:
     if workers > 1 and n > 1:
+        # Imported here so that importing the package skips multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         totals: dict[int, int] = {}
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(block, itertools.repeat(n), range(1, n + 1)):

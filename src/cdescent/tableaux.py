@@ -11,9 +11,11 @@ its bounding rectangle down to the bottom-left corner and numbering the
 steps 1..n (n = rows + columns), the horizontal steps form a set S of
 values in [2, n] with max S = n, and the number of valid fillings equals
 the number of permutations of [n] with descent-value set S.  The count is
-therefore available three ways: by the border-path descent set, by a
-direct alternating sum over the shape's distinct row lengths, and by
-brute enumeration of fillings.
+therefore available three ways: by the border-path descent set, by the
+alternating sum with exponents built from the shape's distinct row
+lengths, and by brute enumeration of fillings.  The first two evaluate
+the same sum (``formula.cube_sum``) and differ only in the exponent
+builder; brute enumeration is the independent check.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
 
-from .formula import cdes_formula
+from .formula import cdes_formula, cube_sum
 
 BOX_CAP = 20
 
@@ -94,34 +96,22 @@ def count_tableaux_formula(parts: Iterable[int]) -> int:
 
 
 def count_tableaux_type_sum(parts: Iterable[int]) -> int:
-    """Number of valid fillings, directly from the shape's type: an
-    alternating sum over {0,1}^width with one first-power factor per
-    column and one extra power per distinct row length.
+    """Number of valid fillings, directly from the shape's type
+    (:func:`partition_type`): the alternating sum over {0,1}^width
+    (``formula.cube_sum``) with exponent 1 per column, raised at each
+    distinct row length.
 
     Agrees with :func:`count_tableaux_formula` on every shape.
     """
     a, b = partition_type(parts)
-    width = a[0]
-    # Position a_t carries the extra exponent b_t - b_{t-1}: how many rows
+    # Column a_t carries the extra exponent b_t - b_{t-1}: how many rows
     # of length exactly a_t there are, with a sentinel 1 above the widest.
-    extras = {}
+    exponents = [1] * a[0]
     prev_count = 1
     for length, count in zip(a, b):
-        extras[length] = count - prev_count
+        exponents[length - 1] += count - prev_count
         prev_count = count
-    total = 0
-    for bits in itertools.product((0, 1), repeat=width):
-        prefix = 0
-        term = 1
-        for i, x in enumerate(bits, start=1):
-            prefix += x
-            term *= 1 + prefix
-            if i in extras:
-                term *= (1 + prefix) ** extras[i]
-        if (width - sum(bits)) % 2:
-            term = -term
-        total += term
-    return total
+    return cube_sum(tuple(exponents))
 
 
 def _split_rows(p: tuple[int, ...], bits: Sequence[int]) -> list[list[int]]:

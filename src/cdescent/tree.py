@@ -9,9 +9,11 @@ Given a weight sequence d, a non-root vertex at height j with label l
 weighs l**d[j-1]; an edge weighs +1 when the child label increments and
 -1 when it repeats.  The sum of signed path weights over all leaves can
 be computed two ways: by walking the materialized tree, or as a closed
-alternating sum over {0,1}^k with no tree at all.  When d is the gap
-vector of a descent-value set S, both equal the number of permutations
-with descent-value set S.
+alternating sum over {0,1}^k with no tree at all.  The closed sum is
+``formula.cube_sum``, shared by every closed-form route, with d as the
+exponents; the walk shares no code with it.  When d is the gap vector
+of a descent-value set S, both equal the number of permutations with
+descent-value set S.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+
+from .formula import cube_sum
 
 BUILD_CAP = 20
 SUM_CAP = 30
@@ -73,7 +77,7 @@ def iter_leaf_paths(root: TreeNode) -> Iterator[tuple[int, ...]]:
 
 def _check_weights(d: Iterable[int]) -> tuple[int, ...]:
     w = tuple(d)
-    if any(not isinstance(v, int) or v < 0 for v in w):
+    if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in w):
         raise ValueError(f"weight exponents must be nonnegative integers: {w!r}")
     return w
 
@@ -100,9 +104,10 @@ def tree_weight_traversal(d: Sequence[int], *, cap: int = BUILD_CAP) -> int:
     return total
 
 
-def tree_weight_sum(d: Sequence[int], *, cap: int = SUM_CAP) -> int:
-    """Closed form of :func:`tree_weight_traversal`: the alternating sum
-    over {0,1}^k of the prefix-sum powers, with no tree materialized.
+def tree_weight_sum(d: Sequence[int]) -> int:
+    """Closed form of :func:`tree_weight_traversal`: ``formula.cube_sum``
+    with d as the exponents, no tree materialized.  Lengths above
+    ``SUM_CAP`` are rejected.
 
     >>> tree_weight_sum((4,))
     15
@@ -110,20 +115,9 @@ def tree_weight_sum(d: Sequence[int], *, cap: int = SUM_CAP) -> int:
     15
     """
     weights = _check_weights(d)
-    k = len(weights)
-    if k > cap:
-        raise ValueError(f"length {k} exceeds the summation cap {cap}")
-    total = 0
-    for bits in itertools.product((0, 1), repeat=k):
-        prefix = 0
-        term = 1
-        for x, exponent in zip(bits, weights):
-            prefix += x
-            term *= (1 + prefix) ** exponent
-        if (k - sum(bits)) % 2:
-            term = -term
-        total += term
-    return total
+    if len(weights) > SUM_CAP:
+        raise ValueError(f"length {len(weights)} exceeds the summation cap {SUM_CAP}")
+    return cube_sum(weights)
 
 
 def leaf_theta(path: Sequence[int]) -> tuple[int, ...]:

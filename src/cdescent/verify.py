@@ -5,6 +5,12 @@ other on overlapping domains, plus structural identities (mass checks,
 bijections, reference coefficients).  The command-line ``verify`` command
 prints one line per check; the test suite asserts the same results.
 
+The closed-form routes share one evaluator, ``formula.cube_sum``, so
+``typed-vs-formula``, ``tree-sum-vs-formula`` and the type-sum leg of
+``tableaux-three-routes`` test only their exponent builders.  The
+brute-force scans, the recursion, the insertion tables, ``gn``, the tree
+traversal and the brute tableaux count stay independent of it.
+
 Brute-force sweeps are limited to n <= 8 regardless of ``max_n``; the
 closed-form routes run the full range.
 """
@@ -259,9 +265,10 @@ def check_tableaux_mass(max_n: int) -> CheckResult:
     bad = []
     top = min(max_n, BRUTE_MAX_N)
     for n in range(2, top + 1):
+        # rows + width <= n bounds the boxes by n^2 / 4 and the rows by n - 1.
         total = 1 + sum(
             count_tableaux_formula(shape)
-            for shape in iter_shapes(n * n, n)
+            for shape in iter_shapes(n * n // 4, n - 1)
             if len(shape) + shape[0] <= n
         )
         if total != math.factorial(n):

@@ -76,6 +76,8 @@ def test_as_value_set():
         as_value_set((0, 1))
     with pytest.raises(ValueError):
         as_value_set((5,), n=4)
+    with pytest.raises(ValueError):
+        as_value_set([True, 3])
 
 
 def test_iter_value_sets():

@@ -132,11 +132,12 @@ def test_three_routes_agree():
 def test_counts_by_length_sum_to_factorial():
     # Every shape of semiperimeter <= n is reachable in S_n (short shapes
     # stand for tableaux padded with empty rows), and with the empty
-    # descent set they exhaust the n! permutations.
+    # descent set they exhaust the n! permutations.  rows + width <= n
+    # bounds the boxes by n^2 / 4 and the rows by n - 1.
     for n in range(2, 9):
         total = 1 + sum(
             count_tableaux_formula(shape)
-            for shape in iter_shapes(n * n, n)
+            for shape in iter_shapes(n * n // 4, n - 1)
             if len(shape) + shape[0] <= n
         )
         assert total == math.factorial(n), n

@@ -2,17 +2,28 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cdescent import (
     build_tree,
     cdes_formula,
+    cdes_formula_typed,
+    count_tableaux_type_sum,
     gap_vector,
     iter_leaf_paths,
     iter_value_sets,
     leaf_theta,
     leaf_theta_inverse,
+    shape_to_descent_set,
     tree_weight_sum,
     tree_weight_traversal,
+)
+from cdescent.formula import cube_sum
+
+value_sets = st.sets(st.integers(2, 14), max_size=7).map(lambda s: tuple(sorted(s)))
+shapes = st.lists(st.integers(1, 6), min_size=1, max_size=5).map(
+    lambda p: tuple(sorted(p, reverse=True))
 )
 
 
@@ -102,6 +113,8 @@ def test_weight_caps_and_validation():
         tree_weight_traversal((1,) * 21)
     with pytest.raises(ValueError):
         tree_weight_sum((-1,))
+    with pytest.raises(ValueError):
+        tree_weight_sum((True, 2))
 
 
 def test_traversal_matches_sum_exhaustively():
@@ -125,3 +138,27 @@ def test_gap_vector_weight_counts_permutations():
             weight = tree_weight_sum(gap_vector(s))
             assert weight == cdes_formula(n, s), (n, s)
             assert weight >= 0
+
+
+# The closed-form routes all evaluate formula.cube_sum; the materialized
+# tree shares no code with it, so these properties check the evaluator
+# and each route's exponent builder independently.
+
+
+@given(st.lists(st.integers(0, 4), max_size=10).map(tuple))
+def test_cube_sum_matches_traversal(d):
+    assert cube_sum(d) == tree_weight_traversal(d)
+
+
+@given(value_sets)
+def test_set_routes_match_traversal(s):
+    n = max(s, default=1)
+    want = tree_weight_traversal(gap_vector(s))
+    assert cdes_formula_typed(n, s) == want
+    assert tree_weight_sum(gap_vector(s)) == want
+
+
+@given(shapes)
+def test_type_sum_matches_traversal(shape):
+    _, s = shape_to_descent_set(shape)
+    assert count_tableaux_type_sum(shape) == tree_weight_traversal(gap_vector(s))
