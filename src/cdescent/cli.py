@@ -22,13 +22,13 @@ import json
 import sys
 from collections.abc import Sequence
 
-from .formula import cdes_formula, cdes_formula_typed, gap_vector
+from .formula import cdes_formula, cdes_formula_typed
 from .genocchi import brute_genocchi_perm_count, genocchi_number
-from .perms import brute_cdes_count
+from .perms import DEFAULT_ENUMERATION_CAP, brute_cdes_count
 from .poly import gn
 from .recursion import cdes_insertion_table, cdes_recursive
 from .tableaux import brute_count_tableaux, check_shape, count_tableaux_formula
-from .tree import TreeNode, build_tree, tree_weight_sum
+from .tree import TreeNode, build_tree, tree_count, tree_weight_sum
 from .verify import DEFAULT_SEED, run_all
 
 COUNT_METHODS = ("formula", "typed", "recursion", "tree", "brute")
@@ -118,9 +118,7 @@ def _count_one(method: str, n: int, s: tuple[int, ...], args) -> int:
     if method == "recursion":
         return cdes_recursive(n, s)
     if method == "tree":
-        if s and s[-1] > n:
-            raise ValueError(f"element {s[-1]} outside [1, {n}]")
-        return 0 if 1 in s else tree_weight_sum(gap_vector(s))
+        return tree_count(n, s)
     return brute_cdes_count(n, s, cap=args.brute_cap, workers=args.threads)
 
 
@@ -240,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for brute-force scans (default 1)",
     )
     shared.add_argument(
-        "--brute-cap", type=int, default=10,
-        help="largest n accepted by brute-force enumeration (default 10)",
+        "--brute-cap", type=int, default=DEFAULT_ENUMERATION_CAP,
+        help=f"largest n accepted by brute-force enumeration (default {DEFAULT_ENUMERATION_CAP})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -26,6 +26,8 @@ from collections.abc import Iterable
 
 from .perms import as_value_set
 
+SUM_CAP = 30
+
 
 def gap_vector(s: Iterable[int]) -> tuple[int, ...]:
     """Consecutive gaps of S in descending-element order, closing at 1.
@@ -77,16 +79,11 @@ def set_type(s: Iterable[int]) -> tuple[tuple[int, int], ...]:
     return tuple(reversed(runs))
 
 
-def _check_query(n: int, s: Iterable[int]) -> tuple[int, ...]:
-    if n < 1:
-        raise ValueError(f"n must be positive: {n}")
-    return as_value_set(s, n=n)
-
-
 def cube_sum(exponents: tuple[int, ...]) -> int:
     """The alternating sum over {0,1}^k of the module docstring, with the
     k nonnegative integer ``exponents`` in place of the gap vector.
-    Callers validate the exponents.
+    Callers validate the exponents; lengths above ``SUM_CAP`` are
+    rejected, since the sum has 2^k terms.
 
     >>> cube_sum((2, 1))
     3
@@ -97,6 +94,8 @@ def cube_sum(exponents: tuple[int, ...]) -> int:
     # partial product is carried down, so each of the 2^k assignments
     # costs one multiplication instead of k exponentiations.
     k = len(exponents)
+    if k > SUM_CAP:
+        raise ValueError(f"length {k} exceeds the summation cap {SUM_CAP}")
 
     def walk(i: int, prefix: int, acc: int) -> int:
         if i == k:
@@ -124,7 +123,7 @@ def cdes_formula(n: int, s: Iterable[int]) -> int:
     >>> cdes_formula(6, {6})
     31
     """
-    s = _check_query(n, s)
+    s = as_value_set(s, n=n)
     if s and s[0] == 1:
         return 0
     return cube_sum(gap_vector(s))
@@ -141,7 +140,7 @@ def cdes_formula_typed(n: int, s: Iterable[int]) -> int:
     >>> cdes_formula_typed(5, {4, 5})
     31
     """
-    s = _check_query(n, s)
+    s = as_value_set(s, n=n)
     if s and s[0] == 1:
         return 0
     # Inside a run every gap is 1; the position closing a run also

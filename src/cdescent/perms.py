@@ -5,19 +5,25 @@ Permutations of [n] = {1, ..., n} are plain tuples in one-line notation:
 (descent-value sets, non-weak-excedance position sets) are sorted tuples
 of distinct positive integers.
 
-The ``brute_*`` functions enumerate all n! permutations in lexicographic
-order and count by direct inspection of the definitions.  They are the
+Each statistic is defined once, as a bitmask of one permutation
+(``_descent_mask``, ``_nwexb_mask``); the public set functions and the
+count tables both read their sets off that mask.  The ``brute_*``
+functions run one scan for either statistic: they enumerate all n!
+permutations in lexicographic order and tally the masks.  They are the
 ground truth against which every closed-form counting route is checked,
 so they stay deliberately simple.  A configurable cap bounds the runtime;
-the scan can be spread over worker processes, partitioned by the first
-entry of the permutation, and the merged result is identical to the
-sequential one.
+the scan can be spread over worker processes (at most one per core and
+per block), partitioned by the first entry of the permutation, and the
+merged result is identical to the sequential one.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from collections.abc import Iterable, Iterator, Sequence
+import os
+from collections import Counter
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 DEFAULT_ENUMERATION_CAP = 10
 
@@ -33,8 +39,10 @@ def check_permutation(perm: Sequence[int]) -> tuple[int, ...]:
 def as_value_set(elements: Iterable[int], *, n: int | None = None) -> tuple[int, ...]:
     """Normalize a collection of distinct positive integers to a sorted tuple.
 
-    With ``n`` given, also require every element to lie in [1, n].
+    With ``n`` given, also require n >= 1 and every element to lie in [1, n].
     """
+    if n is not None and n < 1:
+        raise ValueError(f"n must be positive: {n}")
     s = tuple(sorted(elements))
     if any(not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in s):
         raise ValueError(f"value sets contain positive integers only: {s!r}")
@@ -56,6 +64,19 @@ def iter_value_sets(n: int) -> Iterator[tuple[int, ...]]:
         yield from itertools.combinations(values, size)
 
 
+def _members(mask: int) -> tuple[int, ...]:
+    """The set whose elements are the set bits of ``mask``, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _descent_mask(perm: tuple[int, ...]) -> int:
+    mask = 0
+    for a, b in itertools.pairwise(perm):
+        if a > b:
+            mask |= 1 << a
+    return mask
+
+
 def circular_descent_set(perm: Sequence[int]) -> tuple[int, ...]:
     """Values sigma(i) with sigma(i) > sigma(i+1), as a sorted tuple.
 
@@ -69,8 +90,15 @@ def circular_descent_set(perm: Sequence[int]) -> tuple[int, ...]:
     >>> circular_descent_set((2, 1))
     (2,)
     """
-    p = check_permutation(perm)
-    return tuple(sorted(a for a, b in itertools.pairwise(p) if a > b))
+    return _members(_descent_mask(check_permutation(perm)))
+
+
+def _nwexb_mask(perm: tuple[int, ...]) -> int:
+    mask = 0
+    for i, v in enumerate(perm, start=1):
+        if v < i:
+            mask |= 1 << i
+    return mask
 
 
 def nwexb_set(perm: Sequence[int]) -> tuple[int, ...]:
@@ -81,8 +109,7 @@ def nwexb_set(perm: Sequence[int]) -> tuple[int, ...]:
     >>> nwexb_set((3, 1, 2))
     (2, 3)
     """
-    p = check_permutation(perm)
-    return tuple(i for i, v in enumerate(p, start=1) if v < i)
+    return _members(_nwexb_mask(check_permutation(perm)))
 
 
 def reduction(seq: Sequence[int]) -> tuple[int, ...]:
@@ -100,71 +127,39 @@ def reduction(seq: Sequence[int]) -> tuple[int, ...]:
     return tuple(rank[v] for v in s)
 
 
-def _check_enumerable(n: int, cap: int) -> None:
+Stat = Callable[[tuple[int, ...]], int]
+
+
+def _count_block(stat: Stat, n: int, first: int | None) -> Counter[int]:
+    # Tally stat over S_n, or with first given over the permutations
+    # starting with it (the unit of work for parallel counting).
+    if first is None:
+        block = itertools.permutations(range(1, n + 1))
+    else:
+        rest = [v for v in range(1, n + 1) if v != first]
+        block = ((first, *tail) for tail in itertools.permutations(rest))
+    return Counter(map(stat, block))
+
+
+def _brute_table(stat: Stat, n: int, cap: int, workers: int) -> dict[tuple[int, ...], int]:
     if n < 1:
         raise ValueError(f"n must be positive: {n}")
     if n > cap:
         raise ValueError(f"n = {n} exceeds the enumeration cap {cap}")
-
-
-def _descent_mask(perm: tuple[int, ...]) -> int:
-    mask = 0
-    for a, b in itertools.pairwise(perm):
-        if a > b:
-            mask |= 1 << a
-    return mask
-
-
-def _nwexb_mask(perm: tuple[int, ...]) -> int:
-    mask = 0
-    for i, v in enumerate(perm, start=1):
-        if v < i:
-            mask |= 1 << i
-    return mask
-
-
-def _iter_block(n: int, first: int | None) -> Iterator[tuple[int, ...]]:
-    # first=None scans all of S_n; otherwise only permutations starting
-    # with `first` (the unit of work for parallel counting).
-    if first is None:
-        return itertools.permutations(range(1, n + 1))
-    rest = [v for v in range(1, n + 1) if v != first]
-    return ((first, *tail) for tail in itertools.permutations(rest))
-
-
-def _cdes_block(n: int, first: int | None) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for p in _iter_block(n, first):
-        m = _descent_mask(p)
-        counts[m] = counts.get(m, 0) + 1
-    return counts
-
-
-def _nwexb_block(n: int, first: int | None) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for p in _iter_block(n, first):
-        m = _nwexb_mask(p)
-        counts[m] = counts.get(m, 0) + 1
-    return counts
-
-
-def _gather_table(block, n: int, workers: int) -> dict[tuple[int, ...], int]:
-    if workers > 1 and n > 1:
+    # Only n blocks exist, and more workers than cores only add overhead.
+    workers = min(workers, n, os.cpu_count() or 1)
+    if workers > 1:
         # Imported here so that importing the package skips multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
-        totals: dict[int, int] = {}
+        totals: Counter[int] = Counter()
         with ProcessPoolExecutor(max_workers=workers) as pool:
+            block = functools.partial(_count_block, stat)
             for part in pool.map(block, itertools.repeat(n), range(1, n + 1)):
-                for mask, c in part.items():
-                    totals[mask] = totals.get(mask, 0) + c
+                totals.update(part)
     else:
-        totals = block(n, None)
-    table = {}
-    for mask in sorted(totals):
-        key = tuple(i for i in range(2, n + 1) if mask >> i & 1)
-        table[key] = totals[mask]
-    return table
+        totals = _count_block(stat, n, None)
+    return {_members(mask): totals[mask] for mask in sorted(totals)}
 
 
 def brute_cdes_table(
@@ -177,8 +172,7 @@ def brute_cdes_table(
     >>> brute_cdes_table(3)
     {(): 1, (2,): 1, (3,): 3, (2, 3): 1}
     """
-    _check_enumerable(n, cap)
-    return _gather_table(_cdes_block, n, workers)
+    return _brute_table(_descent_mask, n, cap, workers)
 
 
 def brute_cdes_count(
@@ -197,8 +191,7 @@ def brute_nwexb_table(
     n: int, *, cap: int = DEFAULT_ENUMERATION_CAP, workers: int = 1
 ) -> dict[tuple[int, ...], int]:
     """Count permutations of [n] by non-weak-excedance position set."""
-    _check_enumerable(n, cap)
-    return _gather_table(_nwexb_block, n, workers)
+    return _brute_table(_nwexb_mask, n, cap, workers)
 
 
 def brute_nwexb_count(

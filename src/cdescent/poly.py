@@ -15,9 +15,8 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Mapping
 
-from .formula import gap_vector
 from .perms import as_value_set
-from .tree import tree_weight_sum
+from .tree import tree_count
 
 Monomial = tuple[tuple[int, ...], int]
 
@@ -258,11 +257,8 @@ def tau(parts: Iterable[int]) -> tuple[int, ...]:
 
 def gnk(n: int, k: int) -> Poly:
     """The y-degree-k slice of :func:`gn` with the y-power dropped: one
-    term per size-k subset of [2, n], reached as the prefix-sum set of a
-    composition with k positive parts and total at most n - 1 (the count
-    for a set never changes once n clears its maximum).  Each coefficient
-    is the tree weight of the set's own gap vector, which is the reversed
-    composition.
+    term per size-k subset S of [2, n], whose coefficient is the tree
+    weight of S's gap vector (``tree.tree_count``).
 
     >>> str(gnk(4, 2))
     'x1*x2 + 3*x1*x3 + 7*x2*x3'
@@ -271,14 +267,9 @@ def gnk(n: int, k: int) -> Poly:
         raise ValueError(f"n must be positive: {n}")
     if not 0 <= k <= n - 1:
         raise ValueError(f"slice degree {k} outside [0, {n - 1}]")
-    if k == 0:
-        return Poly.constant(1)
-    terms: dict[Monomial, int] = {}
-    for total in range(k, n):
-        for cuts in itertools.combinations(range(1, total), k - 1):
-            bounds = (0, *cuts, total)
-            composition = tuple(b - a for a, b in itertools.pairwise(bounds))
-            s = tau(composition)
-            weight = tree_weight_sum(gap_vector(s))
-            terms[(tuple(v - 1 for v in s), 0)] = weight
-    return Poly(terms)
+    return Poly(
+        {
+            (tuple(v - 1 for v in s), 0): tree_count(n, s)
+            for s in itertools.combinations(range(2, n + 1), k)
+        }
+    )

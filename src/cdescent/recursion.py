@@ -15,6 +15,7 @@ agreement between the three is a meaningful cross-check.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable
 
 from .perms import as_value_set
@@ -36,13 +37,7 @@ def delta(s: Iterable[int]) -> tuple[int, ...]:
     return tuple(v - 1 for v in s)
 
 
-def cdes_recursive(
-    n: int,
-    s: Iterable[int],
-    cache: Cache | None = None,
-    *,
-    use_min2_shortcut: bool = True,
-) -> int:
+def cdes_recursive(n: int, s: Iterable[int], cache: Cache | None = None) -> int:
     """Count permutations of [n] with descent-value set S by the
     minimum-element recursion
 
@@ -53,11 +48,13 @@ def cdes_recursive(
     with base cases: 1 in S -> 0, empty S -> 1, singleton {m} -> 2^(m-1)-1.
     Every subproblem is independent of n (only max(S) matters), so cache
     keys are the sets themselves.  When min(S) = 2 the first two branches
-    vanish and a single-step shortcut is taken; ``use_min2_shortcut=False``
-    forces the general step instead, which must give the same value.
+    vanish and a single-step shortcut is taken.  The recursion depth grows
+    with the elements of S; a set that needs more than the interpreter's
+    recursion limit raises ``ValueError``.
 
     A cache may be shared across calls and across threads: it only ever
-    grows, and a key is always published with the same value.
+    grows, and a key is published only once its value is complete, always
+    with the same value.
 
     >>> cdes_recursive(3, {3})
     3
@@ -66,15 +63,19 @@ def cdes_recursive(
     >>> cdes_recursive(9, {2})
     1
     """
-    if n < 1:
-        raise ValueError(f"n must be positive: {n}")
     s = as_value_set(s, n=n)
     if cache is None:
         cache = {}
-    return _count(s, cache, use_min2_shortcut)
+    try:
+        return _count(s, cache)
+    except RecursionError:
+        raise ValueError(
+            f"the recursion for max(S) = {s[-1]} exceeds the interpreter's "
+            f"depth limit {sys.getrecursionlimit()}"
+        ) from None
 
 
-def _count(s: tuple[int, ...], cache: Cache, shortcut: bool) -> int:
+def _count(s: tuple[int, ...], cache: Cache) -> int:
     if not s:
         return 1
     if s[0] == 1:
@@ -84,18 +85,14 @@ def _count(s: tuple[int, ...], cache: Cache, shortcut: bool) -> int:
     value = cache.get(s)
     if value is not None:
         return value
-    if shortcut and s[0] == 2:
+    if s[0] == 2:
         # Only the third branch survives: the 2 forces its companion 1
         # immediately to its right, and deleting the pair reduces n by one.
-        value = _count(tuple(v - 1 for v in s[1:]), cache, shortcut)
+        value = _count(tuple(v - 1 for v in s[1:]), cache)
     else:
         swapped = (s[0] - 1, *s[1:])
         shifted = tuple(v - 1 for v in s)
-        value = (
-            _count(swapped, cache, shortcut)
-            + _count(shifted, cache, shortcut)
-            + _count(shifted[1:], cache, shortcut)
-        )
+        value = _count(swapped, cache) + _count(shifted, cache) + _count(shifted[1:], cache)
     cache[s] = value
     return value
 

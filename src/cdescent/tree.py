@@ -22,10 +22,10 @@ import itertools
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
-from .formula import cube_sum
+from .formula import cube_sum, gap_vector
+from .perms import as_value_set
 
 BUILD_CAP = 20
-SUM_CAP = 30
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,17 +107,31 @@ def tree_weight_traversal(d: Sequence[int], *, cap: int = BUILD_CAP) -> int:
 def tree_weight_sum(d: Sequence[int]) -> int:
     """Closed form of :func:`tree_weight_traversal`: ``formula.cube_sum``
     with d as the exponents, no tree materialized.  Lengths above
-    ``SUM_CAP`` are rejected.
+    ``formula.SUM_CAP`` are rejected.
 
     >>> tree_weight_sum((4,))
     15
     >>> tree_weight_sum((1, 1, 2))
     15
     """
-    weights = _check_weights(d)
-    if len(weights) > SUM_CAP:
-        raise ValueError(f"length {len(weights)} exceeds the summation cap {SUM_CAP}")
-    return cube_sum(weights)
+    return cube_sum(_check_weights(d))
+
+
+def tree_count(n: int, s: Iterable[int]) -> int:
+    """Count permutations of [n] with descent-value set S as the tree
+    weight of S's gap vector (:func:`tree_weight_sum`).  Sets containing 1
+    count zero; n and S pass the same check as on every other count route
+    (``perms.as_value_set``).
+
+    >>> tree_count(6, {6})
+    31
+    >>> tree_count(4, {1, 3})
+    0
+    """
+    s = as_value_set(s, n=n)
+    if s and s[0] == 1:
+        return 0
+    return tree_weight_sum(gap_vector(s))
 
 
 def leaf_theta(path: Sequence[int]) -> tuple[int, ...]:

@@ -6,10 +6,11 @@ bijections, reference coefficients).  The command-line ``verify`` command
 prints one line per check; the test suite asserts the same results.
 
 The closed-form routes share one evaluator, ``formula.cube_sum``, so
-``typed-vs-formula``, ``tree-sum-vs-formula`` and the type-sum leg of
-``tableaux-three-routes`` test only their exponent builders.  The
-brute-force scans, the recursion, the insertion tables, ``gn``, the tree
-traversal and the brute tableaux count stay independent of it.
+``typed-vs-formula``, ``tree-sum-vs-formula`` (the tree route on a set,
+``tree.tree_count``) and the type-sum leg of ``tableaux-three-routes``
+test only their exponent builders.  The brute-force scans, the
+recursion, the insertion tables, ``gn``, the tree traversal and the
+brute tableaux count stay independent of it.
 
 Brute-force sweeps are limited to n <= 8 regardless of ``max_n``; the
 closed-form routes run the full range.
@@ -38,6 +39,7 @@ from .tree import (
     iter_leaf_paths,
     leaf_theta,
     leaf_theta_inverse,
+    tree_count,
     tree_weight_sum,
     tree_weight_traversal,
 )
@@ -97,12 +99,6 @@ def _result(name: str, mismatches: list, detail: str) -> CheckResult:
     return CheckResult(name, True, detail)
 
 
-def _tree_route(n: int, s: tuple[int, ...]) -> int:
-    if 1 in s:
-        return 0
-    return tree_weight_sum(gap_vector(s))
-
-
 def check_brute_vs_formula(max_n: int, workers: int = 1) -> CheckResult:
     bad = []
     top = min(max_n, BRUTE_MAX_N)
@@ -140,7 +136,7 @@ def check_tree_vs_formula(max_n: int) -> CheckResult:
         (n, s)
         for n in range(1, max_n + 1)
         for s in iter_value_sets(n)
-        if _tree_route(n, s) != cdes_formula(n, s)
+        if tree_count(n, s) != cdes_formula(n, s)
     ]
     return _result("tree-sum-vs-formula", bad, f"all sets, n <= {max_n}")
 

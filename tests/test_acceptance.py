@@ -26,8 +26,8 @@ from cdescent import (
     leaf_theta,
     leaf_theta_inverse,
     tau,
-    tree_weight_sum,
 )
+from cdescent.tree import tree_count
 from cdescent.verify import REFERENCE_COUNTS
 
 
@@ -75,8 +75,7 @@ def test_criterion_2_four_way_agreement():
             assert cdes_formula(n, s) == expected, (n, s, "formula")
             assert cdes_formula_typed(n, s) == expected, (n, s, "typed")
             assert cdes_recursive(n, s, cache) == expected, (n, s, "recursion")
-            by_tree = 1 if not s else tree_weight_sum(gap_vector(s))
-            assert by_tree == expected, (n, s, "tree")
+            assert tree_count(n, s) == expected, (n, s, "tree")
 
 
 @criterion(3, "insertion recursion equals formula n<=12", budget_seconds=10.0)

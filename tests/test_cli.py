@@ -82,6 +82,21 @@ def test_validation_errors_exit_1(capsys, argv):
     assert rc == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--n", "0", "--set", "", "--method", "tree"),
+        ("tableaux", "--shape", "40"),
+        ("count", "--n", "3000", "--set", "1500,3000", "--method", "recursion"),
+    ],
+)
+def test_rejected_queries_print_one_error_line(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_table_text(capsys):
     rc, out, _ = run(capsys, "table", "--n", "3")
     assert rc == 0

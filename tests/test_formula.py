@@ -3,15 +3,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cdescent import (
+    brute_cdes_count,
     brute_cdes_table,
     cdes_formula,
     cdes_formula_typed,
+    cdes_recursive,
     gap_vector,
     iter_value_sets,
     set_type,
     tau,
     tree_weight_sum,
 )
+from cdescent.tree import tree_count
 
 value_sets = st.sets(st.integers(2, 14), max_size=7).map(lambda s: tuple(sorted(s)))
 
@@ -102,6 +105,32 @@ def test_rejects_n_below_max():
         cdes_formula_typed(3, (4,))
     with pytest.raises(ValueError):
         cdes_formula(0, ())
+
+
+@pytest.mark.parametrize(
+    "route",
+    [cdes_formula, cdes_formula_typed, cdes_recursive, tree_count, brute_cdes_count],
+    ids=lambda route: route.__name__,
+)
+@pytest.mark.parametrize(
+    "n, s, message",
+    [
+        (0, (), "n must be positive: 0"),
+        (-3, (2,), "n must be positive: -3"),
+        (3, (4,), r"element 4 outside \[1, 3\]"),
+        (1, (2,), r"element 2 outside \[1, 1\]"),
+    ],
+)
+def test_every_count_route_checks_n_and_set_alike(route, n, s, message):
+    with pytest.raises(ValueError, match=message):
+        route(n, s)
+
+
+def test_summation_cap_guards_the_closed_forms():
+    with pytest.raises(ValueError, match="exceeds the summation cap 30"):
+        cdes_formula(40, range(2, 34))
+    with pytest.raises(ValueError, match="exceeds the summation cap 30"):
+        cdes_formula_typed(40, range(2, 34))
 
 
 def test_formula_independent_of_n():

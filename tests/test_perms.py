@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 
 import pytest
 from hypothesis import given
@@ -143,6 +145,33 @@ def test_parallel_scan_matches_sequential():
     assert brute_nwexb_table(5, workers=2) == brute_nwexb_table(5)
 
 
+@pytest.mark.parametrize(
+    "workers, cpus, pool_size",
+    [(64, 64, 5), (64, 2, 2), (3, 8, 3), (4, None, None), (2, 1, None)],
+)
+def test_worker_pool_is_clamped(monkeypatch, workers, cpus, pool_size):
+    # A stand-in pool that records its size and maps in process, so no
+    # worker is ever started.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert brute_cdes_table(5, workers=workers) == brute_cdes_table(5)
+    assert sizes == ([] if pool_size is None else [pool_size])
+
+
 def test_enumeration_cap():
     with pytest.raises(ValueError):
         brute_cdes_table(11)
@@ -162,6 +191,14 @@ def test_descent_values_lie_in_range(perm):
     s = circular_descent_set(perm)
     assert all(2 <= v <= len(perm) for v in s)
     assert s == tuple(sorted(set(s)))
+
+
+@given(perms)
+def test_statistics_match_naive_definitions(perm):
+    n = len(perm)
+    descents = sorted(perm[i] for i in range(n - 1) if perm[i] > perm[i + 1])
+    assert circular_descent_set(perm) == tuple(descents)
+    assert nwexb_set(perm) == tuple(i for i in range(1, n + 1) if perm[i - 1] < i)
 
 
 @given(st.lists(st.integers(-50, 50), max_size=8, unique=True))

@@ -56,14 +56,6 @@ def test_recursion_matches_formula():
             assert cdes_recursive(n, s, cache) == cdes_formula(n, s), (n, s)
 
 
-def test_min2_shortcut_agrees_with_general_step():
-    for n in range(2, 9):
-        for s in iter_value_sets(n):
-            assert cdes_recursive(n, s, use_min2_shortcut=True) == cdes_recursive(
-                n, s, use_min2_shortcut=False
-            ), (n, s)
-
-
 def test_shared_cache_and_fresh_cache_agree():
     shared = {}
     first = cdes_recursive(8, (3, 5, 8), shared)
@@ -72,6 +64,16 @@ def test_shared_cache_and_fresh_cache_agree():
     assert cdes_recursive(8, (3, 5, 8)) == first
     # Cached keys are n-free, so a larger n reuses them unchanged.
     assert cdes_recursive(12, (3, 5, 8), shared) == first
+
+
+def test_too_deep_recursion_raises_value_error():
+    cache = {}
+    with pytest.raises(ValueError, match="depth limit"):
+        cdes_recursive(3000, (1500, 3000), cache)
+    # Only completed values were published, so the cache stays usable.
+    for s, count in cache.items():
+        assert count == cdes_formula(s[-1], s), s
+    assert cdes_recursive(12, (3, 5, 8), cache) == cdes_formula(12, (3, 5, 8))
 
 
 def test_insertion_table_small():

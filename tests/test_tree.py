@@ -20,6 +20,7 @@ from cdescent import (
     tree_weight_traversal,
 )
 from cdescent.formula import cube_sum
+from cdescent.tree import tree_count
 
 value_sets = st.sets(st.integers(2, 14), max_size=7).map(lambda s: tuple(sorted(s)))
 shapes = st.lists(st.integers(1, 6), min_size=1, max_size=5).map(
@@ -155,7 +156,7 @@ def test_set_routes_match_traversal(s):
     n = max(s, default=1)
     want = tree_weight_traversal(gap_vector(s))
     assert cdes_formula_typed(n, s) == want
-    assert tree_weight_sum(gap_vector(s)) == want
+    assert tree_count(n, s) == want
 
 
 @given(shapes)
