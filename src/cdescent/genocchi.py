@@ -2,13 +2,17 @@
 
 The order-k family starts from the constant 1 and iterates
 
-    A_{m+1}(X) = X^k * A_m(X + 1) - (X - 1)^k * A_m(X),
+    A_{m+1}(X) = X^k * A_m(X + 1) - (X - 1)^k * A_m(X);
 
-all in exact integer coefficients; the 2n-th generalized Genocchi number
-of order k is A_{n-1} evaluated at 1.  An independent check counts the
-permutations of [k*n] in which position i holds a value >= i exactly when
-that value is divisible by k; their number is the (2n+2)-nd Genocchi
-number of order k.
+the 2n-th generalized Genocchi number of order k is A_{n-1} evaluated
+at 1.  ``genocchi_number`` never expands a polynomial: it steps a row of
+values A_m(1), ..., A_m(n - m) down a triangle, one row per m, with
+O(n^2) big-integer products.  ``gandhi_poly`` expands the same recursion
+in exact integer coefficients and shares no code with the triangle, so
+evaluating it at 1 is the cross-check.  A second, independent check
+counts the permutations of [k*n] in which position i holds a value >= i
+exactly when that value is divisible by k; their number is the
+(2n+2)-nd Genocchi number of order k.
 """
 
 from __future__ import annotations
@@ -81,7 +85,14 @@ def evaluate(coeffs: tuple[int, ...], x: int) -> int:
 
 
 def genocchi_number(k: int, n: int) -> int:
-    """The 2n-th generalized Genocchi number of order k.
+    """The 2n-th generalized Genocchi number of order k, A_{n-1}(1).
+
+    Row m of the value triangle holds A_m(x) for x = 1..n-m, starting
+    from A_0 = 1 on x = 1..n.  With w(x) = (x - 1)^k * A_m(x), the
+    recursion reads A_{m+1}(x) = w(x + 1) - w(x), so each row is the
+    forward difference of the previous one weighted by the precomputed
+    powers (x - 1)^k.  ``evaluate(gandhi_poly(k, n - 1), 1)`` is the
+    cross-check.
 
     >>> [genocchi_number(2, m) for m in range(1, 7)]
     [1, 1, 3, 17, 155, 2073]
@@ -90,7 +101,14 @@ def genocchi_number(k: int, n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"index must be positive: {n}")
-    return evaluate(gandhi_poly(k, n - 1), 1)
+    if k < 1:
+        raise ValueError(f"order must be positive: {k}")
+    powers = [x**k for x in range(n)]
+    values = [1] * n
+    for _ in range(n - 1):
+        weighted = [p * v for p, v in zip(powers, values)]
+        values = [b - a for a, b in itertools.pairwise(weighted)]
+    return values[0]
 
 
 def brute_genocchi_perm_count(k: int, n: int, *, cap: int = DEFAULT_SIZE_CAP) -> int:

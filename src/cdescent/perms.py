@@ -27,6 +27,10 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 
 DEFAULT_ENUMERATION_CAP = 10
 
+# Largest n whose full table over the subsets of [2, n] (2^(n-1) entries)
+# the table builders accept; memory doubles with each step of n.
+TABLE_MAX_N = 20
+
 
 def check_permutation(perm: Sequence[int]) -> tuple[int, ...]:
     """Validate one-line notation: every value of 1..n appears exactly once."""
@@ -51,6 +55,12 @@ def as_value_set(elements: Iterable[int], *, n: int | None = None) -> tuple[int,
     if n is not None and s and s[-1] > n:
         raise ValueError(f"element {s[-1]} outside [1, {n}]")
     return s
+
+
+def check_table_n(n: int) -> None:
+    """Reject n above TABLE_MAX_N before a full table is allocated."""
+    if n > TABLE_MAX_N:
+        raise ValueError(f"n = {n} exceeds the table cap TABLE_MAX_N = {TABLE_MAX_N}")
 
 
 def iter_value_sets(n: int) -> Iterator[tuple[int, ...]]:
@@ -146,6 +156,8 @@ def _brute_table(stat: Stat, n: int, cap: int, workers: int) -> dict[tuple[int, 
         raise ValueError(f"n must be positive: {n}")
     if n > cap:
         raise ValueError(f"n = {n} exceeds the enumeration cap {cap}")
+    if workers < 1:
+        raise ValueError(f"workers (--threads) must be at least 1: {workers}")
     # Only n blocks exist, and more workers than cores only add overhead.
     workers = min(workers, n, os.cpu_count() or 1)
     if workers > 1:

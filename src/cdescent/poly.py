@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Mapping
 
-from .perms import as_value_set
+from .perms import as_value_set, check_table_n
 from .tree import tree_count
 
 Monomial = tuple[tuple[int, ...], int]
@@ -206,13 +206,15 @@ def gn(n: int) -> Poly:
                   + x_m * sum_i d(g_m)/d(x_i)
                   - x_m * y^2 * d(g_m)/dy
 
-    from g_2 = 1 + x1*y, not by enumerating permutations.
+    from g_2 = 1 + x1*y, not by enumerating permutations.  n above
+    ``perms.TABLE_MAX_N`` is refused.
 
     >>> str(gn(3))
     '1 + x1*y + 3*x2*y + x1*x2*y^2'
     """
     if n < 2:
         raise ValueError(f"defined for n >= 2: {n}")
+    check_table_n(n)
     g = Poly({((), 0): 1, ((1,), 1): 1})
     for m in range(2, n):
         dx_sum = Poly()

@@ -18,7 +18,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterable
 
-from .perms import as_value_set
+from .perms import as_value_set, check_table_n
 
 Cache = dict[tuple[int, ...], int]
 
@@ -110,20 +110,32 @@ def cdes_insertion_table(n: int) -> dict[tuple[int, ...], int]:
     new descent value m (m - 1 - |S| slots do) or additionally swallows one
     existing non-descent value i.
 
+    The counts live in a list indexed by bitmask, element v at bit v - 2,
+    so S + {i} is ``mask | bit`` and the step for m appends the entries of
+    the masks with bit m - 2 set.  The sorted-tuple keys grow alongside,
+    in the same order, and are paired with the counts once at the end: the
+    table is ordered by ascending bitmask.  n above ``perms.TABLE_MAX_N``
+    is refused before anything is allocated.
+
     >>> cdes_insertion_table(3)
     {(): 1, (2,): 1, (3,): 3, (2, 3): 1}
     """
     if n < 2:
         raise ValueError(f"insertion table starts at n = 2: {n}")
-    table: dict[tuple[int, ...], int] = {(): 1, (2,): 1}
+    check_table_n(n)
+    keys: list[tuple[int, ...]] = [(), (2,)]
+    counts = [1, 1]
     for m in range(3, n + 1):
-        grown = dict(table)
-        for s, count in table.items():
-            members = set(s)
-            total = (m - 1 - len(s)) * count
-            for i in range(2, m):
-                if i not in members:
-                    total += table[tuple(sorted((*s, i)))]
-            grown[(*s, m)] = total
-        table = grown
-    return table
+        below = len(counts) - 1  # the bits of [2, m-1]
+        grown = []
+        for mask, count in enumerate(counts):
+            total = (m - 1 - mask.bit_count()) * count
+            free = below ^ mask
+            while free:
+                bit = free & -free
+                total += counts[mask | bit]
+                free ^= bit
+            grown.append(total)
+        counts += grown
+        keys += [(*s, m) for s in keys]
+    return dict(zip(keys, counts))

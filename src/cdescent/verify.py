@@ -10,7 +10,11 @@ The closed-form routes share one evaluator, ``formula.cube_sum``, so
 ``tree.tree_count``) and the type-sum leg of ``tableaux-three-routes``
 test only their exponent builders.  The brute-force scans, the
 recursion, the insertion tables, ``gn``, the tree traversal and the
-brute tableaux count stay independent of it.
+brute tableaux count stay independent of it.  The insertion table works
+on bitmasks and shares no code with the brute scan, the formula or
+``gn``.  ``genocchi-cross-check`` compares the Genocchi value triangle
+with the expanded Gandhi polynomials and with the brute permutation
+count; the three share no code.
 
 Brute-force sweeps are limited to n <= 8 regardless of ``max_n``; the
 closed-form routes run the full range.
@@ -302,6 +306,10 @@ def check_genocchi() -> CheckResult:
         if genocchi_number(2, m) != want:
             bad.append(("number", m))
     for k in (1, 2, 3):
+        # The value triangle against the expanded polynomial: no shared code.
+        for n in range(1, 9):
+            if genocchi_number(k, n) != evaluate(gandhi_poly(k, n - 1), 1):
+                bad.append(("poly", k, n))
         for n in range(1, 5):
             if k * n > BRUTE_MAX_N:
                 continue

@@ -1,10 +1,12 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import pytest
 
 import cdescent.cli as cli
+from cdescent.perms import TABLE_MAX_N
 
 
 def run(capsys, *argv):
@@ -88,6 +90,8 @@ def test_validation_errors_exit_1(capsys, argv):
         ("count", "--n", "0", "--set", "", "--method", "tree"),
         ("tableaux", "--shape", "40"),
         ("count", "--n", "3000", "--set", "1500,3000", "--method", "recursion"),
+        ("count", "--n", "5", "--set", "3", "--method", "brute", "--threads", "0"),
+        ("count", "--n", "5", "--set", "3", "--method", "brute", "--threads", "-3"),
     ],
 )
 def test_rejected_queries_print_one_error_line(capsys, argv):
@@ -95,6 +99,22 @@ def test_rejected_queries_print_one_error_line(capsys, argv):
     assert rc == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["table", "poly"])
+def test_table_cap_rejects_before_allocating(capsys, command):
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, command, "--n", str(TABLE_MAX_N + 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: n = {TABLE_MAX_N + 1} exceeds the table cap TABLE_MAX_N = {TABLE_MAX_N}\n"
+    # A table at the cap would hold 2^20 entries; argument parsing needs
+    # far less than a megabyte.
+    assert peak < 2**20
 
 
 def test_table_text(capsys):

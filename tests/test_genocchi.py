@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cdescent import brute_genocchi_perm_count, gandhi_poly, genocchi_number
 from cdescent.genocchi import evaluate
@@ -37,6 +39,19 @@ def test_genocchi_order_two_sequence():
 
 def test_genocchi_order_one_is_constant():
     assert all(genocchi_number(1, n) == 1 for n in range(1, 9))
+
+
+def test_genocchi_rejects():
+    with pytest.raises(ValueError, match="order must be positive: 0"):
+        genocchi_number(0, 3)
+    with pytest.raises(ValueError, match="index must be positive: 0"):
+        genocchi_number(2, 0)
+
+
+@given(st.integers(1, 4), st.integers(1, 24))
+def test_value_triangle_matches_gandhi_poly(k, n):
+    # The triangle never expands a polynomial; gandhi_poly shares no code.
+    assert genocchi_number(k, n) == evaluate(gandhi_poly(k, n - 1), 1)
 
 
 def test_shift_identity():

@@ -172,6 +172,18 @@ def test_worker_pool_is_clamped(monkeypatch, workers, cpus, pool_size):
     assert sizes == ([] if pool_size is None else [pool_size])
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_worker_count_below_one_rejected(monkeypatch, workers):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a rejected worker count started a pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(ValueError, match=r"workers \(--threads\) must be at least 1"):
+        brute_cdes_table(5, workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        brute_nwexb_count(5, (3,), workers=workers)
+
+
 def test_enumeration_cap():
     with pytest.raises(ValueError):
         brute_cdes_table(11)

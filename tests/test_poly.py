@@ -12,6 +12,7 @@ from cdescent import (
     iter_value_sets,
     tau,
 )
+from cdescent.perms import TABLE_MAX_N
 from cdescent.verify import REFERENCE_COUNTS
 
 
@@ -95,6 +96,11 @@ def test_gn_coefficients_are_counts():
         g = gn(n)
         for s in iter_value_sets(n):
             assert descent_set_coefficient(g, s) == cdes_formula(n, s), (n, s)
+
+
+def test_gn_table_cap():
+    with pytest.raises(ValueError, match=f"TABLE_MAX_N = {TABLE_MAX_N}"):
+        gn(TABLE_MAX_N + 1)
 
 
 def test_gn_structure():

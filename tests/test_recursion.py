@@ -3,12 +3,14 @@ import math
 import pytest
 
 from cdescent import (
+    brute_cdes_table,
     cdes_formula,
     cdes_insertion_table,
     cdes_recursive,
     delta,
     iter_value_sets,
 )
+from cdescent.perms import TABLE_MAX_N
 
 
 @pytest.mark.parametrize(
@@ -108,3 +110,32 @@ def test_insertion_step_with_explicit_i_equals_1_term():
                 if i not in members:
                     total += cdes_formula(n - 1, tuple(sorted((*s, i))))
             assert total == grown[(*s, n)], (n, s)
+
+
+def test_insertion_matches_brute_scan():
+    for n in range(2, 9):
+        table = cdes_insertion_table(n)
+        brute = brute_cdes_table(n)
+        assert set(table) == set(iter_value_sets(n))
+        for s in iter_value_sets(n):
+            assert table[s] == brute.get(s, 0), (n, s)
+
+
+def test_insertion_matches_recursion():
+    cache = {}
+    for n in range(2, 13):
+        for s, count in cdes_insertion_table(n).items():
+            assert count == cdes_recursive(n, s, cache), (n, s)
+
+
+def test_insertion_keys_ascend_by_bitmask():
+    # Element v sits at bit v - 2; each step appends the sets containing
+    # the new maximum after all the sets that do not.
+    for n in range(2, 13):
+        masks = [sum(1 << (v - 2) for v in s) for s in cdes_insertion_table(n)]
+        assert masks == list(range(2 ** (n - 1))), n
+
+
+def test_insertion_table_cap():
+    with pytest.raises(ValueError, match=f"TABLE_MAX_N = {TABLE_MAX_N}"):
+        cdes_insertion_table(TABLE_MAX_N + 1)
