@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Commands: count, table, poly, tree, tableaux, genocchi, verify.  Shared
-flags on every command: ``--format text|json|csv``, ``--threads N`` (worker
-processes for brute-force scans), ``--brute-cap N`` (largest n a brute
-scan will accept).  Exit codes: 0 success, 1 validation error, 2
-cross-method mismatch.
+Commands: count, table, poly, tree, tableaux, genocchi, verify.  All take
+``--format text|json|csv``; count and verify take ``--threads N`` (most
+worker processes for brute-force scans); count and genocchi take
+``--brute-cap N`` (largest n a brute scan will accept).  Exit codes: 0
+success, 1 validation error, 2 cross-method mismatch.
 
 JSON output is a single object ``{"query": {...}, "result": ...}``; counts
 are decimal strings so arbitrary precision survives every format.  Tree
@@ -24,7 +24,7 @@ from collections.abc import Sequence
 
 from .formula import cdes_formula, cdes_formula_typed
 from .genocchi import brute_genocchi_perm_count, genocchi_number
-from .perms import DEFAULT_ENUMERATION_CAP, brute_cdes_count
+from .perms import DEFAULT_ENUMERATION_CAP, brute_cdes_count, check_workers
 from .poly import gn
 from .recursion import cdes_insertion_table, cdes_recursive
 from .tableaux import brute_count_tableaux, check_shape, count_tableaux_formula
@@ -164,10 +164,12 @@ def cmd_poly(args) -> int:
 
 def cmd_tree(args) -> int:
     gaps = parse_gaps(args.gaps)
+    # Built first, so that BUILD_CAP refuses before any work or output.
+    root = build_tree(len(gaps)) if args.show and args.format == "text" else None
     weight = tree_weight_sum(gaps)
     _emit(args, {"command": "tree", "gaps": list(gaps)}, str(weight))
-    if args.show and args.format == "text":
-        print(format_tree(build_tree(len(gaps))))
+    if root is not None:
+        print(format_tree(root))
     return 0
 
 
@@ -228,53 +230,55 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cdescent",
         description="Exact enumeration of permutations by circular descent set.",
     )
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument(
         "--format", choices=("text", "json", "csv"), default="text",
         help="output format (default text)",
     )
-    shared.add_argument(
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument(
         "--threads", type=int, default=1,
-        help="worker processes for brute-force scans (default 1)",
+        help="at most this many worker processes for brute-force scans (default 1)",
     )
-    shared.add_argument(
+    brute_cap = argparse.ArgumentParser(add_help=False)
+    brute_cap.add_argument(
         "--brute-cap", type=int, default=DEFAULT_ENUMERATION_CAP,
         help=f"largest n accepted by brute-force enumeration (default {DEFAULT_ENUMERATION_CAP})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("count", parents=[shared], help="count permutations with a given descent-value set")
+    p = sub.add_parser("count", parents=[fmt, threads, brute_cap], help="count permutations with a given descent-value set")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--set", default="", help="comma-separated ascending values, empty for the empty set")
     p.add_argument("--method", choices=COUNT_METHODS, default="formula")
     p.add_argument("--all-methods", action="store_true", help="run every applicable method; exit 2 on disagreement")
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("table", parents=[shared], help="full count table for subsets of [2, n]")
+    p = sub.add_parser("table", parents=[fmt], help="full count table for subsets of [2, n]")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("poly", parents=[shared], help="generating polynomial of order n")
+    p = sub.add_parser("poly", parents=[fmt], help="generating polynomial of order n")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_poly)
 
-    p = sub.add_parser("tree", parents=[shared], help="signed weight of the generating tree for a gap sequence")
+    p = sub.add_parser("tree", parents=[fmt], help="signed weight of the generating tree for a gap sequence")
     p.add_argument("--gaps", required=True, help="comma-separated nonnegative exponents")
     p.add_argument("--show", action="store_true", help="dump the tree (text format only)")
     p.set_defaults(func=cmd_tree)
 
-    p = sub.add_parser("tableaux", parents=[shared], help="count valid 0/1 fillings of a shape")
+    p = sub.add_parser("tableaux", parents=[fmt], help="count valid 0/1 fillings of a shape")
     p.add_argument("--shape", required=True, help="comma-separated weakly decreasing row lengths")
     p.add_argument("--method", choices=("formula", "brute"), default="formula")
     p.set_defaults(func=cmd_tableaux)
 
-    p = sub.add_parser("genocchi", parents=[shared], help="generalized Genocchi number of order k")
+    p = sub.add_parser("genocchi", parents=[fmt, brute_cap], help="generalized Genocchi number of order k")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--brute", action="store_true", help="cross-check by permutation enumeration; exit 2 on mismatch")
     p.set_defaults(func=cmd_genocchi)
 
-    p = sub.add_parser("verify", parents=[shared], help="run the cross-method verification suite")
+    p = sub.add_parser("verify", parents=[fmt, threads], help="run the cross-method verification suite")
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for the sampled checks")
     p.set_defaults(func=cmd_verify)
@@ -288,11 +292,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    # Every input is capped, so no answer takes long to print in full.
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
+        if "threads" in args:
+            check_workers(args.threads)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -24,9 +24,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable
 
-from .perms import as_value_set
-
-SUM_CAP = 30
+from .perms import SUM_CAP, as_value_set, check_cap
 
 
 def gap_vector(s: Iterable[int]) -> tuple[int, ...]:
@@ -82,7 +80,7 @@ def set_type(s: Iterable[int]) -> tuple[tuple[int, int], ...]:
 def cube_sum(exponents: tuple[int, ...]) -> int:
     """The alternating sum over {0,1}^k of the module docstring, with the
     k nonnegative integer ``exponents`` in place of the gap vector.
-    Callers validate the exponents; lengths above ``SUM_CAP`` are
+    Callers validate the exponents; lengths above ``perms.SUM_CAP`` are
     rejected, since the sum has 2^k terms.
 
     >>> cube_sum((2, 1))
@@ -94,8 +92,7 @@ def cube_sum(exponents: tuple[int, ...]) -> int:
     # partial product is carried down, so each of the 2^k assignments
     # costs one multiplication instead of k exponentiations.
     k = len(exponents)
-    if k > SUM_CAP:
-        raise ValueError(f"length {k} exceeds the summation cap {SUM_CAP}")
+    check_cap("length", k, "summation", "SUM_CAP", SUM_CAP)
 
     def walk(i: int, prefix: int, acc: int) -> int:
         if i == k:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-DEFAULT_SIZE_CAP = 8
+from .perms import DEFAULT_SIZE_CAP, GENOCCHI_MAX_SIZE, check_cap
 
 
 def _shift_x_plus_one(coeffs: tuple[int, ...] | list[int]) -> list[int]:
@@ -92,7 +92,7 @@ def genocchi_number(k: int, n: int) -> int:
     recursion reads A_{m+1}(x) = w(x + 1) - w(x), so each row is the
     forward difference of the previous one weighted by the precomputed
     powers (x - 1)^k.  ``evaluate(gandhi_poly(k, n - 1), 1)`` is the
-    cross-check.
+    cross-check.  k*n above ``perms.GENOCCHI_MAX_SIZE`` is refused.
 
     >>> [genocchi_number(2, m) for m in range(1, 7)]
     [1, 1, 3, 17, 155, 2073]
@@ -103,6 +103,7 @@ def genocchi_number(k: int, n: int) -> int:
         raise ValueError(f"index must be positive: {n}")
     if k < 1:
         raise ValueError(f"order must be positive: {k}")
+    check_cap("k*n", k * n, "Genocchi", "GENOCCHI_MAX_SIZE", GENOCCHI_MAX_SIZE)
     powers = [x**k for x in range(n)]
     values = [1] * n
     for _ in range(n - 1):
@@ -120,11 +121,9 @@ def brute_genocchi_perm_count(k: int, n: int, *, cap: int = DEFAULT_SIZE_CAP) ->
     """
     if k < 1 or n < 1:
         raise ValueError(f"order and index must be positive: ({k}, {n})")
-    size = k * n
-    if size > cap:
-        raise ValueError(f"k*n = {size} exceeds the enumeration cap {cap}")
+    check_cap("k*n", k * n, "enumeration", "cap (--brute-cap)", cap)
     count = 0
-    for perm in itertools.permutations(range(1, size + 1)):
+    for perm in itertools.permutations(range(1, k * n + 1)):
         if all((v >= i) == (v % k == 0) for i, v in enumerate(perm, start=1)):
             count += 1
     return count

@@ -12,9 +12,12 @@ functions run one scan for either statistic: they enumerate all n!
 permutations in lexicographic order and tally the masks.  They are the
 ground truth against which every closed-form counting route is checked,
 so they stay deliberately simple.  A configurable cap bounds the runtime;
-the scan can be spread over worker processes (at most one per core and
-per block), partitioned by the first entry of the permutation, and the
-merged result is identical to the sequential one.
+from ``POOL_MIN_N`` on, the scan can be spread over worker processes (at
+most one per core and per block), partitioned by the first entry of the
+permutation, and the merged result is identical to the sequential one.
+
+This module also holds every input cap of the package, each refused by
+:func:`check_cap` in one message format before any work.
 """
 
 from __future__ import annotations
@@ -25,11 +28,22 @@ import os
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
-DEFAULT_ENUMERATION_CAP = 10
+# Input caps.  A caller can change the first two (cap=, --brute-cap).
+DEFAULT_ENUMERATION_CAP = 10  # n of a brute scan over n! permutations
+DEFAULT_SIZE_CAP = 8  # k*n of the Genocchi scan over (k*n)! permutations
+SUM_CAP = 30  # length of the alternating sum, 2^length terms
+BUILD_CAP = 20  # height of a materialized tree, 2^(height+1) - 1 nodes
+BOX_CAP = 20  # boxes of a shape whose fillings are searched one by one
+TABLE_MAX_N = 20  # n of a full table over [2, n], 2^(n-1) entries
+# n of a count, rows + width of a shape, exponent total of tree weights
+# (a gap vector sums to max(S) - 1).  Within SUM_CAP, ~1.5n digits at most.
+COUNT_MAX_N = 100_000
+GENOCCHI_MAX_SIZE = 2000  # k*n of a Genocchi number: n^2 products of ~k*n digits
+VERIFY_MAX_N = 12  # max_n of the verify suite, whose time doubles per step
 
-# Largest n whose full table over the subsets of [2, n] (2^(n-1) entries)
-# the table builders accept; memory doubles with each step of n.
-TABLE_MAX_N = 20
+# Smallest n whose brute scan is spread over worker processes: below it
+# the scan costs less than starting the pool.
+POOL_MIN_N = 9
 
 
 def check_permutation(perm: Sequence[int]) -> tuple[int, ...]:
@@ -45,8 +59,10 @@ def as_value_set(elements: Iterable[int], *, n: int | None = None) -> tuple[int,
 
     With ``n`` given, also require n >= 1 and every element to lie in [1, n].
     """
-    if n is not None and n < 1:
-        raise ValueError(f"n must be positive: {n}")
+    if n is not None:
+        if n < 1:
+            raise ValueError(f"n must be positive: {n}")
+        check_cap("n", n, "count", "COUNT_MAX_N", COUNT_MAX_N)
     s = tuple(sorted(elements))
     if any(not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in s):
         raise ValueError(f"value sets contain positive integers only: {s!r}")
@@ -57,10 +73,18 @@ def as_value_set(elements: Iterable[int], *, n: int | None = None) -> tuple[int,
     return s
 
 
-def check_table_n(n: int) -> None:
-    """Reject n above TABLE_MAX_N before a full table is allocated."""
-    if n > TABLE_MAX_N:
-        raise ValueError(f"n = {n} exceeds the table cap TABLE_MAX_N = {TABLE_MAX_N}")
+def check_cap(what: str, value: int, kind: str, name: str, cap: int) -> None:
+    """Refuse ``value`` above ``cap``, in the one message format of every
+    cap.  ``name`` is the cap's constant here, or the keyword and the flag
+    through which a caller set it."""
+    if value > cap:
+        raise ValueError(f"{what} = {value} exceeds the {kind} cap {name} = {cap}")
+
+
+def check_workers(workers: int) -> None:
+    """Refuse a worker count below 1."""
+    if workers < 1:
+        raise ValueError(f"workers (--threads) must be at least 1: {workers}")
 
 
 def iter_value_sets(n: int) -> Iterator[tuple[int, ...]]:
@@ -151,15 +175,12 @@ def _count_block(stat: Stat, n: int, first: int | None) -> Counter[int]:
     return Counter(map(stat, block))
 
 
-def _brute_table(stat: Stat, n: int, cap: int, workers: int) -> dict[tuple[int, ...], int]:
+def _brute_table(stat: Stat, n: int, workers: int) -> dict[tuple[int, ...], int]:
     if n < 1:
         raise ValueError(f"n must be positive: {n}")
-    if n > cap:
-        raise ValueError(f"n = {n} exceeds the enumeration cap {cap}")
-    if workers < 1:
-        raise ValueError(f"workers (--threads) must be at least 1: {workers}")
+    check_workers(workers)
     # Only n blocks exist, and more workers than cores only add overhead.
-    workers = min(workers, n, os.cpu_count() or 1)
+    workers = min(workers, n, os.cpu_count() or 1) if n >= POOL_MIN_N else 1
     if workers > 1:
         # Imported here so that importing the package skips multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
@@ -180,11 +201,14 @@ def brute_cdes_table(
     """Count permutations of [n] by descent-value set, one full scan.
 
     Unattained sets are absent from the result; the values sum to n!.
+    ``workers`` is an upper bound: n below ``POOL_MIN_N`` is scanned in
+    process.
 
     >>> brute_cdes_table(3)
     {(): 1, (2,): 1, (3,): 3, (2, 3): 1}
     """
-    return _brute_table(_descent_mask, n, cap, workers)
+    check_cap("n", n, "enumeration", "cap (--brute-cap)", cap)
+    return _brute_table(_descent_mask, n, workers)
 
 
 def brute_cdes_count(
@@ -199,24 +223,17 @@ def brute_cdes_count(
     return brute_cdes_table(n, cap=cap, workers=workers).get(target, 0)
 
 
-def brute_nwexb_table(
-    n: int, *, cap: int = DEFAULT_ENUMERATION_CAP, workers: int = 1
-) -> dict[tuple[int, ...], int]:
+def brute_nwexb_table(n: int, *, workers: int = 1) -> dict[tuple[int, ...], int]:
     """Count permutations of [n] by non-weak-excedance position set."""
-    return _brute_table(_nwexb_mask, n, cap, workers)
+    check_cap("n", n, "enumeration", "DEFAULT_ENUMERATION_CAP", DEFAULT_ENUMERATION_CAP)
+    return _brute_table(_nwexb_mask, n, workers)
 
 
-def brute_nwexb_count(
-    n: int,
-    s: Iterable[int],
-    *,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    workers: int = 1,
-) -> int:
+def brute_nwexb_count(n: int, s: Iterable[int], *, workers: int = 1) -> int:
     """Number of permutations of [n] with NWEXB set exactly S.
 
     >>> brute_nwexb_count(3, {1})
     0
     """
     target = as_value_set(s, n=n)
-    return brute_nwexb_table(n, cap=cap, workers=workers).get(target, 0)
+    return brute_nwexb_table(n, workers=workers).get(target, 0)

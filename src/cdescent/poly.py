@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Mapping
 
-from .perms import as_value_set, check_table_n
+from .perms import TABLE_MAX_N, as_value_set, check_cap
 from .tree import tree_count
 
 Monomial = tuple[tuple[int, ...], int]
@@ -214,7 +214,7 @@ def gn(n: int) -> Poly:
     """
     if n < 2:
         raise ValueError(f"defined for n >= 2: {n}")
-    check_table_n(n)
+    check_cap("n", n, "table", "TABLE_MAX_N", TABLE_MAX_N)
     g = Poly({((), 0): 1, ((1,), 1): 1})
     for m in range(2, n):
         dx_sum = Poly()

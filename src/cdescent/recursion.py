@@ -18,7 +18,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterable
 
-from .perms import as_value_set, check_table_n
+from .perms import TABLE_MAX_N, as_value_set, check_cap
 
 Cache = dict[tuple[int, ...], int]
 
@@ -122,7 +122,7 @@ def cdes_insertion_table(n: int) -> dict[tuple[int, ...], int]:
     """
     if n < 2:
         raise ValueError(f"insertion table starts at n = 2: {n}")
-    check_table_n(n)
+    check_cap("n", n, "table", "TABLE_MAX_N", TABLE_MAX_N)
     keys: list[tuple[int, ...]] = [(), (2,)]
     counts = [1, 1]
     for m in range(3, n + 1):

@@ -24,8 +24,7 @@ import itertools
 from collections.abc import Iterable, Iterator, Sequence
 
 from .formula import cdes_formula, cube_sum
-
-BOX_CAP = 20
+from .perms import BOX_CAP, COUNT_MAX_N, check_cap
 
 
 def check_shape(parts: Iterable[int]) -> tuple[int, ...]:
@@ -37,6 +36,7 @@ def check_shape(parts: Iterable[int]) -> tuple[int, ...]:
         raise ValueError(f"row lengths must be positive integers: {p!r}")
     if any(a < b for a, b in itertools.pairwise(p)):
         raise ValueError(f"row lengths must be weakly decreasing: {p!r}")
+    check_cap("rows + width", len(p) + p[0], "count", "COUNT_MAX_N", COUNT_MAX_N)
     return p
 
 
@@ -157,7 +157,7 @@ def format_filling(parts: Iterable[int], bits: Sequence[int]) -> str:
     return "\n".join("".join(str(v) for v in row) for row in rows)
 
 
-def brute_count_tableaux(parts: Iterable[int], *, cap: int = BOX_CAP) -> int:
+def brute_count_tableaux(parts: Iterable[int]) -> int:
     """Count valid fillings by depth-first search, column by column.
 
     A column pattern with no 1 is pruned immediately; the pattern rule is
@@ -170,9 +170,7 @@ def brute_count_tableaux(parts: Iterable[int], *, cap: int = BOX_CAP) -> int:
     7
     """
     p = check_shape(parts)
-    boxes = sum(p)
-    if boxes > cap:
-        raise ValueError(f"{boxes} boxes exceed the enumeration cap {cap}")
+    check_cap("boxes", sum(p), "filling search", "BOX_CAP", BOX_CAP)
     heights = [sum(1 for row in p if row > c) for c in range(p[0])]
 
     def extend(col: int, row_has_one: tuple[bool, ...]) -> int:

@@ -23,9 +23,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from .formula import cube_sum, gap_vector
-from .perms import as_value_set
-
-BUILD_CAP = 20
+from .perms import BUILD_CAP, COUNT_MAX_N, as_value_set, check_cap
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,7 +37,7 @@ class TreeNode:
         return not self.children
 
 
-def build_tree(k: int, *, cap: int = BUILD_CAP) -> TreeNode:
+def build_tree(k: int) -> TreeNode:
     """Materialize the full tree of height k (2^(k+1) - 1 nodes).
 
     Children are ordered repeating label first, then incremented label.
@@ -50,8 +48,7 @@ def build_tree(k: int, *, cap: int = BUILD_CAP) -> TreeNode:
     """
     if k < 0:
         raise ValueError(f"height must be nonnegative: {k}")
-    if k > cap:
-        raise ValueError(f"height {k} exceeds the materialization cap {cap}")
+    check_cap("height", k, "materialization", "BUILD_CAP", BUILD_CAP)
 
     def grow(label: int, height: int) -> TreeNode:
         if height == k:
@@ -79,10 +76,11 @@ def _check_weights(d: Iterable[int]) -> tuple[int, ...]:
     w = tuple(d)
     if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in w):
         raise ValueError(f"weight exponents must be nonnegative integers: {w!r}")
+    check_cap("exponent total", sum(w), "count", "COUNT_MAX_N", COUNT_MAX_N)
     return w
 
 
-def tree_weight_traversal(d: Sequence[int], *, cap: int = BUILD_CAP) -> int:
+def tree_weight_traversal(d: Sequence[int]) -> int:
     """Total signed path weight of the height-len(d) tree, by walking every
     root-to-leaf path of the materialized tree.
 
@@ -92,7 +90,7 @@ def tree_weight_traversal(d: Sequence[int], *, cap: int = BUILD_CAP) -> int:
     0
     """
     weights = _check_weights(d)
-    root = build_tree(len(weights), cap=cap)
+    root = build_tree(len(weights))
     total = 0
     for path in iter_leaf_paths(root):
         w = 1
@@ -107,7 +105,7 @@ def tree_weight_traversal(d: Sequence[int], *, cap: int = BUILD_CAP) -> int:
 def tree_weight_sum(d: Sequence[int]) -> int:
     """Closed form of :func:`tree_weight_traversal`: ``formula.cube_sum``
     with d as the exponents, no tree materialized.  Lengths above
-    ``formula.SUM_CAP`` are rejected.
+    ``perms.SUM_CAP`` are rejected.
 
     >>> tree_weight_sum((4,))
     15

@@ -27,6 +27,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from . import perms  # as a module, so that every check_* name here is a check
 from .formula import cdes_formula, cdes_formula_typed, gap_vector
 from .genocchi import brute_genocchi_perm_count, evaluate, gandhi_poly, genocchi_number
 from .perms import brute_cdes_table, brute_nwexb_table, iter_value_sets
@@ -325,9 +326,11 @@ def run_all(
     max_n: int = 6, *, workers: int = 1, seed: int = DEFAULT_SEED
 ) -> list[CheckResult]:
     """Run every cross-method check, bounded by ``max_n`` where a bound
-    applies.  Deterministic for a fixed seed."""
+    applies; ``max_n`` above ``perms.VERIFY_MAX_N`` is refused.
+    Deterministic for a fixed seed."""
     if max_n < 2:
         raise ValueError(f"max_n must be at least 2: {max_n}")
+    perms.check_cap("max_n", max_n, "verify", "VERIFY_MAX_N", perms.VERIFY_MAX_N)
     return [
         check_brute_vs_formula(max_n, workers),
         check_typed_vs_formula(max_n),

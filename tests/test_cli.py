@@ -1,12 +1,23 @@
+import contextlib
 import csv
 import io
 import json
+import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cdescent.cli as cli
-from cdescent.perms import TABLE_MAX_N
+from cdescent.genocchi import genocchi_number
+from cdescent.perms import (
+    BUILD_CAP,
+    COUNT_MAX_N,
+    GENOCCHI_MAX_SIZE,
+    TABLE_MAX_N,
+    VERIFY_MAX_N,
+)
 
 
 def run(capsys, *argv):
@@ -92,6 +103,15 @@ def test_validation_errors_exit_1(capsys, argv):
         ("count", "--n", "3000", "--set", "1500,3000", "--method", "recursion"),
         ("count", "--n", "5", "--set", "3", "--method", "brute", "--threads", "0"),
         ("count", "--n", "5", "--set", "3", "--method", "brute", "--threads", "-3"),
+        ("count", "--n", "5", "--set", "3", "--threads", "0"),
+        ("verify", "--max-n", "4", "--threads", "0"),
+        ("tree", "--gaps", ",".join(["1"] * (BUILD_CAP + 1)), "--show"),
+        ("count", "--n", str(COUNT_MAX_N + 1), "--set", str(COUNT_MAX_N + 1)),
+        ("tree", "--gaps", str(COUNT_MAX_N + 1)),
+        ("tableaux", "--shape", str(COUNT_MAX_N)),
+        ("genocchi", "--k", "2", "--n", str(GENOCCHI_MAX_SIZE // 2 + 1)),
+        ("genocchi", "--k", str(GENOCCHI_MAX_SIZE + 1), "--n", "1"),
+        ("verify", "--max-n", str(VERIFY_MAX_N + 1)),
     ],
 )
 def test_rejected_queries_print_one_error_line(capsys, argv):
@@ -115,6 +135,33 @@ def test_table_cap_rejects_before_allocating(capsys, command):
     # A table at the cap would hold 2^20 entries; argument parsing needs
     # far less than a megabyte.
     assert peak < 2**20
+
+
+@contextlib.contextmanager
+def any_int_digits():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (("genocchi", "--k", "2", "--n", "1000"), lambda: genocchi_number(2, 1000)),
+        (("count", "--n", "14300", "--set", "14300"), lambda: 2**14299 - 1),
+    ],
+)
+def test_answers_past_the_digit_limit_print_in_full(capsys, argv, value):
+    limit = sys.get_int_max_str_digits()
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0 and err == ""
+    assert sys.get_int_max_str_digits() == limit
+    assert len(out.strip()) > limit
+    with any_int_digits():
+        assert out == f"{value()}\n"
 
 
 def test_table_text(capsys):
@@ -245,3 +292,66 @@ def test_verify_failure_exits_2(capsys, monkeypatch):
 def test_help_exits_0(capsys):
     rc, _, _ = run(capsys, "--help")
     assert rc == 0
+
+
+# Each command's own flags, as (required, optional).
+COMMAND_FLAGS = {
+    "count": (("--n",), ("--set", "--method", "--all-methods", "--threads", "--brute-cap")),
+    "table": (("--n",), ()),
+    "poly": (("--n",), ()),
+    "tree": (("--gaps",), ("--show",)),
+    "tableaux": (("--shape",), ("--method",)),
+    "genocchi": (("--k", "--n"), ("--brute", "--brute-cap")),
+    "verify": ((), ("--max-n", "--seed", "--threads")),
+}
+SWITCHES = ("--all-methods", "--show", "--brute")
+# Small or malformed values, as (parsed by argparse, refused by it).  No
+# number exceeds 3, so every call stays small under the default caps:
+# n! <= 6 permutations, (k*n)! <= 720 for genocchi --brute, verify
+# --max-n <= 3, and never a large --threads.
+NUMBERS = (("-3", "-1", "0", "1", "2", "3"), ("", "x", "1.5"))
+SETS = (("", "2", "3", "2,3", "3,2", "2,2", "1,3", "0", "-1", "x", "2,,3"), ())
+VALUES = {
+    "--set": SETS,
+    "--gaps": SETS,
+    "--shape": SETS,
+    "--method": (("formula", "typed", "recursion", "tree", "brute"), ("nope",)),
+    "--format": (("text", "json", "csv"), ("xml",)),
+}
+ALL_FLAGS = sorted({f for req, opt in COMMAND_FLAGS.values() for f in req + opt} | {"--format"})
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    required, optional = COMMAND_FLAGS[command]
+    # One time in ten: a dropped required flag, a flag of another command,
+    # or a value that argparse refuses, so most calls reach the command.
+    def rarely():
+        return draw(st.integers(0, 9)) == 9
+
+    flags = [f for f in required if not rarely()]
+    flags += [f for f in (*optional, "--format") if draw(st.booleans())]
+    if rarely():
+        flags.append(draw(st.sampled_from(ALL_FLAGS)))
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        argv.append(flag)
+        if flag not in SWITCHES:
+            parsed, refused = VALUES.get(flag, NUMBERS)
+            argv.append(draw(st.sampled_from(refused if refused and rarely() else parsed)))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argvs())
+def test_fuzzed_argv_exits_0_1_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    err = err.getvalue()
+    assert rc in (0, 1, 2), (argv, rc)
+    if rc == 1 and not err.startswith("usage: "):
+        # A validation error, not an argparse one: one line, nothing printed.
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert out.getvalue() == "", argv

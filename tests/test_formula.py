@@ -14,6 +14,7 @@ from cdescent import (
     tau,
     tree_weight_sum,
 )
+from cdescent.perms import SUM_CAP
 from cdescent.tree import tree_count
 
 value_sets = st.sets(st.integers(2, 14), max_size=7).map(lambda s: tuple(sorted(s)))
@@ -127,9 +128,10 @@ def test_every_count_route_checks_n_and_set_alike(route, n, s, message):
 
 
 def test_summation_cap_guards_the_closed_forms():
-    with pytest.raises(ValueError, match="exceeds the summation cap 30"):
+    message = f"length = 32 exceeds the summation cap SUM_CAP = {SUM_CAP}"
+    with pytest.raises(ValueError, match=message):
         cdes_formula(40, range(2, 34))
-    with pytest.raises(ValueError, match="exceeds the summation cap 30"):
+    with pytest.raises(ValueError, match=message):
         cdes_formula_typed(40, range(2, 34))
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cdescent.perms as perms_module
 from cdescent import (
     as_value_set,
     brute_cdes_count,
@@ -141,15 +142,26 @@ def test_nwexb_table_equals_cdes_table():
 
 
 def test_parallel_scan_matches_sequential():
-    assert brute_cdes_table(6, workers=3) == brute_cdes_table(6)
-    assert brute_nwexb_table(5, workers=2) == brute_nwexb_table(5)
+    # The smallest scan that starts a pool.
+    n = perms_module.POOL_MIN_N
+    assert brute_cdes_table(n, workers=3) == brute_cdes_table(n)
+    assert brute_nwexb_table(n, workers=2) == brute_nwexb_table(n)
 
 
 @pytest.mark.parametrize(
-    "workers, cpus, pool_size",
-    [(64, 64, 5), (64, 2, 2), (3, 8, 3), (4, None, None), (2, 1, None)],
+    "workers, cpus, pool_min_n, pool_size",
+    [
+        (64, 64, 5, 5),
+        (64, 2, 5, 2),
+        (3, 8, 5, 3),
+        (4, None, 5, None),
+        (2, 1, 5, None),
+        # n = 5 below POOL_MIN_N scans in process whatever the workers.
+        (2, 2, 6, None),
+    ],
+    ids=["64-64-5", "64-2-2", "3-8-3", "4-None-None", "2-1-None", "below-pool-min-n"],
 )
-def test_worker_pool_is_clamped(monkeypatch, workers, cpus, pool_size):
+def test_worker_pool_is_clamped(monkeypatch, workers, cpus, pool_min_n, pool_size):
     # A stand-in pool that records its size and maps in process, so no
     # worker is ever started.
     sizes = []
@@ -168,6 +180,7 @@ def test_worker_pool_is_clamped(monkeypatch, workers, cpus, pool_size):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(perms_module, "POOL_MIN_N", pool_min_n)
     assert brute_cdes_table(5, workers=workers) == brute_cdes_table(5)
     assert sizes == ([] if pool_size is None else [pool_size])
 

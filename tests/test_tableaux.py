@@ -12,6 +12,7 @@ from cdescent import (
     partition_type,
     shape_to_descent_set,
 )
+from cdescent.perms import BOX_CAP
 
 
 @pytest.mark.parametrize(
@@ -117,9 +118,12 @@ def test_brute_count_is_filter_count():
 
 
 def test_box_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"boxes = 24 exceeds the filling search cap BOX_CAP = {BOX_CAP}"):
         brute_count_tableaux((6, 6, 6, 6))
-    assert brute_count_tableaux((4, 4), cap=8) == count_tableaux_formula((4, 4))
+    # Two rows of BOX_CAP / 2 boxes: at the cap, and only 3^(BOX_CAP / 2)
+    # column patterns to search.
+    at_cap = (BOX_CAP // 2,) * 2
+    assert brute_count_tableaux(at_cap) == count_tableaux_formula(at_cap)
 
 
 def test_three_routes_agree():

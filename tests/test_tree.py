@@ -20,6 +20,7 @@ from cdescent import (
     tree_weight_traversal,
 )
 from cdescent.formula import cube_sum
+from cdescent.perms import BUILD_CAP
 from cdescent.tree import tree_count
 
 value_sets = st.sets(st.integers(2, 14), max_size=7).map(lambda s: tuple(sorted(s)))
@@ -40,8 +41,8 @@ def test_build_tree_small():
 def test_build_tree_rejects():
     with pytest.raises(ValueError):
         build_tree(-1)
-    with pytest.raises(ValueError):
-        build_tree(3, cap=2)
+    with pytest.raises(ValueError, match=f"exceeds the materialization cap BUILD_CAP = {BUILD_CAP}"):
+        build_tree(BUILD_CAP + 1)
 
 
 def test_leaf_count_and_labels():
