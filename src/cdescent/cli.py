@@ -3,8 +3,9 @@
 Commands: count, table, poly, tree, tableaux, genocchi, verify.  All take
 ``--format text|json|csv``; count and verify take ``--threads N`` (most
 worker processes for brute-force scans); count and genocchi take
-``--brute-cap N`` (largest n a brute scan will accept).  Exit codes: 0
-success, 1 validation error, 2 cross-method mismatch.
+``--brute-cap N`` (largest permutation length a brute scan will
+accept).  Exit codes: 0 success, 1 validation error, 2 cross-method
+mismatch.
 
 JSON output is a single object ``{"query": {...}, "result": ...}``; counts
 are decimal strings so arbitrary precision survives every format.  Tree
@@ -243,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     brute_cap = argparse.ArgumentParser(add_help=False)
     brute_cap.add_argument(
         "--brute-cap", type=int, default=DEFAULT_ENUMERATION_CAP,
-        help=f"largest n accepted by brute-force enumeration (default {DEFAULT_ENUMERATION_CAP})",
+        help=f"largest permutation length accepted by brute-force enumeration (default {DEFAULT_ENUMERATION_CAP})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

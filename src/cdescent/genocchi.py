@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from .perms import DEFAULT_SIZE_CAP, GENOCCHI_MAX_SIZE, check_cap
+from .perms import DEFAULT_ENUMERATION_CAP, GENOCCHI_MAX_SIZE, check_cap
 
 
 def _shift_x_plus_one(coeffs: tuple[int, ...] | list[int]) -> list[int]:
@@ -112,7 +112,9 @@ def genocchi_number(k: int, n: int) -> int:
     return values[0]
 
 
-def brute_genocchi_perm_count(k: int, n: int, *, cap: int = DEFAULT_SIZE_CAP) -> int:
+def brute_genocchi_perm_count(
+    k: int, n: int, *, cap: int = DEFAULT_ENUMERATION_CAP
+) -> int:
     """Count permutations of [k*n] where sigma(i) >= i exactly when k
     divides sigma(i).  Equals ``genocchi_number(k, n + 1)``.
 

@@ -28,9 +28,9 @@ import os
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
-# Input caps.  A caller can change the first two (cap=, --brute-cap).
-DEFAULT_ENUMERATION_CAP = 10  # n of a brute scan over n! permutations
-DEFAULT_SIZE_CAP = 8  # k*n of the Genocchi scan over (k*n)! permutations
+# Input caps.  A caller can change the first one (cap=, --brute-cap).
+# Length of the permutations of a brute scan: n, or k*n for the Genocchi scan.
+DEFAULT_ENUMERATION_CAP = 10
 SUM_CAP = 30  # length of the alternating sum, 2^length terms
 BUILD_CAP = 20  # height of a materialized tree, 2^(height+1) - 1 nodes
 BOX_CAP = 20  # boxes of a shape whose fillings are searched one by one

@@ -36,10 +36,10 @@ def _check_monomial(key: Monomial) -> Monomial:
 class Poly:
     """Immutable sparse polynomial; zero coefficients are never stored.
 
-    Supports +, -, * (with ints and other polynomials), partial
-    derivatives, coefficient lookup and exact evaluation.  Because the
-    x-variables are squarefree, multiplying two terms whose x-supports
-    overlap has no representation and raises.
+    Supports +, -, * (with ints and other polynomials), coefficient
+    lookup and exact evaluation.  Because the x-variables are
+    squarefree, multiplying two terms whose x-supports overlap has no
+    representation and raises.
     """
 
     __slots__ = ("_terms",)
@@ -151,27 +151,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def partial_x(self, i: int) -> "Poly":
-        """Partial derivative in x_i: terms containing x_i lose it, the
-        rest vanish."""
-        return _raw(
-            {
-                (tuple(v for v in xvars if v != i), ydeg): coeff
-                for (xvars, ydeg), coeff in self._terms.items()
-                if i in xvars
-            }
-        )
-
-    def partial_y(self) -> "Poly":
-        """Partial derivative in y."""
-        return _raw(
-            {
-                (xvars, ydeg - 1): coeff * ydeg
-                for (xvars, ydeg), coeff in self._terms.items()
-                if ydeg
-            }
-        )
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"
@@ -206,8 +185,18 @@ def gn(n: int) -> Poly:
                   + x_m * sum_i d(g_m)/d(x_i)
                   - x_m * y^2 * d(g_m)/dy
 
-    from g_2 = 1 + x1*y, not by enumerating permutations.  n above
+    from g_2 = 1 + x1*y, not by enumerating permutations.  The recursion
+    is applied term by term, in one pass over g_m per step: a term
+    c * x_X * y^d keeps its place, adds (m - d) * c to x_X * x_m * y^(d+1)
+    (the m*x_m*y and y^2 d/dy terms land there together), and adds c to
+    each monomial that swaps one x_i of X for x_m.  n above
     ``perms.TABLE_MAX_N`` is refused.
+
+    Read coefficient by coefficient this is the insertion recurrence of
+    ``recursion.cdes_insertion_table``, but the two are kept as separate
+    code on purpose: ``verify``'s ``poly-vs-formula`` and
+    ``insertion-vs-formula`` are independent checks only while neither
+    route is derived from the other.
 
     >>> str(gn(3))
     '1 + x1*y + 3*x2*y + x1*x2*y^2'
@@ -215,18 +204,17 @@ def gn(n: int) -> Poly:
     if n < 2:
         raise ValueError(f"defined for n >= 2: {n}")
     check_cap("n", n, "table", "TABLE_MAX_N", TABLE_MAX_N)
-    g = Poly({((), 0): 1, ((1,), 1): 1})
+    terms: dict[Monomial, int] = {((), 0): 1, ((1,), 1): 1}
     for m in range(2, n):
-        dx_sum = Poly()
-        for i in range(1, m):
-            dx_sum = dx_sum + g.partial_x(i)
-        g = (
-            g
-            + m * (Poly({((m,), 1): 1}) * g)
-            + Poly.x(m) * dx_sum
-            - Poly({((m,), 2): 1}) * g.partial_y()
-        )
-    return g
+        step = dict(terms)  # the 1 * g_m part; every other key holds x_m
+        for (xvars, ydeg), c in terms.items():
+            key = (xvars + (m,), ydeg + 1)
+            step[key] = step.get(key, 0) + (m - ydeg) * c
+            for j in range(len(xvars)):
+                key = (xvars[:j] + xvars[j + 1 :] + (m,), ydeg)
+                step[key] = step.get(key, 0) + c
+        terms = step
+    return _raw(terms)
 
 
 def descent_set_coefficient(g: Poly, s: Iterable[int]) -> int:
@@ -267,6 +255,7 @@ def gnk(n: int, k: int) -> Poly:
     """
     if n < 1:
         raise ValueError(f"n must be positive: {n}")
+    check_cap("n", n, "table", "TABLE_MAX_N", TABLE_MAX_N)
     if not 0 <= k <= n - 1:
         raise ValueError(f"slice degree {k} outside [0, {n - 1}]")
     return Poly(

@@ -6,6 +6,7 @@ from cdescent import (
     Poly,
     brute_cdes_table,
     cdes_formula,
+    cdes_insertion_table,
     descent_set_coefficient,
     gn,
     gnk,
@@ -39,14 +40,6 @@ def test_squarefree_multiplication_guard():
     with pytest.raises(ValueError):
         Poly.x(1) * Poly.x(1)
     assert Poly.x(1) * Poly.x(2) == Poly({((1, 2), 0): 1})
-
-
-def test_partial_derivatives():
-    p = Poly({((), 0): 1, ((1,), 1): 1})  # 1 + x1*y
-    assert p.partial_x(1) == Poly.y()
-    assert Poly({((1, 2), 2): 1}).partial_y() == Poly({((1, 2), 1): 2})
-    assert p.partial_x(9) == Poly()
-    assert Poly.constant(7).partial_y() == Poly()
 
 
 def test_evaluate():
@@ -104,10 +97,17 @@ def test_gn_table_cap():
 
 
 def test_gn_structure():
-    for n in range(2, 10):
+    # Past the brute-force range, against the insertion table: the same
+    # recurrence, written as separate code.
+    for n in range(2, 15):
         g = gn(n)
         assert all(len(xv) == ydeg for xv, ydeg in g.terms())
         assert g.evaluate(1, 1) == math.factorial(n)
+        want = {
+            (tuple(v - 1 for v in s), len(s)): c
+            for s, c in cdes_insertion_table(n).items()
+        }
+        assert g.terms() == want, n
 
 
 @pytest.mark.parametrize(
@@ -133,6 +133,13 @@ def test_gnk_small():
     assert str(gnk(5, 4)) == "x1*x2*x3*x4"
     with pytest.raises(ValueError):
         gnk(4, 4)
+
+
+def test_gnk_table_cap():
+    with pytest.raises(ValueError, match=f"TABLE_MAX_N = {TABLE_MAX_N}"):
+        gnk(TABLE_MAX_N + 1, 1)
+    # One term per element of [2, TABLE_MAX_N].
+    assert len(gnk(TABLE_MAX_N, 1).terms()) == TABLE_MAX_N - 1
 
 
 def test_gnk_composition_order_regression():
