@@ -35,6 +35,13 @@ from .verify import DEFAULT_SEED, run_all
 COUNT_METHODS = ("formula", "typed", "recursion", "tree", "brute")
 
 
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise ValueError(f"malformed {what} {text!r}: expected comma-separated integers")
+
+
 def parse_set(text: str) -> tuple[int, ...]:
     """Comma-separated strictly ascending positive integers; '' is empty.
 
@@ -43,10 +50,7 @@ def parse_set(text: str) -> tuple[int, ...]:
     """
     if text == "":
         return ()
-    try:
-        values = tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise ValueError(f"malformed set {text!r}: expected comma-separated integers")
+    values = _parse_ints(text, "set")
     if any(v < 1 for v in values):
         raise ValueError(f"set elements must be positive: {text!r}")
     if any(a >= b for a, b in zip(values, values[1:])):
@@ -55,21 +59,14 @@ def parse_set(text: str) -> tuple[int, ...]:
 
 
 def parse_gaps(text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise ValueError(f"malformed gaps {text!r}: expected comma-separated integers")
+    values = _parse_ints(text, "gaps")
     if any(v < 0 for v in values):
         raise ValueError(f"gap exponents must be nonnegative: {text!r}")
     return values
 
 
 def parse_shape(text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise ValueError(f"malformed shape {text!r}: expected comma-separated integers")
-    return check_shape(values)
+    return check_shape(_parse_ints(text, "shape"))
 
 
 def format_set(s: tuple[int, ...]) -> str:

@@ -123,7 +123,7 @@ def brute_genocchi_perm_count(
     """
     if k < 1 or n < 1:
         raise ValueError(f"order and index must be positive: ({k}, {n})")
-    check_cap("k*n", k * n, "enumeration", "cap (--brute-cap)", cap)
+    check_cap("k*n", k * n, "enumeration", "(--brute-cap)", cap)
     count = 0
     for perm in itertools.permutations(range(1, k * n + 1)):
         if all((v >= i) == (v % k == 0) for i, v in enumerate(perm, start=1)):

@@ -75,8 +75,8 @@ def as_value_set(elements: Iterable[int], *, n: int | None = None) -> tuple[int,
 
 def check_cap(what: str, value: int, kind: str, name: str, cap: int) -> None:
     """Refuse ``value`` above ``cap``, in the one message format of every
-    cap.  ``name`` is the cap's constant here, or the keyword and the flag
-    through which a caller set it."""
+    cap.  ``name`` is the cap's constant here, or, for a cap the caller
+    set with the ``cap`` keyword, the flag that sets it, in parentheses."""
     if value > cap:
         raise ValueError(f"{what} = {value} exceeds the {kind} cap {name} = {cap}")
 
@@ -207,7 +207,7 @@ def brute_cdes_table(
     >>> brute_cdes_table(3)
     {(): 1, (2,): 1, (3,): 3, (2, 3): 1}
     """
-    check_cap("n", n, "enumeration", "cap (--brute-cap)", cap)
+    check_cap("n", n, "enumeration", "(--brute-cap)", cap)
     return _brute_table(_descent_mask, n, workers)
 
 

@@ -5,19 +5,28 @@ other on overlapping domains, plus structural identities (mass checks,
 bijections, reference coefficients).  The command-line ``verify`` command
 prints one line per check; the test suite asserts the same results.
 
+``run_all`` builds two reference tables once per run and hands them to
+every check that compares against them: ``cdes_formula`` on every
+S of [2, n] for n <= ``max_n``, and ``brute_cdes_table`` for n <=
+``BRUTE_MAX_N``.  No route is compared with a table built by its own code.
+
 The closed-form routes share one evaluator, ``formula.cube_sum``, so
-``typed-vs-formula``, ``tree-sum-vs-formula`` (the tree route on a set,
-``tree.tree_count``) and the type-sum leg of ``tableaux-three-routes``
-test only their exponent builders.  The brute-force scans, the
-recursion, the insertion tables, ``gn``, the tree traversal and the
-brute tableaux count stay independent of it.  The insertion table works
-on bitmasks and shares no code with the brute scan, the formula or
-``gn``.  ``genocchi-cross-check`` compares the Genocchi value triangle
-with the expanded Gandhi polynomials and with the brute permutation
-count; the three share no code.
+``typed-vs-formula``, ``tree-sum-vs-formula`` and the type-sum leg of
+``tableaux-three-routes`` test only their exponent builders.  The tree
+route on a set (``tree.tree_count``, also ``count --method tree``) runs
+the same gap vector and ``cube_sum`` as ``cdes_formula``, so the tree's
+independent check is ``tree-traversal-vs-closed-sum``.  The brute-force
+scans, the recursion, the insertion tables, ``gn``, the tree traversal
+and the brute tableaux count stay independent of the evaluator.  The
+insertion table works on bitmasks and shares no code with the brute
+scan, the formula or ``gn``.  ``genocchi-cross-check`` compares the
+Genocchi value triangle with the expanded Gandhi polynomials and with
+the brute permutation count; the three share no code.
 
 Brute-force sweeps are limited to n <= 8 regardless of ``max_n``; the
-closed-form routes run the full range.
+closed-form routes run the full range.  As 8 < ``perms.POOL_MIN_N``,
+``workers`` (``verify --threads``) never starts a pool; it stays for the
+callers that pass it, the benchmark among them.
 """
 
 from __future__ import annotations
@@ -90,6 +99,9 @@ REFERENCE_COUNTS: dict[int, dict[tuple[int, ...], int]] = {
 
 GENOCCHI_ORDER2 = (1, 1, 3, 17, 155, 2073)
 
+# A reference table: n -> {S: count of permutations of [n] with descent-value set S}.
+Table = dict[int, dict[tuple[int, ...], int]]
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -104,46 +116,32 @@ def _result(name: str, mismatches: list, detail: str) -> CheckResult:
     return CheckResult(name, True, detail)
 
 
-def check_brute_vs_formula(max_n: int, workers: int = 1) -> CheckResult:
-    bad = []
-    top = min(max_n, BRUTE_MAX_N)
-    for n in range(1, top + 1):
-        table = brute_cdes_table(n, workers=workers)
-        for s in iter_value_sets(n):
-            if table.get(s, 0) != cdes_formula(n, s):
-                bad.append((n, s))
-    return _result("brute-vs-formula", bad, f"all sets, n <= {top}")
-
-
-def check_typed_vs_formula(max_n: int) -> CheckResult:
-    bad = [
-        (n, s)
-        for n in range(1, max_n + 1)
-        for s in iter_value_sets(n)
-        if cdes_formula_typed(n, s) != cdes_formula(n, s)
+def _mismatches(route, table: Table) -> list:
+    """Every (n, S) of ``table`` on which ``route(n, S)`` differs from it."""
+    return [
+        (n, s) for n, row in table.items() for s, want in row.items() if route(n, s) != want
     ]
-    return _result("typed-vs-formula", bad, f"all sets, n <= {max_n}")
 
 
-def check_recursion_vs_formula(max_n: int) -> CheckResult:
+def check_brute_vs_formula(formula: Table, brute: Table) -> CheckResult:
+    bad = _mismatches(lambda n, s: brute[n].get(s, 0), {n: formula[n] for n in brute})
+    return _result("brute-vs-formula", bad, f"all sets, n <= {max(brute)}")
+
+
+def check_typed_vs_formula(formula: Table) -> CheckResult:
+    bad = _mismatches(cdes_formula_typed, formula)
+    return _result("typed-vs-formula", bad, f"all sets, n <= {max(formula)}")
+
+
+def check_recursion_vs_formula(formula: Table) -> CheckResult:
     cache: dict = {}
-    bad = [
-        (n, s)
-        for n in range(1, max_n + 1)
-        for s in iter_value_sets(n)
-        if cdes_recursive(n, s, cache) != cdes_formula(n, s)
-    ]
-    return _result("recursion-vs-formula", bad, f"all sets, n <= {max_n}")
+    bad = _mismatches(lambda n, s: cdes_recursive(n, s, cache), formula)
+    return _result("recursion-vs-formula", bad, f"all sets, n <= {max(formula)}")
 
 
-def check_tree_vs_formula(max_n: int) -> CheckResult:
-    bad = [
-        (n, s)
-        for n in range(1, max_n + 1)
-        for s in iter_value_sets(n)
-        if tree_count(n, s) != cdes_formula(n, s)
-    ]
-    return _result("tree-sum-vs-formula", bad, f"all sets, n <= {max_n}")
+def check_tree_vs_formula(formula: Table) -> CheckResult:
+    bad = _mismatches(tree_count, formula)
+    return _result("tree-sum-vs-formula", bad, f"all sets, n <= {max(formula)}")
 
 
 def check_traversal_vs_sum(max_n: int, seed: int) -> CheckResult:
@@ -165,34 +163,26 @@ def check_traversal_vs_sum(max_n: int, seed: int) -> CheckResult:
     )
 
 
-def check_insertion_vs_formula(max_n: int) -> CheckResult:
-    bad = []
-    top = max(max_n, 2)
+def check_insertion_vs_formula(formula: Table) -> CheckResult:
+    top = max(formula)
     table = cdes_insertion_table(top)
-    if len(table) != 2 ** (top - 1):
-        bad.append(("size", len(table)))
-    for s, count in table.items():
-        if count != cdes_formula(top, s):
-            bad.append((top, s))
+    bad = [] if len(table) == 2 ** (top - 1) else [("size", len(table))]
+    bad += _mismatches(lambda n, s: table.get(s), {top: formula[top]})
     return _result("insertion-vs-formula", bad, f"entrywise at n = {top}")
 
 
-def check_table_mass(max_n: int) -> CheckResult:
-    bad = []
-    for n in range(1, max_n + 1):
-        total = sum(cdes_formula(n, s) for s in iter_value_sets(n))
-        if total != math.factorial(n):
-            bad.append((n, total))
-    return _result("formula-mass-equals-factorial", bad, f"n <= {max_n}")
+def check_table_mass(formula: Table) -> CheckResult:
+    bad = [
+        (n, total)
+        for n, row in formula.items()
+        if (total := sum(row.values())) != math.factorial(n)
+    ]
+    return _result("formula-mass-equals-factorial", bad, f"n <= {max(formula)}")
 
 
-def check_nwexb_vs_cdes(max_n: int, workers: int = 1) -> CheckResult:
-    bad = []
-    top = min(max_n, BRUTE_MAX_N)
-    for n in range(1, top + 1):
-        if brute_nwexb_table(n, workers=workers) != brute_cdes_table(n, workers=workers):
-            bad.append(n)
-    return _result("nwexb-vs-cdes", bad, f"full tables, n <= {top}")
+def check_nwexb_vs_cdes(brute: Table, workers: int = 1) -> CheckResult:
+    bad = [n for n, row in brute.items() if brute_nwexb_table(n, workers=workers) != row]
+    return _result("nwexb-vs-cdes", bad, f"full tables, n <= {max(brute)}")
 
 
 def check_poly_reference_table() -> CheckResult:
@@ -207,18 +197,18 @@ def check_poly_reference_table() -> CheckResult:
     return _result("poly-reference-table", bad, "orders 2..5")
 
 
-def check_poly_vs_formula(max_n: int) -> CheckResult:
-    bad = []
-    for n in range(2, max_n + 1):
-        g = gn(n)
-        for s in iter_value_sets(n):
-            if descent_set_coefficient(g, s) != cdes_formula(n, s):
-                bad.append((n, s))
+def check_poly_vs_formula(formula: Table) -> CheckResult:
+    polys = {n: gn(n) for n in formula if n >= 2}
+    bad = _mismatches(
+        lambda n, s: descent_set_coefficient(polys[n], s),
+        {n: formula[n] for n in polys},
+    )
+    for n, g in polys.items():
         if any(len(xv) != ydeg for (xv, ydeg) in g.terms()):
             bad.append((n, "ydeg"))
         if g.evaluate(1, 1) != math.factorial(n):
             bad.append((n, "mass"))
-    return _result("poly-vs-formula", bad, f"n <= {max_n}")
+    return _result("poly-vs-formula", bad, f"n <= {max(formula)}")
 
 
 def check_poly_slices(max_n: int) -> CheckResult:
@@ -331,17 +321,24 @@ def run_all(
     if max_n < 2:
         raise ValueError(f"max_n must be at least 2: {max_n}")
     perms.check_cap("max_n", max_n, "verify", "VERIFY_MAX_N", perms.VERIFY_MAX_N)
+    formula = {
+        n: {s: cdes_formula(n, s) for s in iter_value_sets(n)} for n in range(1, max_n + 1)
+    }
+    brute = {
+        n: brute_cdes_table(n, workers=workers)
+        for n in range(1, min(max_n, BRUTE_MAX_N) + 1)
+    }
     return [
-        check_brute_vs_formula(max_n, workers),
-        check_typed_vs_formula(max_n),
-        check_recursion_vs_formula(max_n),
-        check_tree_vs_formula(max_n),
+        check_brute_vs_formula(formula, brute),
+        check_typed_vs_formula(formula),
+        check_recursion_vs_formula(formula),
+        check_tree_vs_formula(formula),
         check_traversal_vs_sum(max_n, seed),
-        check_insertion_vs_formula(max_n),
-        check_table_mass(max_n),
-        check_nwexb_vs_cdes(max_n, workers),
+        check_insertion_vs_formula(formula),
+        check_table_mass(formula),
+        check_nwexb_vs_cdes(brute, workers),
         check_poly_reference_table(),
-        check_poly_vs_formula(max_n),
+        check_poly_vs_formula(formula),
         check_poly_slices(max_n),
         check_gap_tau_reversal(min(max_n + 1, 10)),
         check_tableaux(max_n),

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cdescent.cli as cli
+import cdescent.verify as verify
 from cdescent.genocchi import genocchi_number
 from cdescent.perms import (
     BUILD_CAP,
@@ -17,6 +18,7 @@ from cdescent.perms import (
     GENOCCHI_MAX_SIZE,
     TABLE_MAX_N,
     VERIFY_MAX_N,
+    brute_cdes_table,
 )
 
 
@@ -242,6 +244,20 @@ def test_genocchi_brute_crosscheck(capsys):
     assert out.splitlines() == ["recursion 3", "brute 3"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--n", "11", "--set", "3", "--method", "brute"),
+        ("genocchi", "--k", "11", "--n", "2", "--brute"),
+    ],
+)
+def test_brute_cap_message_names_the_flag_once(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert err.endswith(" exceeds the enumeration cap (--brute-cap) = 10\n")
+    assert err.count("\n") == 1 and "cap cap" not in err
+
+
 def test_genocchi_brute_mismatch_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(cli, "genocchi_number", lambda k, n: 999)
     rc, _, err = run(capsys, "genocchi", "--k", "2", "--n", "3", "--brute")
@@ -269,12 +285,43 @@ def test_threads_flag(capsys):
     assert out.strip() == "37"
 
 
-def test_verify_passes(capsys):
-    rc, out, _ = run(capsys, "verify", "--max-n", "4")
-    assert rc == 0
-    lines = out.strip().splitlines()
-    assert all(line.startswith("PASS") for line in lines[:-1])
-    assert lines[-1].startswith("all ")
+# verify's text output for --max-n n <= 8, where every bound is n itself.
+VERIFY_TEXT = """\
+PASS brute-vs-formula (all sets, n <= {n})
+PASS typed-vs-formula (all sets, n <= {n})
+PASS recursion-vs-formula (all sets, n <= {n})
+PASS tree-sum-vs-formula (all sets, n <= {n})
+PASS tree-traversal-vs-closed-sum (gap vectors n <= {n} + samples)
+PASS insertion-vs-formula (entrywise at n = {n})
+PASS formula-mass-equals-factorial (n <= {n})
+PASS nwexb-vs-cdes (full tables, n <= {n})
+PASS poly-reference-table (orders 2..5)
+PASS poly-vs-formula (n <= {n})
+PASS poly-slice-reassembly (n <= {n})
+PASS gap-tau-reversal (compositions of <= {n1})
+PASS tableaux-three-routes (shapes of length <= {n})
+PASS tableaux-mass-equals-factorial (n <= {n})
+PASS theta-round-trip (heights <= {n})
+PASS singleton-law (exact big integers, n <= 64)
+PASS genocchi-cross-check (orders 1..3)
+all 17 checks passed
+"""
+
+
+@pytest.mark.parametrize("max_n", [4, 8])
+def test_verify_passes(capsys, monkeypatch, max_n):
+    scanned = []
+
+    def counted(n, **kwargs):
+        scanned.append(n)
+        return brute_cdes_table(n, **kwargs)
+
+    monkeypatch.setattr(verify, "brute_cdes_table", counted)
+    rc, out, err = run(capsys, "verify", "--max-n", str(max_n))
+    assert rc == 0 and err == ""
+    assert out == VERIFY_TEXT.format(n=max_n, n1=max_n + 1)
+    # One brute table per n, shared by every check that compares against it.
+    assert scanned == list(range(1, max_n + 1))
 
 
 def test_verify_failure_exits_2(capsys, monkeypatch):
