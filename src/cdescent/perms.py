@@ -64,7 +64,14 @@ def as_value_set(elements: Iterable[int], *, n: int | None = None) -> tuple[int,
             raise ValueError(f"n must be positive: {n}")
         check_cap("n", n, "count", "COUNT_MAX_N", COUNT_MAX_N)
     s = tuple(sorted(elements))
-    if any(not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in s):
+    # Test the few distinct types, not every element: int subclasses other
+    # than bool pass (plain int alone skips the loop), and s is sorted, so
+    # s[0] is its minimum.
+    types = {*map(type, s)}
+    if s and (
+        (types != {int} and (bool in types or not all(issubclass(t, int) for t in types)))
+        or s[0] < 1
+    ):
         raise ValueError(f"value sets contain positive integers only: {s!r}")
     if len(set(s)) != len(s):
         raise ValueError(f"value sets have distinct elements: {s!r}")

@@ -4,7 +4,8 @@ Two independent recursions reproduce the closed-form counts:
 
 * the minimum-element recursion, which splits the permutations with
   descent-value set S by the relative placement of min(S) and min(S) - 1
-  and is driven top-down with memoization;
+  and is driven top-down with memoization, each set held as one int
+  bitmask (element v at bit v);
 * the insertion recursion, which extends a full count table for [2, n-1]
   to one for [2, n] by inserting the new largest value n into shorter
   permutations, and is driven bottom-up.
@@ -20,7 +21,8 @@ from collections.abc import Iterable
 
 from .perms import TABLE_MAX_N, as_value_set, check_cap
 
-Cache = dict[tuple[int, ...], int]
+# Minimum-element recursion cache: bitmask of S (element v at bit v) -> count.
+Cache = dict[int, int]
 
 
 def delta(s: Iterable[int]) -> tuple[int, ...]:
@@ -47,10 +49,16 @@ def cdes_recursive(n: int, s: Iterable[int], cache: Cache | None = None) -> int:
 
     with base cases: 1 in S -> 0, empty S -> 1, singleton {m} -> 2^(m-1)-1.
     Every subproblem is independent of n (only max(S) matters), so cache
-    keys are the sets themselves.  When min(S) = 2 the first two branches
-    vanish and a single-step shortcut is taken.  The recursion depth grows
-    with the elements of S; a set that needs more than the interpreter's
-    recursion limit raises ``ValueError``.
+    keys are the sets themselves, each as one int with element v at bit v
+    (the convention of ``perms._descent_mask``; ``perms._members`` decodes
+    a key).  Every step is then a few shifts and xors of that int: with
+    ``low`` the lowest set bit, the three branches are
+    ``mask ^ low ^ (low >> 1)``, ``mask >> 1`` and
+    ``(mask >> 1) ^ (low >> 1)``, each O(max(S)) bit operations.  When
+    min(S) = 2 the first two branches vanish and a single-step shortcut is
+    taken.  The recursion depth grows with the elements of S; a set that
+    needs more than the interpreter's recursion limit raises
+    ``ValueError``.
 
     A cache may be shared across calls and across threads: it only ever
     grows, and a key is published only once its value is complete, always
@@ -66,8 +74,11 @@ def cdes_recursive(n: int, s: Iterable[int], cache: Cache | None = None) -> int:
     s = as_value_set(s, n=n)
     if cache is None:
         cache = {}
+    mask = 0
+    for v in s:
+        mask |= 1 << v
     try:
-        return _count(s, cache)
+        return _count(mask, cache)
     except RecursionError:
         raise ValueError(
             f"the recursion for max(S) = {s[-1]} exceeds the interpreter's "
@@ -75,25 +86,25 @@ def cdes_recursive(n: int, s: Iterable[int], cache: Cache | None = None) -> int:
         ) from None
 
 
-def _count(s: tuple[int, ...], cache: Cache) -> int:
-    if not s:
-        return 1
-    if s[0] == 1:
+def _count(mask: int, cache: Cache) -> int:
+    if mask & (mask - 1) == 0:
+        # The empty set, or the singleton {m} at bit m: 2^(m-1) - 1.
+        return (1 << (mask.bit_length() - 2)) - 1 if mask else 1
+    if mask & 2:
         return 0
-    if len(s) == 1:
-        return (1 << (s[0] - 1)) - 1
-    value = cache.get(s)
+    value = cache.get(mask)
     if value is not None:
         return value
-    if s[0] == 2:
+    low = mask & -mask
+    if low == 4:
         # Only the third branch survives: the 2 forces its companion 1
         # immediately to its right, and deleting the pair reduces n by one.
-        value = _count(tuple(v - 1 for v in s[1:]), cache)
+        value = _count((mask ^ 4) >> 1, cache)
     else:
-        swapped = (s[0] - 1, *s[1:])
-        shifted = tuple(v - 1 for v in s)
-        value = _count(swapped, cache) + _count(shifted, cache) + _count(shifted[1:], cache)
-    cache[s] = value
+        below = low >> 1  # the bit of min(S) - 1
+        shifted = mask >> 1
+        value = _count(mask ^ low ^ below, cache) + _count(shifted, cache) + _count(shifted ^ below, cache)
+    cache[mask] = value
     return value
 
 

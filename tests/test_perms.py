@@ -83,6 +83,21 @@ def test_as_value_set():
         as_value_set([True, 3])
 
 
+class Small(int):
+    pass
+
+
+@pytest.mark.parametrize("elements", [[2.0, 3], [3, 2.5], [False], [0], [-4, 3], [Small(0)]])
+def test_as_value_set_refuses_non_positive_integers(elements):
+    with pytest.raises(ValueError, match="positive integers only"):
+        as_value_set(elements)
+
+
+def test_as_value_set_keeps_int_subclasses():
+    # Only bool is refused among int subclasses.
+    assert as_value_set([Small(3), 2]) == (2, 3)
+
+
 def test_iter_value_sets():
     assert list(iter_value_sets(1)) == [()]
     assert list(iter_value_sets(3)) == [(), (2,), (3,), (2, 3)]

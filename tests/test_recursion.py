@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdescent import (
     brute_cdes_table,
@@ -10,7 +12,12 @@ from cdescent import (
     delta,
     iter_value_sets,
 )
-from cdescent.perms import TABLE_MAX_N
+from cdescent.perms import TABLE_MAX_N, _members
+
+# S within [2, n] for n <= 64, |S| <= 10.
+queries = st.integers(1, 64).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.integers(2, max(n, 2)), max_size=min(10, n - 1)))
+)
 
 
 @pytest.mark.parametrize(
@@ -68,14 +75,46 @@ def test_shared_cache_and_fresh_cache_agree():
     assert cdes_recursive(12, (3, 5, 8), shared) == first
 
 
+def assert_cache_matches_formula(cache):
+    # Every key decodes, element v at bit v, to a set whose count it holds.
+    for mask, count in cache.items():
+        s = _members(mask)
+        assert s and s[0] >= 2, mask
+        assert count == cdes_formula(s[-1], s), s
+
+
 def test_too_deep_recursion_raises_value_error():
     cache = {}
+    cdes_recursive(12, (3, 5, 8), cache)
+    filled = dict(cache)
+    assert filled
     with pytest.raises(ValueError, match="depth limit"):
         cdes_recursive(3000, (1500, 3000), cache)
     # Only completed values were published, so the cache stays usable.
-    for s, count in cache.items():
-        assert count == cdes_formula(s[-1], s), s
+    assert cache.items() >= filled.items()
+    assert_cache_matches_formula(cache)
     assert cdes_recursive(12, (3, 5, 8), cache) == cdes_formula(12, (3, 5, 8))
+
+
+def test_cache_keys_are_bitmasks_of_sets():
+    cache = {}
+    for n in range(1, 11):
+        for s in iter_value_sets(n):
+            cdes_recursive(n, s, cache)
+    # Composite subproblems only: every set of [2, 10] with two or more
+    # elements is a key, and nothing else is.
+    assert sorted(map(_members, cache)) == sorted(s for s in iter_value_sets(10) if len(s) >= 2)
+    assert_cache_matches_formula(cache)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(queries, min_size=1, max_size=5))
+def test_recursion_matches_formula_beyond_the_sweep(batch):
+    shared = {}
+    for n, s in batch:
+        expected = cdes_formula(n, s)
+        assert cdes_recursive(n, s) == expected, (n, s)
+        assert cdes_recursive(n, s, shared) == expected, (n, s)
 
 
 def test_insertion_table_small():
