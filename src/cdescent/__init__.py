@@ -7,83 +7,74 @@ with a prescribed descent-value set through four independent routes
 weighted generating tree), assembles the counts into sparse generating
 polynomials, and applies them to 0/1 fillings of Young diagrams and to
 generalized Genocchi numbers.  All arithmetic is exact.
+
+``import cdescent`` loads no submodule: each public name is imported from
+the module that defines it on first access, so a caller pays only for
+the routes it uses.
 """
 
-from .formula import cdes_formula, cdes_formula_typed, gap_vector, set_type
-from .genocchi import brute_genocchi_perm_count, gandhi_poly, genocchi_number
-from .perms import (
-    as_value_set,
-    brute_cdes_count,
-    brute_cdes_table,
-    brute_nwexb_count,
-    brute_nwexb_table,
-    circular_descent_set,
-    iter_value_sets,
-    nwexb_set,
-    reduction,
-)
-from .poly import Poly, descent_set_coefficient, gn, gnk, tau
-from .recursion import cdes_insertion_table, cdes_recursive, delta
-from .tableaux import (
-    brute_count_tableaux,
-    count_tableaux_formula,
-    count_tableaux_type_sum,
-    format_filling,
-    is_valid_tableau,
-    iter_shapes,
-    partition_type,
-    shape_to_descent_set,
-)
-from .tree import (
-    TreeNode,
-    build_tree,
-    iter_leaf_paths,
-    leaf_theta,
-    leaf_theta_inverse,
-    tree_weight_sum,
-    tree_weight_traversal,
-)
+# Each public name and the submodule that defines it; ``__all__`` is its keys.
+_EXPORTS = {
+    "cdes_formula": "formula",
+    "cdes_formula_typed": "formula",
+    "gap_vector": "formula",
+    "set_type": "formula",
+    "brute_genocchi_perm_count": "genocchi",
+    "gandhi_poly": "genocchi",
+    "genocchi_number": "genocchi",
+    "as_value_set": "perms",
+    "brute_cdes_count": "perms",
+    "brute_cdes_table": "perms",
+    "brute_nwexb_count": "perms",
+    "brute_nwexb_table": "perms",
+    "circular_descent_set": "perms",
+    "iter_value_sets": "perms",
+    "nwexb_set": "perms",
+    "reduction": "perms",
+    "Poly": "poly",
+    "descent_set_coefficient": "poly",
+    "gn": "poly",
+    "gnk": "poly",
+    "tau": "poly",
+    "cdes_insertion_table": "recursion",
+    "cdes_recursive": "recursion",
+    "delta": "recursion",
+    "brute_count_tableaux": "tableaux",
+    "count_tableaux_formula": "tableaux",
+    "count_tableaux_type_sum": "tableaux",
+    "format_filling": "tableaux",
+    "is_valid_tableau": "tableaux",
+    "iter_shapes": "tableaux",
+    "partition_type": "tableaux",
+    "shape_to_descent_set": "tableaux",
+    "TreeNode": "tree",
+    "build_tree": "tree",
+    "iter_leaf_paths": "tree",
+    "leaf_theta": "tree",
+    "leaf_theta_inverse": "tree",
+    "tree_weight_sum": "tree",
+    "tree_weight_traversal": "tree",
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Poly",
-    "TreeNode",
-    "as_value_set",
-    "brute_cdes_count",
-    "brute_cdes_table",
-    "brute_count_tableaux",
-    "brute_genocchi_perm_count",
-    "brute_nwexb_count",
-    "brute_nwexb_table",
-    "build_tree",
-    "cdes_formula",
-    "cdes_formula_typed",
-    "cdes_insertion_table",
-    "cdes_recursive",
-    "circular_descent_set",
-    "count_tableaux_formula",
-    "count_tableaux_type_sum",
-    "delta",
-    "descent_set_coefficient",
-    "format_filling",
-    "gandhi_poly",
-    "gap_vector",
-    "genocchi_number",
-    "gn",
-    "gnk",
-    "is_valid_tableau",
-    "iter_leaf_paths",
-    "iter_shapes",
-    "iter_value_sets",
-    "leaf_theta",
-    "leaf_theta_inverse",
-    "nwexb_set",
-    "partition_type",
-    "reduction",
-    "set_type",
-    "shape_to_descent_set",
-    "tau",
-    "tree_weight_sum",
-    "tree_weight_traversal",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines a public name on first access
+    (PEP 562), and keep the value so later lookups skip this hook.  The
+    submodules that define them resolve too, e.g. ``cdescent.perms``."""
+    from importlib import import_module
+
+    if name in _EXPORTS.values():
+        return import_module(f".{name}", __name__)  # which binds it here
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS.values()})

@@ -19,18 +19,18 @@ descent-value set S.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
 
 from .formula import cube_sum, gap_vector
 from .perms import BUILD_CAP, COUNT_MAX_N, as_value_set, check_cap
 
 
-@dataclass(frozen=True, slots=True)
-class TreeNode:
-    label: int
-    height: int
-    children: tuple["TreeNode", ...] = field(default=())
+class TreeNode(namedtuple("TreeNode", "label height children", defaults=((),))):
+    """An immutable tree node: ``TreeNode(label, height, children=())``,
+    children a tuple of nodes."""
+
+    __slots__ = ()
 
     @property
     def is_leaf(self) -> bool:

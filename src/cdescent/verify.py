@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import perms  # as a module, so that every check_* name here is a check
 from .formula import cdes_formula, cdes_formula_typed, gap_vector
@@ -103,11 +103,10 @@ GENOCCHI_ORDER2 = (1, 1, 3, 17, 155, 2073)
 Table = dict[int, dict[tuple[int, ...], int]]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "name passed detail", defaults=("",))):
+    """One check's outcome: ``CheckResult(name, passed, detail="")``."""
+
+    __slots__ = ()
 
 
 def _result(name: str, mismatches: list, detail: str) -> CheckResult:

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cdescent.cli as cli
+import cdescent.formula as formula
+import cdescent.genocchi as genocchi
 import cdescent.verify as verify
-from cdescent.genocchi import genocchi_number
 from cdescent.perms import (
     BUILD_CAP,
     COUNT_MAX_N,
@@ -62,7 +63,7 @@ def test_count_all_methods(capsys):
 
 
 def test_count_all_methods_disagreement_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "cdes_formula", lambda n, s: 999)
+    monkeypatch.setattr(formula, "cdes_formula", lambda n, s: 999)
     rc, _, err = run(capsys, "count", "--n", "5", "--set", "3,5", "--all-methods")
     assert rc == 2
     assert "disagree" in err
@@ -152,7 +153,7 @@ def any_int_digits():
 @pytest.mark.parametrize(
     "argv, value",
     [
-        (("genocchi", "--k", "2", "--n", "1000"), lambda: genocchi_number(2, 1000)),
+        (("genocchi", "--k", "2", "--n", "1000"), lambda: genocchi.genocchi_number(2, 1000)),
         (("count", "--n", "14300", "--set", "14300"), lambda: 2**14299 - 1),
     ],
 )
@@ -226,6 +227,14 @@ def test_tree_show_dump(capsys):
     assert out.splitlines() == ["1", "0 1 +", "  1 1 -", "  1 2 +"]
 
 
+def test_tree_empty_gaps_is_the_root(capsys):
+    # The empty gap vector is the height-0 tree: the root alone, weight 1.
+    rc, out, err = run(capsys, "tree", "--gaps", "")
+    assert (rc, out, err) == (0, "1\n", "")
+    rc, out, err = run(capsys, "tree", "--gaps", "", "--show")
+    assert (rc, out, err) == (0, "1\n0 1 +\n", "")
+
+
 def test_tableaux(capsys):
     rc, out, _ = run(capsys, "tableaux", "--shape", "2,2", "--method", "brute")
     assert rc == 0 and out.strip() == "7"
@@ -259,7 +268,7 @@ def test_brute_cap_message_names_the_flag_once(capsys, argv):
 
 
 def test_genocchi_brute_mismatch_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "genocchi_number", lambda k, n: 999)
+    monkeypatch.setattr(genocchi, "genocchi_number", lambda k, n: 999)
     rc, _, err = run(capsys, "genocchi", "--k", "2", "--n", "3", "--brute")
     assert rc == 2
     assert "disagrees" in err
@@ -324,11 +333,22 @@ def test_verify_passes(capsys, monkeypatch, max_n):
     assert scanned == list(range(1, max_n + 1))
 
 
-def test_verify_failure_exits_2(capsys, monkeypatch):
-    from cdescent.verify import CheckResult
+@pytest.mark.parametrize("argv, seed", [((), verify.DEFAULT_SEED), (("--seed", "5"), 5)])
+def test_verify_seed_reaches_run_all(capsys, monkeypatch, argv, seed):
+    seen = []
 
+    def recording(max_n, *, workers, seed):
+        seen.append(seed)
+        return []
+
+    monkeypatch.setattr(verify, "run_all", recording)
+    assert run(capsys, "verify", *argv)[0] == 0
+    assert seen == [seed]
+
+
+def test_verify_failure_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli, "run_all", lambda *a, **kw: [CheckResult("stub", False, "boom")]
+        verify, "run_all", lambda *a, **kw: [verify.CheckResult("stub", False, "boom")]
     )
     rc, out, err = run(capsys, "verify", "--max-n", "4")
     assert rc == 2

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cdescent import (
+    TreeNode,
     build_tree,
     cdes_formula,
     cdes_formula_typed,
@@ -164,3 +165,21 @@ def test_set_routes_match_traversal(s):
 def test_type_sum_matches_traversal(shape):
     _, s = shape_to_descent_set(shape)
     assert count_tableaux_type_sum(shape) == tree_weight_traversal(gap_vector(s))
+
+
+def test_tree_node_value_semantics():
+    leaf = TreeNode(1, 1)
+    assert leaf.children == () and leaf.is_leaf
+    assert repr(leaf) == "TreeNode(label=1, height=1, children=())"
+    assert repr(build_tree(1)) == (
+        "TreeNode(label=1, height=0, children=(TreeNode(label=1, height=1, children=()),"
+        " TreeNode(label=2, height=1, children=())))"
+    )
+    root = TreeNode(label=1, height=0, children=(leaf, TreeNode(2, 1)))
+    assert root == build_tree(1) and not root.is_leaf
+    assert leaf == TreeNode(1, 1, ()) and leaf != TreeNode(2, 1)
+    assert hash(root) == hash(build_tree(1))
+    assert len({root, build_tree(1), leaf}) == 2
+    for name in ("label", "height", "children"):
+        with pytest.raises(AttributeError):
+            setattr(leaf, name, 0)

@@ -51,3 +51,15 @@ def test_fault_fails_exactly_its_checks(monkeypatch, name, fault, failing):
     monkeypatch.setattr(verify, name, fault(getattr(verify, name)))
     results = verify.run_all(6)
     assert {r.name for r in results if not r.passed} == failing
+
+
+def test_check_result_value_semantics():
+    result = verify.CheckResult("x", True)
+    assert (result.name, result.passed, result.detail) == ("x", True, "")
+    assert repr(result) == "CheckResult(name='x', passed=True, detail='')"
+    assert result == verify.CheckResult(name="x", passed=True, detail="")
+    assert result != verify.CheckResult("x", False)
+    assert len({result, verify.CheckResult("x", True, ""), verify.CheckResult("y", True)}) == 2
+    for name in ("name", "passed", "detail"):
+        with pytest.raises(AttributeError):
+            setattr(result, name, 0)
