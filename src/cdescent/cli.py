@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Commands: count, table, poly, tree, tableaux, genocchi, verify.  All take
-``--format text|json|csv``; count and verify take ``--threads N`` (most
-worker processes for brute-force scans); count and genocchi take
-``--brute-cap N`` (largest permutation length a brute scan will
-accept).  Exit codes: 0 success, 1 validation error, 2 cross-method
-mismatch.
+``--format text|json|csv``; verify takes ``--threads N`` (most processes
+it runs, itself included), which count accepts for its callers but
+ignores, as its brute route enumerates one set in process; count and
+genocchi take ``--brute-cap N`` (largest permutation length a brute
+count will accept).  Exit codes: 0 success, 1 validation error, 2
+cross-method mismatch.
 
 JSON output is a single object ``{"query": {...}, "result": ...}``; counts
 are decimal strings so arbitrary precision survives every format.  Tree
@@ -132,7 +133,7 @@ def _count_one(method: str, n: int, s: tuple[int, ...], args) -> int:
         return tree_count(n, s)
     from .perms import brute_cdes_count
 
-    return brute_cdes_count(n, s, cap=args.brute_cap, workers=args.threads)
+    return brute_cdes_count(n, s, cap=args.brute_cap)
 
 
 def cmd_count(args) -> int:
@@ -264,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     threads = argparse.ArgumentParser(add_help=False)
     threads.add_argument(
         "--threads", type=int, default=1,
-        help="at most this many worker processes for brute-force scans (default 1)",
+        help="verify: at most this many processes, itself included, capped at the"
+        " core count; count: accepted and ignored (default 1)",
     )
     brute_cap = argparse.ArgumentParser(add_help=False)
     brute_cap.add_argument(

@@ -10,9 +10,9 @@ values A_m(1), ..., A_m(n - m) down a triangle, one row per m, with
 O(n^2) big-integer products.  ``gandhi_poly`` expands the same recursion
 in exact integer coefficients and shares no code with the triangle, so
 evaluating it at 1 is the cross-check.  A second, independent check
-counts the permutations of [k*n] in which position i holds a value >= i
-exactly when that value is divisible by k; their number is the
-(2n+2)-nd Genocchi number of order k.
+counts, by a search over partial permutations, the permutations of [k*n]
+in which position i holds a value >= i exactly when that value is
+divisible by k; their number is the (2n+2)-nd Genocchi number of order k.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from .perms import DEFAULT_ENUMERATION_CAP, GENOCCHI_MAX_SIZE, check_cap
+from .perms import DEFAULT_ENUMERATION_CAP, GENOCCHI_MAX_SIZE, check_cap, count_placements
 
 
 def _shift_x_plus_one(coeffs: tuple[int, ...] | list[int]) -> list[int]:
@@ -118,14 +118,20 @@ def brute_genocchi_perm_count(
     """Count permutations of [k*n] where sigma(i) >= i exactly when k
     divides sigma(i).  Equals ``genocchi_number(k, n + 1)``.
 
+    Places values left to right and drops a value at position i as soon
+    as ``(v >= i) != (v % k == 0)``, so only those permutations and their
+    prefixes are visited (``perms.count_placements``).
+
     >>> brute_genocchi_perm_count(2, 2)
     3
     """
     if k < 1 or n < 1:
         raise ValueError(f"order and index must be positive: ({k}, {n})")
     check_cap("k*n", k * n, "enumeration", "(--brute-cap)", cap)
-    count = 0
-    for perm in itertools.permutations(range(1, k * n + 1)):
-        if all((v >= i) == (v % k == 0) for i, v in enumerate(perm, start=1)):
-            count += 1
-    return count
+    m = k * n
+    # The rule at position i does not depend on the value before it.
+    rows = []
+    for i in range(1, m + 1):
+        mask = sum(1 << v for v in range(1, m + 1) if (v >= i) == (v % k == 0))
+        rows.append([mask] * (m + 1))
+    return count_placements(rows)

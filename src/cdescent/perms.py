@@ -7,7 +7,7 @@ of distinct positive integers.
 
 Each statistic is defined once, as a bitmask of one permutation
 (``_descent_mask``, ``_nwexb_mask``); the public set functions and the
-count tables both read their sets off that mask.  The ``brute_*``
+count tables both read their sets off that mask.  The ``brute_*_table``
 functions run one scan for either statistic: they enumerate all n!
 permutations in lexicographic order and tally the masks.  They are the
 ground truth against which every closed-form counting route is checked,
@@ -15,6 +15,12 @@ so they stay deliberately simple.  A configurable cap bounds the runtime;
 from ``POOL_MIN_N`` on, the scan can be spread over worker processes (at
 most one per core and per block), partitioned by the first entry of the
 permutation, and the merged result is identical to the sequential one.
+
+``brute_cdes_count`` counts one set without the table: it enumerates, in
+process, only the permutations whose descent-value set is that set, by
+placing values left to right while each adjacent pair agrees with it
+(``count_placements``, which the Genocchi permutation count also uses).
+The tests pin it to the full scan on every set of every small n.
 
 This module also holds every input cap of the package, each refused by
 :func:`check_cap` in one message format before any work.
@@ -218,16 +224,54 @@ def brute_cdes_table(
     return _brute_table(_descent_mask, n, workers)
 
 
-def brute_cdes_count(
-    n: int,
-    s: Iterable[int],
-    *,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    workers: int = 1,
-) -> int:
-    """Number of permutations of [n] whose descent-value set is exactly S."""
+def count_placements(allowed: Sequence[Sequence[int]]) -> int:
+    """Number of permutations of [m], m = len(allowed), built left to right
+    under a rule: value v may stand at position i (from 0) after the value
+    ``prev`` (0 before the first) only when bit v of ``allowed[i][prev]``
+    is set.  A depth-first search that extends a prefix only while every
+    placed value obeys the rule, so it visits the counted permutations and
+    such prefixes, nothing else.
+
+    >>> count_placements([[0b1110] * 4] * 3)  # no rule: all 3! orders
+    6
+    """
+    m = len(allowed)
+    count = 0
+    stack = [(0, 0, (1 << (m + 1)) - 2)]  # (position, prev, unused values)
+    while stack:
+        i, prev, free = stack.pop()
+        options = allowed[i][prev] & free
+        if i == m - 1:
+            count += options != 0
+            continue
+        while options:
+            bit = options & -options
+            options ^= bit
+            stack.append((i + 1, bit.bit_length() - 1, free ^ bit))
+    return count
+
+
+def brute_cdes_count(n: int, s: Iterable[int], *, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
+    """Number of permutations of [n] whose descent-value set is exactly S.
+
+    Enumerates only those permutations (and their prefixes): a value
+    ``prev`` is followed by a smaller one exactly when ``prev`` is in S,
+    and the last value is not in S.
+
+    >>> brute_cdes_count(4, (2, 4))
+    3
+    """
     target = as_value_set(s, n=n)
-    return brute_cdes_table(n, cap=cap, workers=workers).get(target, 0)
+    check_cap("n", n, "enumeration", "(--brute-cap)", cap)
+    in_s = sum(1 << v for v in target)
+    values = (1 << (n + 1)) - 2
+    # What may follow prev: the values below it if prev is in S, else above.
+    follow = [
+        (1 << prev) - 2 if in_s >> prev & 1 else values & -(1 << (prev + 1))
+        for prev in range(n + 1)
+    ]
+    last = [mask & ~in_s for mask in follow]
+    return count_placements([follow] * (n - 1) + [last])
 
 
 def brute_nwexb_table(n: int, *, workers: int = 1) -> dict[tuple[int, ...], int]:

@@ -24,11 +24,11 @@ Monomial = tuple[tuple[int, ...], int]
 def _check_monomial(key: Monomial) -> Monomial:
     xvars, ydeg = key
     xv = tuple(sorted(xvars))
-    if any(not isinstance(v, int) or v < 1 for v in xv):
+    if any(not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in xv):
         raise ValueError(f"x-variable indices must be positive integers: {xvars!r}")
     if len(set(xv)) != len(xv):
         raise ValueError(f"monomials are squarefree in x: {xvars!r}")
-    if not isinstance(ydeg, int) or ydeg < 0:
+    if not isinstance(ydeg, int) or isinstance(ydeg, bool) or ydeg < 0:
         raise ValueError(f"y-degree must be a nonnegative integer: {ydeg!r}")
     return xv, ydeg
 
@@ -240,7 +240,7 @@ def tau(parts: Iterable[int]) -> tuple[int, ...]:
     (2, 3, 4)
     """
     d = tuple(parts)
-    if any(not isinstance(v, int) or v < 1 for v in d):
+    if any(not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in d):
         raise ValueError(f"composition parts must be positive integers: {d!r}")
     return tuple(1 + t for t in itertools.accumulate(d))
 

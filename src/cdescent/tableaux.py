@@ -32,7 +32,7 @@ def check_shape(parts: Iterable[int]) -> tuple[int, ...]:
     p = tuple(parts)
     if not p:
         raise ValueError("a shape needs at least one row")
-    if any(not isinstance(v, int) or v < 1 for v in p):
+    if any(not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in p):
         raise ValueError(f"row lengths must be positive integers: {p!r}")
     if any(a < b for a, b in itertools.pairwise(p)):
         raise ValueError(f"row lengths must be weakly decreasing: {p!r}")

@@ -8,7 +8,9 @@ prints one line per check; the test suite asserts the same results.
 ``run_all`` builds two reference tables once per run and hands them to
 every check that compares against them: ``cdes_formula`` on every
 S of [2, n] for n <= ``max_n``, and ``brute_cdes_table`` for n <=
-``BRUTE_MAX_N``.  No route is compared with a table built by its own code.
+``BRUTE_MAX_N``; ``nwexb-vs-cdes`` gets the ``brute_nwexb_table`` tables
+of the same n the same way.  No route is compared with a table built by
+its own code.
 
 The closed-form routes share one evaluator, ``formula.cube_sum``, so
 ``typed-vs-formula``, ``tree-sum-vs-formula`` and the type-sum leg of
@@ -24,15 +26,20 @@ Genocchi value triangle with the expanded Gandhi polynomials and with
 the brute permutation count; the three share no code.
 
 Brute-force sweeps are limited to n <= 8 regardless of ``max_n``; the
-closed-form routes run the full range.  As 8 < ``perms.POOL_MIN_N``,
-``workers`` (``verify --threads``) never starts a pool; it stays for the
-callers that pass it, the benchmark among them.
+closed-form routes run the full range.  ``workers`` (``verify
+--threads``) is the number of processes: with more than one, a pool
+builds the permutation tables, ``brute_cdes_table`` and
+``brute_nwexb_table`` for every n <= ``BRUTE_MAX_N``, while the calling
+process runs the other checks.  The checks themselves always run in the
+calling process, and the results do not depend on ``workers``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import os
 import random
 from collections import namedtuple
 
@@ -179,8 +186,8 @@ def check_table_mass(formula: Table) -> CheckResult:
     return _result("formula-mass-equals-factorial", bad, f"n <= {max(formula)}")
 
 
-def check_nwexb_vs_cdes(brute: Table, workers: int = 1) -> CheckResult:
-    bad = [n for n, row in brute.items() if brute_nwexb_table(n, workers=workers) != row]
+def check_nwexb_vs_cdes(brute: Table, nwexb: Table) -> CheckResult:
+    bad = [n for n, row in brute.items() if nwexb[n] != row]
     return _result("nwexb-vs-cdes", bad, f"full tables, n <= {max(brute)}")
 
 
@@ -311,38 +318,78 @@ def check_genocchi() -> CheckResult:
     return _result("genocchi-cross-check", bad, "orders 1..3")
 
 
+def _scan(name: str, n: int) -> dict[tuple[int, ...], int]:
+    """One permutation table, by the name of its builder in this module,
+    so that a forked worker builds it with the same function as the
+    caller, a replaced one included."""
+    return globals()[name](n)
+
+
 def run_all(
     max_n: int = 6, *, workers: int = 1, seed: int = DEFAULT_SEED
 ) -> list[CheckResult]:
     """Run every cross-method check, bounded by ``max_n`` where a bound
     applies; ``max_n`` above ``perms.VERIFY_MAX_N`` is refused.
-    Deterministic for a fixed seed."""
+    Deterministic for a fixed seed, whatever ``workers``.
+
+    With ``workers`` > 1, a process pool builds the permutation tables
+    (``brute_cdes_table`` and ``brute_nwexb_table``) while this process
+    builds the formula table and runs the checks that need neither; the
+    two checks that do run last.  At most ``min(workers, os.cpu_count())``
+    processes run, this one included.  Every check runs in this process,
+    and the results keep their order."""
     if max_n < 2:
         raise ValueError(f"max_n must be at least 2: {max_n}")
     perms.check_cap("max_n", max_n, "verify", "VERIFY_MAX_N", perms.VERIFY_MAX_N)
-    formula = {
-        n: {s: cdes_formula(n, s) for s in iter_value_sets(n)} for n in range(1, max_n + 1)
-    }
-    brute = {
-        n: brute_cdes_table(n, workers=workers)
-        for n in range(1, min(max_n, BRUTE_MAX_N) + 1)
-    }
+    perms.check_workers(workers)
+    processes = min(workers, os.cpu_count() or 1)
+    pool = None
+    if processes > 1:
+        # Imported here so that a serial run skips multiprocessing.  The
+        # default start method is kept: fork (Linux) hands the workers the
+        # loaded modules, where spawn would import them again in each, and
+        # the pool forks at its first submit, before it starts its thread.
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=processes - 1)
+    try:
+        # Each table as a call that returns it: a pending result, or the
+        # build itself when there is no pool.  Largest first, for the pool.
+        top = min(max_n, BRUTE_MAX_N)
+        tables = {}
+        for name in ("brute_cdes_table", "brute_nwexb_table"):
+            for n in range(top, 0, -1):
+                job = (_scan, name, n)
+                tables[name, n] = pool.submit(*job).result if pool else functools.partial(*job)
+        formula = {
+            n: {s: cdes_formula(n, s) for s in iter_value_sets(n)}
+            for n in range(1, max_n + 1)
+        }
+        rest = [
+            check_typed_vs_formula(formula),
+            check_recursion_vs_formula(formula),
+            check_tree_vs_formula(formula),
+            check_traversal_vs_sum(max_n, seed),
+            check_insertion_vs_formula(formula),
+            check_table_mass(formula),
+            check_poly_reference_table(),
+            check_poly_vs_formula(formula),
+            check_poly_slices(max_n),
+            check_gap_tau_reversal(min(max_n + 1, 10)),
+            check_tableaux(max_n),
+            check_tableaux_mass(max_n),
+            check_theta_bijection(max_n),
+            check_singleton_law(),
+            check_genocchi(),
+        ]
+        brute = {n: tables["brute_cdes_table", n]() for n in range(1, top + 1)}
+        nwexb = {n: tables["brute_nwexb_table", n]() for n in range(1, top + 1)}
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
     return [
         check_brute_vs_formula(formula, brute),
-        check_typed_vs_formula(formula),
-        check_recursion_vs_formula(formula),
-        check_tree_vs_formula(formula),
-        check_traversal_vs_sum(max_n, seed),
-        check_insertion_vs_formula(formula),
-        check_table_mass(formula),
-        check_nwexb_vs_cdes(brute, workers),
-        check_poly_reference_table(),
-        check_poly_vs_formula(formula),
-        check_poly_slices(max_n),
-        check_gap_tau_reversal(min(max_n + 1, 10)),
-        check_tableaux(max_n),
-        check_tableaux_mass(max_n),
-        check_theta_bijection(max_n),
-        check_singleton_law(),
-        check_genocchi(),
+        *rest[:6],
+        check_nwexb_vs_cdes(brute, nwexb),
+        *rest[6:],
     ]

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -82,6 +84,17 @@ def test_brute_count_matches_recursion():
             if k * n > 8:
                 continue
             assert brute_genocchi_perm_count(k, n) == genocchi_number(k, n + 1), (k, n)
+
+
+def test_brute_count_matches_full_scan():
+    # The search against every permutation of [k*n], tested one by one.
+    for k in range(1, 9):
+        for n in range(1, 8 // k + 1):
+            want = sum(
+                all((v >= i) == (v % k == 0) for i, v in enumerate(perm, start=1))
+                for perm in itertools.permutations(range(1, k * n + 1))
+            )
+            assert brute_genocchi_perm_count(k, n) == want, (k, n)
 
 
 def test_brute_cap():

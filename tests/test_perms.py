@@ -1,9 +1,10 @@
 import concurrent.futures
+import itertools
 import math
 import os
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cdescent.perms as perms_module
@@ -13,6 +14,7 @@ from cdescent import (
     brute_cdes_table,
     brute_nwexb_count,
     brute_nwexb_table,
+    cdes_formula,
     circular_descent_set,
     iter_value_sets,
     nwexb_set,
@@ -114,6 +116,32 @@ def test_iter_value_sets():
 )
 def test_brute_cdes_count(n, s, expected):
     assert brute_cdes_count(n, s) == expected
+
+
+def test_brute_cdes_count_matches_full_scan():
+    # Every S of [1, n], so sets containing 1 and sets no permutation has
+    # are counted too, and must come out 0.
+    for n in range(1, 9):
+        table = brute_cdes_table(n)
+        for size in range(n + 1):
+            for s in itertools.combinations(range(1, n + 1), size):
+                assert brute_cdes_count(n, s) == table.get(s, 0), (n, s)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((9, 10)).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.integers(2, n)))))
+def test_brute_cdes_count_matches_formula(case):
+    n, s = case
+    assert brute_cdes_count(n, s) == cdes_formula(n, s)
+
+
+def test_brute_cdes_count_checks_the_set_before_the_cap():
+    with pytest.raises(ValueError, match=r"element 12 outside \[1, 11\]"):
+        brute_cdes_count(11, (12,))
+    with pytest.raises(ValueError, match="n must be positive: 0"):
+        brute_cdes_count(0, ())
+    with pytest.raises(ValueError, match=r"n = 11 exceeds the enumeration cap \(--brute-cap\) = 10"):
+        brute_cdes_count(11, (3,))
 
 
 def test_brute_cdes_tables():

@@ -127,6 +127,25 @@ def test_tau_rejects_nonpositive():
         tau((1, 0))
 
 
+def test_tau_rejects_bool():
+    with pytest.raises(ValueError, match="composition parts must be positive integers"):
+        tau((True, 2))
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        (((True,), 0), "x-variable indices must be positive integers"),
+        (((1,), True), "y-degree must be a nonnegative integer"),
+    ],
+)
+def test_monomial_rejects_bool(key, message):
+    with pytest.raises(ValueError, match=message):
+        Poly({key: 1})
+    with pytest.raises(ValueError, match=message):
+        Poly.x(1).coefficient(*key)
+
+
 def test_gnk_small():
     assert gnk(4, 0) == Poly.constant(1)
     assert str(gnk(4, 2)) == "x1*x2 + 3*x1*x3 + 7*x2*x3"

@@ -33,6 +33,12 @@ def test_bad_shapes_rejected(bad):
         partition_type(bad)
 
 
+@pytest.mark.parametrize("bad", [(True,), (2, True)])
+def test_bool_row_lengths_rejected(bad):
+    with pytest.raises(ValueError, match="row lengths must be positive integers"):
+        count_tableaux_formula(bad)
+
+
 @pytest.mark.parametrize(
     "shape, expected",
     [
