@@ -4,7 +4,9 @@
 A filling is valid when every column holds a 1 and no 0 has both a 1
 above it and a 1 to its left.  Walking the diagram's southeast border
 turns the shape into a descent-value set, so the closed counting formula
-applies; a brute-force search over fillings confirms it.
+applies; a brute-force search over fillings confirms it, and a
+column-by-column transfer count, exponential in rows only, reaches
+shapes too wide for the formula.
 """
 
 import itertools
@@ -13,6 +15,7 @@ import math
 from cdescent import (
     brute_count_tableaux,
     count_tableaux_formula,
+    count_tableaux_transfer,
     count_tableaux_type_sum,
     format_filling,
     is_valid_tableau,
@@ -31,7 +34,13 @@ n, s = shape_to_descent_set(shape)
 print(f"Border path of {shape}: length {n}, horizontal steps at {s}")
 print(f"  fillings by formula     : {count_tableaux_formula(shape)}")
 print(f"  fillings by type sum    : {count_tableaux_type_sum(shape)}")
+print(f"  fillings by transfer    : {count_tableaux_transfer(shape)}")
 print(f"  fillings by brute force : {brute_count_tableaux(shape)}")
+print()
+
+wide = (40, 30, 20)
+print(f"Shape {wide} is 40 columns wide, past the alternating sum's cap;")
+print(f"  fillings by transfer    : {count_tableaux_transfer(wide)}")
 print()
 
 print("Shape, border-path set and count, a few more examples:")

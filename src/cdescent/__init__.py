@@ -41,6 +41,7 @@ _EXPORTS = {
     "delta": "recursion",
     "brute_count_tableaux": "tableaux",
     "count_tableaux_formula": "tableaux",
+    "count_tableaux_transfer": "tableaux",
     "count_tableaux_type_sum": "tableaux",
     "format_filling": "tableaux",
     "is_valid_tableau": "tableaux",

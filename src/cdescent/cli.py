@@ -194,13 +194,15 @@ def cmd_tree(args) -> int:
 
 
 def cmd_tableaux(args) -> int:
-    from .tableaux import brute_count_tableaux, count_tableaux_formula
+    from . import tableaux
 
     shape = parse_shape(args.shape)
-    if args.method == "brute":
-        value = brute_count_tableaux(shape)
-    else:
-        value = count_tableaux_formula(shape)
+    route = {
+        "formula": tableaux.count_tableaux_formula,
+        "transfer": tableaux.count_tableaux_transfer,
+        "brute": tableaux.brute_count_tableaux,
+    }[args.method]
+    value = route(shape)
     query = {"command": "tableaux", "shape": list(shape), "method": args.method}
     _emit(args, query, str(value))
     return 0
@@ -297,7 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tableaux", parents=[fmt], help="count valid 0/1 fillings of a shape")
     p.add_argument("--shape", required=True, help="comma-separated weakly decreasing row lengths")
-    p.add_argument("--method", choices=("formula", "brute"), default="formula")
+    p.add_argument(
+        "--method", choices=("formula", "transfer", "brute"), default="formula",
+        help="formula: the alternating sum (width <= SUM_CAP); transfer: column by"
+        " column, exponential in rows; brute: the naive search (boxes <= BOX_CAP)",
+    )
     p.set_defaults(func=cmd_tableaux)
 
     p = sub.add_parser("genocchi", parents=[fmt, brute_cap], help="generalized Genocchi number of order k")

@@ -16,11 +16,12 @@ from ``POOL_MIN_N`` on, the scan can be spread over worker processes (at
 most one per core and per block), partitioned by the first entry of the
 permutation, and the merged result is identical to the sequential one.
 
-``brute_cdes_count`` counts one set without the table: it enumerates, in
-process, only the permutations whose descent-value set is that set, by
-placing values left to right while each adjacent pair agrees with it
-(``count_placements``, which the Genocchi permutation count also uses).
-The tests pin it to the full scan on every set of every small n.
+``brute_cdes_count`` and ``brute_nwexb_count`` count one set without the
+table: each enumerates, in process, only the permutations whose set is
+that set, by placing values left to right while each placed value agrees
+with it (``count_placements``, which the Genocchi permutation count also
+uses).  The tests pin both to the full scans on every set of every small
+n.
 
 This module also holds every input cap of the package, each refused by
 :func:`check_cap` in one message format before any work.
@@ -40,6 +41,7 @@ DEFAULT_ENUMERATION_CAP = 10
 SUM_CAP = 30  # length of the alternating sum, 2^length terms
 BUILD_CAP = 20  # height of a materialized tree, 2^(height+1) - 1 nodes
 BOX_CAP = 20  # boxes of a shape whose fillings are searched one by one
+TRANSFER_CAP = 2_000_000  # steps of the column transfer: 4^height summed over columns
 TABLE_MAX_N = 20  # n of a full table over [2, n], 2^(n-1) entries
 # n of a count, rows + width of a shape, exponent total of tree weights
 # (a gap vector sums to max(S) - 1).  Within SUM_CAP, ~1.5n digits at most.
@@ -66,6 +68,8 @@ def as_value_set(elements: Iterable[int], *, n: int | None = None) -> tuple[int,
     With ``n`` given, also require n >= 1 and every element to lie in [1, n].
     """
     if n is not None:
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f"n must be an integer: {n!r}")
         if n < 1:
             raise ValueError(f"n must be positive: {n}")
         check_cap("n", n, "count", "COUNT_MAX_N", COUNT_MAX_N)
@@ -283,8 +287,22 @@ def brute_nwexb_table(n: int, *, workers: int = 1) -> dict[tuple[int, ...], int]
 def brute_nwexb_count(n: int, s: Iterable[int], *, workers: int = 1) -> int:
     """Number of permutations of [n] with NWEXB set exactly S.
 
+    Enumerates only those permutations (and their prefixes): position i
+    takes a value below i exactly when i is in S, whatever the value
+    before it.  ``workers`` is validated and has no effect.
+
     >>> brute_nwexb_count(3, {1})
     0
+    >>> brute_nwexb_count(3, {2, 3})
+    1
     """
     target = as_value_set(s, n=n)
-    return brute_nwexb_table(n, workers=workers).get(target, 0)
+    check_cap("n", n, "enumeration", "DEFAULT_ENUMERATION_CAP", DEFAULT_ENUMERATION_CAP)
+    check_workers(workers)
+    in_s = sum(1 << i for i in target)
+    values = (1 << (n + 1)) - 2
+    # Position i (from 1) takes a value below i if i is in S, else one of i..n.
+    allowed = [
+        (1 << i) - 2 if in_s >> i & 1 else values & -(1 << i) for i in range(1, n + 1)
+    ]
+    return count_placements([[mask] * (n + 1) for mask in allowed])

@@ -11,11 +11,15 @@ its bounding rectangle down to the bottom-left corner and numbering the
 steps 1..n (n = rows + columns), the horizontal steps form a set S of
 values in [2, n] with max S = n, and the number of valid fillings equals
 the number of permutations of [n] with descent-value set S.  The count is
-therefore available three ways: by the border-path descent set, by the
+therefore available four ways: by the border-path descent set, by the
 alternating sum with exponents built from the shape's distinct row
-lengths, and by brute enumeration of fillings.  The first two evaluate
-the same sum (``formula.cube_sum``) and differ only in the exponent
-builder; brute enumeration is the independent check.
+lengths, by a column-transfer count of fillings, and by brute
+enumeration of fillings.  The first two evaluate the same sum
+(``formula.cube_sum``) and differ only in the exponent builder.  The
+column transfer shares no code with them or with the search; it is
+exponential in rows only, so it reaches shapes too wide for the sum, and
+it is the independent check.  The search, exponential in boxes, stays
+the naive oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import itertools
 from collections.abc import Iterable, Iterator, Sequence
 
 from .formula import cdes_formula, cube_sum
-from .perms import BOX_CAP, COUNT_MAX_N, check_cap
+from .perms import BOX_CAP, COUNT_MAX_N, TRANSFER_CAP, check_cap
 
 
 def check_shape(parts: Iterable[int]) -> tuple[int, ...]:
@@ -112,6 +116,45 @@ def count_tableaux_type_sum(parts: Iterable[int]) -> int:
         exponents[length - 1] += count - prev_count
         prev_count = count
     return cube_sum(tuple(exponents))
+
+
+def count_tableaux_transfer(parts: Iterable[int]) -> int:
+    """Number of valid fillings, column by column from the left, keeping
+    only the count of partial fillings per state: the bitmask of the rows
+    (bit 0 the top row) that already hold a 1.
+
+    In a column of height h, a nonempty pattern P of 1s is legal exactly
+    when no row below the topmost 1 of P holds a 0 and a 1 to its left;
+    the state then becomes its union with P, cut to the rows of the next
+    column.  The work is 4^h (patterns by states) per column, refused
+    above ``TRANSFER_CAP`` in all, and so above log4(``TRANSFER_CAP``)
+    rows, before any is done.
+
+    >>> count_tableaux_transfer((2, 1))
+    3
+    >>> count_tableaux_transfer((2, 2))
+    7
+    """
+    p = check_shape(parts)
+    # The first column alone takes 4^rows steps: refuse a taller shape on
+    # its rows, before the step count becomes an integer of many digits.
+    max_rows = (TRANSFER_CAP.bit_length() - 1) // 2  # the largest r with 4^r <= cap
+    check_cap("rows", len(p), "column transfer", "log4(TRANSFER_CAP)", max_rows)
+    heights = [sum(1 for row in p if row > c) for c in range(p[0])]
+    steps = sum(4**h for h in heights)
+    check_cap("transfer steps", steps, "column transfer", "TRANSFER_CAP", TRANSFER_CAP)
+    weights = {0: 1}
+    for h, h_next in zip(heights, [*heights[1:], 0]):
+        keep = (1 << h_next) - 1
+        new: dict[int, int] = {}
+        for pattern in range(1, 1 << h):
+            below = -((pattern & -pattern) << 1)  # rows under the topmost 1
+            for rows, weight in weights.items():
+                if not rows & ~pattern & below:
+                    key = (rows | pattern) & keep
+                    new[key] = new.get(key, 0) + weight
+        weights = new
+    return sum(weights.values())
 
 
 def _split_rows(p: tuple[int, ...], bits: Sequence[int]) -> list[list[int]]:

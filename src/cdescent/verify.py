@@ -19,28 +19,30 @@ route on a set (``tree.tree_count``, also ``count --method tree``) runs
 the same gap vector and ``cube_sum`` as ``cdes_formula``, so the tree's
 independent check is ``tree-traversal-vs-closed-sum``.  The brute-force
 scans, the recursion, the insertion tables, ``gn``, the tree traversal
-and the brute tableaux count stay independent of the evaluator.  The
-insertion table works on bitmasks and shares no code with the brute
-scan, the formula or ``gn``.  ``genocchi-cross-check`` compares the
+and the column-transfer tableaux count stay independent of the
+evaluator.  The insertion table works on bitmasks and shares no code
+with the brute scan, the formula or ``gn``.  ``genocchi-cross-check`` compares the
 Genocchi value triangle with the expanded Gandhi polynomials and with
 the brute permutation count; the three share no code.
 
 Brute-force sweeps are limited to n <= 8 regardless of ``max_n``; the
 closed-form routes run the full range.  ``workers`` (``verify
---threads``) is the number of processes: with more than one, a pool
-builds the permutation tables, ``brute_cdes_table`` and
-``brute_nwexb_table`` for every n <= ``BRUTE_MAX_N``, while the calling
-process runs the other checks.  The checks themselves always run in the
-calling process, and the results do not depend on ``workers``.
+--threads``) is the number of processes: with more than one, forked
+children build the permutation tables, ``brute_cdes_table`` and
+``brute_nwexb_table`` for every n <= ``BRUTE_MAX_N``, and send them back
+over pipes while the calling process runs the other checks.  The checks
+themselves always run in the calling process, and the results do not
+depend on ``workers``.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
+import marshal
 import math
 import os
 import random
+import sys
 from collections import namedtuple
 
 from . import perms  # as a module, so that every check_* name here is a check
@@ -50,8 +52,8 @@ from .perms import brute_cdes_table, brute_nwexb_table, iter_value_sets
 from .poly import Poly, descent_set_coefficient, gn, gnk, tau
 from .recursion import cdes_insertion_table, cdes_recursive
 from .tableaux import (
-    brute_count_tableaux,
     count_tableaux_formula,
+    count_tableaux_transfer,
     count_tableaux_type_sum,
     iter_shapes,
 )
@@ -251,8 +253,8 @@ def check_tableaux(max_n: int) -> CheckResult:
         if len(shape) + shape[0] > top:
             continue
         want = count_tableaux_formula(shape)
-        if brute_count_tableaux(shape) != want:
-            bad.append((shape, "brute"))
+        if count_tableaux_transfer(shape) != want:
+            bad.append((shape, "transfer"))
         if count_tableaux_type_sum(shape) != want:
             bad.append((shape, "type-sum"))
     return _result("tableaux-three-routes", bad, f"shapes of length <= {top}")
@@ -325,6 +327,49 @@ def _scan(name: str, n: int) -> dict[tuple[int, ...], int]:
     return globals()[name](n)
 
 
+def _fork_scan(jobs: list[tuple[str, int]]) -> tuple[int, int]:
+    """Fork a child that builds the tables of ``jobs`` (``_scan``
+    arguments) and writes them to a pipe, marshalled as one dict keyed by
+    job; return the child's pid and the pipe's read end.  The child never
+    returns into the caller's code: it leaves by ``os._exit``, with status
+    1 and its traceback on stderr if anything raised."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            payload = marshal.dumps({job: _scan(*job) for job in jobs})
+            with open(write_end, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        except BaseException:
+            sys.excepthook(*sys.exc_info())
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _join(pid: int, read_end: int) -> dict:
+    """Read a forked scan's pipe to the end, then reap the child; raise if
+    it failed, so that no check runs on a missing table."""
+    try:
+        with open(read_end, "rb") as pipe:
+            payload = pipe.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if status:
+        raise RuntimeError(f"scan worker {pid} failed (wait status {status})")
+    return marshal.loads(payload)
+
+
 def run_all(
     max_n: int = 6, *, workers: int = 1, seed: int = DEFAULT_SEED
 ) -> list[CheckResult]:
@@ -332,35 +377,32 @@ def run_all(
     applies; ``max_n`` above ``perms.VERIFY_MAX_N`` is refused.
     Deterministic for a fixed seed, whatever ``workers``.
 
-    With ``workers`` > 1, a process pool builds the permutation tables
-    (``brute_cdes_table`` and ``brute_nwexb_table``) while this process
+    With ``workers`` > 1, ``min(workers, os.cpu_count())`` - 1 forked
+    children build the permutation tables (``brute_cdes_table`` and
+    ``brute_nwexb_table``), a round-robin share each, while this process
     builds the formula table and runs the checks that need neither; the
-    two checks that do run last.  At most ``min(workers, os.cpu_count())``
-    processes run, this one included.  Every check runs in this process,
-    and the results keep their order."""
+    two checks that do run last.  Every child is reaped before this
+    returns or raises, and a failed one raises.  Without ``os.fork`` the
+    tables are built here.  A fork copies only the calling thread, so a
+    caller that runs other threads passes ``workers=1``.  Every check runs
+    in this process, and the results keep their order."""
     if max_n < 2:
         raise ValueError(f"max_n must be at least 2: {max_n}")
     perms.check_cap("max_n", max_n, "verify", "VERIFY_MAX_N", perms.VERIFY_MAX_N)
     perms.check_workers(workers)
-    processes = min(workers, os.cpu_count() or 1)
-    pool = None
-    if processes > 1:
-        # Imported here so that a serial run skips multiprocessing.  The
-        # default start method is kept: fork (Linux) hands the workers the
-        # loaded modules, where spawn would import them again in each, and
-        # the pool forks at its first submit, before it starts its thread.
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=processes - 1)
+    processes = min(workers, os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    top = min(max_n, BRUTE_MAX_N)
+    # The two builders alternate, so that with two children or more the two
+    # largest scans (n = top) fall in different round-robin shares.
+    jobs = [
+        (name, n)
+        for n in range(1, top + 1)
+        for name in ("brute_cdes_table", "brute_nwexb_table")
+    ]
+    children = []  # (pid, read end) of every child not yet joined
     try:
-        # Each table as a call that returns it: a pending result, or the
-        # build itself when there is no pool.  Largest first, for the pool.
-        top = min(max_n, BRUTE_MAX_N)
-        tables = {}
-        for name in ("brute_cdes_table", "brute_nwexb_table"):
-            for n in range(top, 0, -1):
-                job = (_scan, name, n)
-                tables[name, n] = pool.submit(*job).result if pool else functools.partial(*job)
+        for i in range(processes - 1):
+            children.append(_fork_scan(jobs[i :: processes - 1]))
         formula = {
             n: {s: cdes_formula(n, s) for s in iter_value_sets(n)}
             for n in range(1, max_n + 1)
@@ -382,11 +424,17 @@ def run_all(
             check_singleton_law(),
             check_genocchi(),
         ]
-        brute = {n: tables["brute_cdes_table", n]() for n in range(1, top + 1)}
-        nwexb = {n: tables["brute_nwexb_table", n]() for n in range(1, top + 1)}
+        tables = {} if children else {job: _scan(*job) for job in jobs}
+        while children:
+            tables.update(_join(*children.pop()))
     finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
+        # Only after a raise: stop reading, so that a child still writing
+        # ends on a broken pipe, and reap it.
+        for pid, read_end in children:
+            os.close(read_end)
+            os.waitpid(pid, 0)
+    brute = {n: tables["brute_cdes_table", n] for n in range(1, top + 1)}
+    nwexb = {n: tables["brute_nwexb_table", n] for n in range(1, top + 1)}
     return [
         check_brute_vs_formula(formula, brute),
         *rest[:6],

@@ -18,6 +18,7 @@ from cdescent.perms import (
     COUNT_MAX_N,
     GENOCCHI_MAX_SIZE,
     TABLE_MAX_N,
+    TRANSFER_CAP,
     VERIFY_MAX_N,
     brute_cdes_table,
 )
@@ -112,6 +113,7 @@ def test_validation_errors_exit_1(capsys, argv):
         ("count", "--n", str(COUNT_MAX_N + 1), "--set", str(COUNT_MAX_N + 1)),
         ("tree", "--gaps", str(COUNT_MAX_N + 1)),
         ("tableaux", "--shape", str(COUNT_MAX_N)),
+        ("tableaux", "--shape", ",".join(["1"] * 11), "--method", "transfer"),
         ("genocchi", "--k", "2", "--n", str(GENOCCHI_MAX_SIZE // 2 + 1)),
         ("genocchi", "--k", str(GENOCCHI_MAX_SIZE + 1), "--n", "1"),
         ("verify", "--max-n", str(VERIFY_MAX_N + 1)),
@@ -240,6 +242,32 @@ def test_tableaux(capsys):
     assert rc == 0 and out.strip() == "7"
     rc, out, _ = run(capsys, "tableaux", "--shape", "2,2")
     assert rc == 0 and out.strip() == "7"
+
+
+@pytest.mark.parametrize("shape", ["1", "2,1", "2,2", "3,3,1", "5,4,4,2,1"])
+def test_tableaux_transfer_matches_formula(capsys, shape):
+    for fmt in ("text", "json", "csv"):
+        formula_run = run(capsys, "tableaux", "--shape", shape, "--format", fmt)
+        transfer_run = run(capsys, "tableaux", "--shape", shape, "--method", "transfer", "--format", fmt)
+        assert transfer_run == formula_run[:1] + (formula_run[1].replace('"formula"', '"transfer"'), "")
+
+
+def test_tableaux_transfer_reaches_past_the_summation_cap(capsys):
+    assert run(capsys, "tableaux", "--shape", "40,30,20") == (
+        1, "", "error: length = 40 exceeds the summation cap SUM_CAP = 30\n"
+    )
+    rc, out, err = run(capsys, "tableaux", "--shape", "40,30,20", "--method", "transfer", "--format", "json")
+    assert (rc, err) == (0, "")
+    assert json.loads(out) == {
+        "query": {"command": "tableaux", "shape": [40, 30, 20], "method": "transfer"},
+        "result": "21418506295297",
+    }
+
+
+def test_tableaux_transfer_cap_exits_1(capsys):
+    assert run(capsys, "tableaux", "--shape", ",".join(["40"] * 8), "--method", "transfer") == (
+        1, "", f"error: transfer steps = 2621440 exceeds the column transfer cap TRANSFER_CAP = {TRANSFER_CAP}\n"
+    )
 
 
 def test_genocchi(capsys):
@@ -382,7 +410,7 @@ VALUES = {
     "--set": SETS,
     "--gaps": SETS,
     "--shape": SETS,
-    "--method": (("formula", "typed", "recursion", "tree", "brute"), ("nope",)),
+    "--method": (("formula", "typed", "recursion", "tree", "brute", "transfer"), ("nope",)),
     "--format": (("text", "json", "csv"), ("xml",)),
 }
 ALL_FLAGS = sorted({f for req, opt in COMMAND_FLAGS.values() for f in req + opt} | {"--format"})

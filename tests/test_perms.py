@@ -15,11 +15,14 @@ from cdescent import (
     brute_nwexb_count,
     brute_nwexb_table,
     cdes_formula,
+    cdes_formula_typed,
+    cdes_recursive,
     circular_descent_set,
     iter_value_sets,
     nwexb_set,
     reduction,
 )
+from cdescent.tree import tree_count
 
 perms = st.integers(1, 7).flatmap(lambda n: st.permutations(list(range(1, n + 1))))
 
@@ -100,6 +103,17 @@ def test_as_value_set_keeps_int_subclasses():
     assert as_value_set([Small(3), 2]) == (2, 3)
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, True])
+@pytest.mark.parametrize(
+    "route",
+    [cdes_formula, cdes_formula_typed, cdes_recursive, tree_count, brute_cdes_count, brute_nwexb_count],
+    ids=lambda route: route.__name__,
+)
+def test_count_routes_refuse_a_non_integer_n(route, n):
+    with pytest.raises(ValueError, match=f"^n must be an integer: {n!r}$"):
+        route(n, (2,))
+
+
 def test_iter_value_sets():
     assert list(iter_value_sets(1)) == [()]
     assert list(iter_value_sets(3)) == [(), (2,), (3,), (2, 3)]
@@ -177,6 +191,22 @@ def test_sets_containing_one_unattained():
 )
 def test_brute_nwexb_count(n, s, expected):
     assert brute_nwexb_count(n, s) == expected
+
+
+def test_brute_nwexb_count_matches_full_scan():
+    # Every S of [1, n]: sets no permutation has must come out 0.
+    for n in range(1, 9):
+        table = brute_nwexb_table(n)
+        for size in range(n + 1):
+            for s in itertools.combinations(range(1, n + 1), size):
+                assert brute_nwexb_count(n, s) == table.get(s, 0), (n, s)
+
+
+def test_brute_nwexb_count_cap():
+    with pytest.raises(
+        ValueError, match="n = 11 exceeds the enumeration cap DEFAULT_ENUMERATION_CAP = 10"
+    ):
+        brute_nwexb_count(11, (3,))
 
 
 def test_nwexb_table_equals_cdes_table():

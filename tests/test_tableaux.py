@@ -1,10 +1,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdescent import (
     brute_count_tableaux,
     count_tableaux_formula,
+    count_tableaux_transfer,
     count_tableaux_type_sum,
     format_filling,
     is_valid_tableau,
@@ -12,7 +15,7 @@ from cdescent import (
     partition_type,
     shape_to_descent_set,
 )
-from cdescent.perms import BOX_CAP
+from cdescent.perms import BOX_CAP, TRANSFER_CAP
 
 
 @pytest.mark.parametrize(
@@ -137,6 +140,48 @@ def test_three_routes_agree():
         want = count_tableaux_formula(shape)
         assert count_tableaux_type_sum(shape) == want, shape
         assert brute_count_tableaux(shape) == want, shape
+
+
+def test_transfer_equals_the_search_on_every_small_shape():
+    for shape in iter_shapes(14, 6):
+        assert count_tableaux_transfer(shape) == brute_count_tableaux(shape), shape
+
+
+# Shapes of at most 7 rows and width at most 14: weakly decreasing row lengths.
+shapes = st.lists(st.integers(1, 14), min_size=1, max_size=7).map(
+    lambda rows: tuple(sorted(rows, reverse=True))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shapes)
+def test_transfer_equals_the_formula(shape):
+    assert count_tableaux_transfer(shape) == count_tableaux_formula(shape)
+
+
+def test_transfer_reaches_past_the_summation_cap():
+    # Width 40 is past SUM_CAP; the sum agrees where it still applies.
+    assert count_tableaux_transfer((40, 30, 20)) == 21418506295297
+    assert count_tableaux_transfer((16, 12, 7, 3)) == count_tableaux_formula((16, 12, 7, 3))
+
+
+def test_transfer_cap():
+    # 4^8 steps in each of 40 columns; refused before any work.
+    with pytest.raises(
+        ValueError,
+        match=f"transfer steps = 2621440 exceeds the column transfer cap TRANSFER_CAP = {TRANSFER_CAP}",
+    ):
+        count_tableaux_transfer((40,) * 8)
+    # A shape too tall for one column is refused on its rows, at once,
+    # without a step count of thousands of digits.
+    with pytest.raises(ValueError, match="rows = 11 exceeds the column transfer cap log4"):
+        count_tableaux_transfer((1,) * 11)
+    with pytest.raises(ValueError, match="rows = 49999 exceeds the column transfer cap log4"):
+        count_tableaux_transfer((50000,) * 49999)
+    assert count_tableaux_transfer((1,) * 10) == count_tableaux_formula((1,) * 10)
+    below = (16,) * 8  # 16 * 4^8 steps, under the cap
+    assert 16 * 4**8 <= TRANSFER_CAP
+    assert count_tableaux_transfer(below) == count_tableaux_formula(below)
 
 
 def test_counts_by_length_sum_to_factorial():

@@ -1,5 +1,3 @@
-import concurrent.futures
-import multiprocessing
 import os
 
 import pytest
@@ -26,8 +24,14 @@ def _bump_table(build):
     return bumped
 
 
+def _bump_shape(route):
+    """``route`` off by one on the shape (2, 1)."""
+    return lambda shape: route(shape) + (tuple(shape) == (2, 1))
+
+
 # The name faulted in the verify module, and every check that must then fail.
 FAULTS = [
+    ("count_tableaux_transfer", _bump_shape, {"tableaux-three-routes"}),
     ("cdes_formula_typed", _bump_count, {"typed-vs-formula"}),
     ("cdes_recursive", _bump_count, {"recursion-vs-formula"}),
     ("tree_count", _bump_count, {"tree-sum-vs-formula"}),
@@ -58,17 +62,20 @@ def test_fault_fails_exactly_its_checks(monkeypatch, name, fault, failing):
     assert {r.name for r in results if not r.passed} == failing
 
 
-# The faults in the tables that a pool builds with more than one worker.
+# The faults in the tables that forked children build with more than one worker.
 POOLED_FAULTS = [f for f in FAULTS if f[0] in ("brute_cdes_table", "brute_nwexb_table")]
 
-
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="a worker sees the faulted builder only when forked from this process",
+needs_fork = pytest.mark.skipif(
+    not hasattr(os, "fork"), reason="without os.fork verify builds every table in process"
 )
+
+
+@needs_fork
 @pytest.mark.parametrize(("name", "fault", "failing"), POOLED_FAULTS, ids=[f[0] for f in POOLED_FAULTS])
 def test_fault_in_a_pooled_table_fails_its_checks(monkeypatch, name, fault, failing):
+    # A child sees the faulted builder because it is forked from this process.
     monkeypatch.setattr(verify, name, fault(getattr(verify, name)))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     results = verify.run_all(6, workers=2)
     assert {r.name for r in results if not r.passed} == failing
 
@@ -78,40 +85,102 @@ def test_workers_do_not_change_the_results(max_n):
     assert verify.run_all(max_n, workers=2) == verify.run_all(max_n, workers=1)
 
 
+def _record_forks(monkeypatch) -> list[int]:
+    """Fake two cores, let ``os.fork`` run, and collect the pid of every
+    child it starts."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return pids
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@needs_fork
+def test_every_child_is_reaped(monkeypatch):
+    pids = _record_forks(monkeypatch)
+    assert all(r.passed for r in verify.run_all(4, workers=2))
+    assert len(pids) == 1
+    _assert_reaped(pids)
+
+
+@needs_fork
+def test_failed_child_raises_and_is_reaped(capfd, monkeypatch):
+    def broken(n):
+        raise MemoryError(f"no room for the table of {n}")
+
+    monkeypatch.setattr(verify, "brute_nwexb_table", broken)
+    pids = _record_forks(monkeypatch)
+    with pytest.raises(RuntimeError, match="scan worker [0-9]+ failed"):
+        verify.run_all(4, workers=2)
+    assert len(pids) == 1
+    _assert_reaped(pids)
+    assert "MemoryError: no room for the table of" in capfd.readouterr().err
+
+
+@needs_fork
+def test_child_is_reaped_when_a_check_raises(monkeypatch):
+    def broken():
+        raise ValueError("check failed to run")
+
+    monkeypatch.setattr(verify, "check_genocchi", broken)
+    pids = _record_forks(monkeypatch)
+    with pytest.raises(ValueError, match="check failed to run"):
+        verify.run_all(4, workers=2)
+    assert len(pids) == 1
+    _assert_reaped(pids)
+
+
+def test_without_fork_the_tables_are_built_in_process(monkeypatch):
+    monkeypatch.delattr(os, "fork", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert verify.run_all(4, workers=2) == verify.run_all(4)
+
+
+SCAN_JOBS = sorted((name, n) for name in ("brute_cdes_table", "brute_nwexb_table") for n in range(1, 5))
+
+
 @pytest.mark.parametrize(
     "threads, cpus, pool_size",
     [(64, 2, 1), (64, 8, 7), (3, 8, 2), (2, 1, None), (64, None, None), (1, 8, None)],
 )
 def test_verify_pool_is_clamped_to_the_cores(capsys, monkeypatch, threads, cpus, pool_size):
-    # A stand-in pool that records its size and runs each job on submit,
-    # so no worker is ever started.  The pool holds the workers beside the
-    # calling process.
-    sizes = []
+    # A stand-in fork that records each child's share and builds it in
+    # process, so no process is ever started.  The children work beside
+    # the calling process.
+    shares = []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def recording_fork(jobs):
+        shares.append(jobs)
+        return len(shares), {job: verify._scan(*job) for job in jobs}
 
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
-
-        def shutdown(self, **kwargs):
-            pass
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(verify, "_fork_scan", recording_fork)
+    monkeypatch.setattr(verify, "_join", lambda pid, tables: tables)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     assert cli.main(["verify", "--max-n", "4", "--threads", str(threads)]) == 0
     assert capsys.readouterr().out.endswith("all 17 checks passed\n")
-    assert sizes == ([] if pool_size is None else [pool_size])
+    assert len(shares) == (pool_size or 0)
+    if shares:  # every scan, in exactly one share
+        assert sorted(job for share in shares for job in share) == SCAN_JOBS
 
 
 def test_verify_threads_below_one_starts_no_pool(capsys, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a rejected worker count started a pool")
+    def no_fork(*args, **kwargs):
+        raise AssertionError("a rejected worker count forked a child")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
     assert cli.main(["verify", "--max-n", "4", "--threads", "0"]) == 1
     assert capsys.readouterr() == ("", "error: workers (--threads) must be at least 1: 0\n")
     with pytest.raises(ValueError, match=r"workers \(--threads\) must be at least 1: -2"):
