@@ -5,16 +5,22 @@ Permutations of [n] = {1, ..., n} are plain tuples in one-line notation:
 (descent-value sets, non-weak-excedance position sets) are sorted tuples
 of distinct positive integers.
 
-Each statistic is defined once, as a bitmask of one permutation
-(``_descent_mask``, ``_nwexb_mask``); the public set functions and the
-count tables both read their sets off that mask.  The ``brute_*_table``
-functions run one scan for either statistic: they enumerate all n!
-permutations in lexicographic order and tally the masks.  They are the
-ground truth against which every closed-form counting route is checked,
-so they stay deliberately simple.  A configurable cap bounds the runtime;
-from ``POOL_MIN_N`` on, the scan can be spread over worker processes (at
-most one per core and per block), partitioned by the first entry of the
-permutation, and the merged result is identical to the sequential one.
+Each statistic is defined once, as a rule on an adjacent pair: at index
+i (from 0), the left value a and the right value b give one bit
+(``_descent_bit``: ``1 << a`` when a > b; ``_nwexb_bit``: ``1 << (i + 2)``
+when b < i + 2, b standing at position i + 2).  The mask of one
+permutation is the OR of its rule over its pairs (``_mask``), and the
+public set functions read their sets off that mask.  The ``brute_*_table``
+functions run one scan for either statistic, in process: every one of
+the n! permutations is built exactly once, as a head followed by a tail
+of ``_TAIL`` values, and its complete mask is tallied.  For each set of
+tail values the masks of the tail's arrangements are computed once;
+each arrangement of the other values (the head) then ORs its own mask
+and the bit of the pair where head meets tail onto each of them, and
+``collections.Counter`` tallies the results at C level.  The tables are
+the ground truth against which every closed-form counting route is
+checked, so they share no code with those routes.  A configurable cap
+bounds the runtime.
 
 ``brute_cdes_count`` and ``brute_nwexb_count`` count one set without the
 table: each enumerates, in process, only the permutations whose set is
@@ -31,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import os
+import operator
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
@@ -49,9 +55,9 @@ COUNT_MAX_N = 100_000
 GENOCCHI_MAX_SIZE = 2000  # k*n of a Genocchi number: n^2 products of ~k*n digits
 VERIFY_MAX_N = 12  # max_n of the verify suite, whose time doubles per step
 
-# Smallest n whose brute scan is spread over worker processes: below it
-# the scan costs less than starting the pool.
-POOL_MIN_N = 9
+# Values in the tail of a brute scan: the masks of the tail's arrangements
+# are computed once per set of tail values and reused by every head.
+_TAIL = 5
 
 
 def check_permutation(perm: Sequence[int]) -> tuple[int, ...]:
@@ -68,10 +74,7 @@ def as_value_set(elements: Iterable[int], *, n: int | None = None) -> tuple[int,
     With ``n`` given, also require n >= 1 and every element to lie in [1, n].
     """
     if n is not None:
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ValueError(f"n must be an integer: {n!r}")
-        if n < 1:
-            raise ValueError(f"n must be positive: {n}")
+        check_n(n)
         check_cap("n", n, "count", "COUNT_MAX_N", COUNT_MAX_N)
     s = tuple(sorted(elements))
     # Test the few distinct types, not every element: int subclasses other
@@ -88,6 +91,14 @@ def as_value_set(elements: Iterable[int], *, n: int | None = None) -> tuple[int,
     if n is not None and s and s[-1] > n:
         raise ValueError(f"element {s[-1]} outside [1, {n}]")
     return s
+
+
+def check_n(n: int) -> None:
+    """Refuse an ``n`` that is not a positive int (a bool is refused)."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"n must be an integer: {n!r}")
+    if n < 1:
+        raise ValueError(f"n must be positive: {n}")
 
 
 def check_cap(what: str, value: int, kind: str, name: str, cap: int) -> None:
@@ -120,12 +131,22 @@ def _members(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _descent_mask(perm: tuple[int, ...]) -> int:
-    mask = 0
-    for a, b in itertools.pairwise(perm):
-        if a > b:
-            mask |= 1 << a
-    return mask
+Rule = Callable[[int, int, int], int]
+
+
+def _descent_bit(i: int, a: int, b: int) -> int:
+    # The left value of a descending pair is a descent value.
+    return 1 << a if a > b else 0
+
+
+def _nwexb_bit(i: int, a: int, b: int) -> int:
+    # b stands at position i + 2 (from 1); position 1 is never a bottom.
+    return 1 << (i + 2) if b < i + 2 else 0
+
+
+def _mask(rule: Rule, perm: Sequence[int]) -> int:
+    """The OR of ``rule`` over the adjacent pairs of ``perm``."""
+    return functools.reduce(operator.or_, map(rule, itertools.count(), perm, perm[1:]), 0)
 
 
 def circular_descent_set(perm: Sequence[int]) -> tuple[int, ...]:
@@ -141,15 +162,7 @@ def circular_descent_set(perm: Sequence[int]) -> tuple[int, ...]:
     >>> circular_descent_set((2, 1))
     (2,)
     """
-    return _members(_descent_mask(check_permutation(perm)))
-
-
-def _nwexb_mask(perm: tuple[int, ...]) -> int:
-    mask = 0
-    for i, v in enumerate(perm, start=1):
-        if v < i:
-            mask |= 1 << i
-    return mask
+    return _members(_mask(_descent_bit, check_permutation(perm)))
 
 
 def nwexb_set(perm: Sequence[int]) -> tuple[int, ...]:
@@ -160,7 +173,7 @@ def nwexb_set(perm: Sequence[int]) -> tuple[int, ...]:
     >>> nwexb_set((3, 1, 2))
     (2, 3)
     """
-    return _members(_nwexb_mask(check_permutation(perm)))
+    return _members(_mask(_nwexb_bit, check_permutation(perm)))
 
 
 def reduction(seq: Sequence[int]) -> tuple[int, ...]:
@@ -178,37 +191,38 @@ def reduction(seq: Sequence[int]) -> tuple[int, ...]:
     return tuple(rank[v] for v in s)
 
 
-Stat = Callable[[tuple[int, ...]], int]
+def _pairs_mask(bits: list, start: int, seq: Sequence[int]) -> int:
+    # The rule's bits (from the table bits[i][a][b]) over the pairs of seq,
+    # its first pair at index start.
+    mask = 0
+    for i in range(len(seq) - 1):
+        mask |= bits[start + i][seq[i]][seq[i + 1]]
+    return mask
 
 
-def _count_block(stat: Stat, n: int, first: int | None) -> Counter[int]:
-    # Tally stat over S_n, or with first given over the permutations
-    # starting with it (the unit of work for parallel counting).
-    if first is None:
-        block = itertools.permutations(range(1, n + 1))
-    else:
-        rest = [v for v in range(1, n + 1) if v != first]
-        block = ((first, *tail) for tail in itertools.permutations(rest))
-    return Counter(map(stat, block))
-
-
-def _brute_table(stat: Stat, n: int, workers: int) -> dict[tuple[int, ...], int]:
-    if n < 1:
-        raise ValueError(f"n must be positive: {n}")
+def _brute_table(rule: Rule, n: int, workers: int) -> dict[tuple[int, ...], int]:
     check_workers(workers)
-    # Only n blocks exist, and more workers than cores only add overhead.
-    workers = min(workers, n, os.cpu_count() or 1) if n >= POOL_MIN_N else 1
-    if workers > 1:
-        # Imported here so that importing the package skips multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
-
-        totals: Counter[int] = Counter()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            block = functools.partial(_count_block, stat)
-            for part in pool.map(block, itertools.repeat(n), range(1, n + 1)):
-                totals.update(part)
-    else:
-        totals = _count_block(stat, n, None)
+    bits = [
+        [[rule(i, a, b) for b in range(n + 1)] for a in range(n + 1)] for i in range(n - 1)
+    ]
+    size = min(_TAIL, n)
+    start = n - size  # the tail's first position (from 0): the head's length
+    totals: Counter[int] = Counter()
+    for tail_values in itertools.combinations(range(1, n + 1), size):
+        # The masks of the tail's own pairs, grouped by the tail's first value.
+        tails: dict[int, list[int]] = {}
+        for tail in itertools.permutations(tail_values):
+            tails.setdefault(tail[0], []).append(_pairs_mask(bits, start, tail))
+        if not start:
+            for masks in tails.values():
+                totals.update(masks)
+            continue
+        rest = [v for v in range(1, n + 1) if v not in tail_values]
+        for head in itertools.permutations(rest):
+            head_mask = _pairs_mask(bits, 0, head)
+            joint = bits[start - 1][head[-1]]  # the pair (last of head, first of tail)
+            for first, masks in tails.items():
+                totals.update(map((head_mask | joint[first]).__or__, masks))
     return {_members(mask): totals[mask] for mask in sorted(totals)}
 
 
@@ -218,14 +232,14 @@ def brute_cdes_table(
     """Count permutations of [n] by descent-value set, one full scan.
 
     Unattained sets are absent from the result; the values sum to n!.
-    ``workers`` is an upper bound: n below ``POOL_MIN_N`` is scanned in
-    process.
+    ``workers`` is validated and has no effect: the scan runs in process.
 
     >>> brute_cdes_table(3)
     {(): 1, (2,): 1, (3,): 3, (2, 3): 1}
     """
+    check_n(n)
     check_cap("n", n, "enumeration", "(--brute-cap)", cap)
-    return _brute_table(_descent_mask, n, workers)
+    return _brute_table(_descent_bit, n, workers)
 
 
 def count_placements(allowed: Sequence[Sequence[int]]) -> int:
@@ -279,9 +293,13 @@ def brute_cdes_count(n: int, s: Iterable[int], *, cap: int = DEFAULT_ENUMERATION
 
 
 def brute_nwexb_table(n: int, *, workers: int = 1) -> dict[tuple[int, ...], int]:
-    """Count permutations of [n] by non-weak-excedance position set."""
+    """Count permutations of [n] by non-weak-excedance position set.
+
+    ``workers`` is validated and has no effect: the scan runs in process.
+    """
+    check_n(n)
     check_cap("n", n, "enumeration", "DEFAULT_ENUMERATION_CAP", DEFAULT_ENUMERATION_CAP)
-    return _brute_table(_nwexb_mask, n, workers)
+    return _brute_table(_nwexb_bit, n, workers)
 
 
 def brute_nwexb_count(n: int, s: Iterable[int], *, workers: int = 1) -> int:

@@ -50,7 +50,7 @@ def cdes_recursive(n: int, s: Iterable[int], cache: Cache | None = None) -> int:
     with base cases: 1 in S -> 0, empty S -> 1, singleton {m} -> 2^(m-1)-1.
     Every subproblem is independent of n (only max(S) matters), so cache
     keys are the sets themselves, each as one int with element v at bit v
-    (the convention of ``perms._descent_mask``; ``perms._members`` decodes
+    (the convention of ``perms._descent_bit``; ``perms._members`` decodes
     a key).  Every step is then a few shifts and xors of that int: with
     ``low`` the lowest set bit, the three branches are
     ``mask ^ low ^ (low >> 1)``, ``mask >> 1`` and

@@ -1,7 +1,6 @@
-import concurrent.futures
 import itertools
 import math
-import os
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -214,60 +213,59 @@ def test_nwexb_table_equals_cdes_table():
         assert brute_nwexb_table(n) == brute_cdes_table(n)
 
 
-def test_parallel_scan_matches_sequential():
-    # The smallest scan that starts a pool.
-    n = perms_module.POOL_MIN_N
-    assert brute_cdes_table(n, workers=3) == brute_cdes_table(n)
-    assert brute_nwexb_table(n, workers=2) == brute_nwexb_table(n)
-
-
-@pytest.mark.parametrize(
-    "workers, cpus, pool_min_n, pool_size",
-    [
-        (64, 64, 5, 5),
-        (64, 2, 5, 2),
-        (3, 8, 5, 3),
-        (4, None, 5, None),
-        (2, 1, 5, None),
-        # n = 5 below POOL_MIN_N scans in process whatever the workers.
-        (2, 2, 6, None),
-    ],
-    ids=["64-64-5", "64-2-2", "3-8-3", "4-None-None", "2-1-None", "below-pool-min-n"],
-)
-def test_worker_pool_is_clamped(monkeypatch, workers, cpus, pool_min_n, pool_size):
-    # A stand-in pool that records its size and maps in process, so no
-    # worker is ever started.
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        map = staticmethod(map)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(perms_module, "POOL_MIN_N", pool_min_n)
-    assert brute_cdes_table(5, workers=workers) == brute_cdes_table(5)
-    assert sizes == ([] if pool_size is None else [pool_size])
+def test_workers_accepted_and_without_effect():
+    # The scan runs in process; the keyword is only validated.
+    for workers in (1, 2, 64):
+        assert brute_cdes_table(6, workers=workers) == brute_cdes_table(6)
+        assert brute_nwexb_table(6, workers=workers) == brute_nwexb_table(6)
 
 
 @pytest.mark.parametrize("workers", [0, -3])
-def test_worker_count_below_one_rejected(monkeypatch, workers):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a rejected worker count started a pool")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+def test_worker_count_below_one_rejected(workers):
     with pytest.raises(ValueError, match=r"workers \(--threads\) must be at least 1"):
         brute_cdes_table(5, workers=workers)
     with pytest.raises(ValueError, match="workers"):
         brute_nwexb_count(5, (3,), workers=workers)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True])
+@pytest.mark.parametrize("table", [brute_cdes_table, brute_nwexb_table], ids=lambda t: t.__name__)
+def test_tables_refuse_a_non_integer_n(table, n):
+    with pytest.raises(ValueError, match=f"^n must be an integer: {n!r}$"):
+        table(n)
+
+
+def _descents(perm):
+    return tuple(sorted(perm[i] for i in range(len(perm) - 1) if perm[i] > perm[i + 1]))
+
+
+def _nwexbs(perm):
+    return tuple(i for i in range(1, len(perm) + 1) if perm[i - 1] < i)
+
+
+def _naive_table(statistic, n):
+    # The definition, tallied over S_n one permutation at a time.
+    tally = Counter(map(statistic, itertools.permutations(range(1, n + 1))))
+    return dict(sorted(tally.items(), key=lambda item: sum(1 << v for v in item[0])))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_tables_match_the_definitions(n):
+    # Same sets, same counts and the same key order (by bitmask).
+    assert list(brute_cdes_table(n).items()) == list(_naive_table(_descents, n).items())
+    assert list(brute_nwexb_table(n).items()) == list(_naive_table(_nwexbs, n).items())
+
+
+@pytest.mark.parametrize("tail", [1, 2, 3, 7])
+def test_tables_do_not_depend_on_the_tail_length(monkeypatch, tail):
+    # tail 7 leaves the head empty for every n <= 7; tail 1 puts one value
+    # in the tail and all the others in the head.
+    expected = {n: (brute_cdes_table(n), brute_nwexb_table(n)) for n in range(1, 8)}
+    monkeypatch.setattr(perms_module, "_TAIL", tail)
+    for n in range(1, 8):
+        cdes, nwexb = expected[n]
+        assert list(brute_cdes_table(n).items()) == list(cdes.items()), n
+        assert list(brute_nwexb_table(n).items()) == list(nwexb.items()), n
 
 
 def test_enumeration_cap():
@@ -293,10 +291,8 @@ def test_descent_values_lie_in_range(perm):
 
 @given(perms)
 def test_statistics_match_naive_definitions(perm):
-    n = len(perm)
-    descents = sorted(perm[i] for i in range(n - 1) if perm[i] > perm[i + 1])
-    assert circular_descent_set(perm) == tuple(descents)
-    assert nwexb_set(perm) == tuple(i for i in range(1, n + 1) if perm[i - 1] < i)
+    assert circular_descent_set(perm) == _descents(perm)
+    assert nwexb_set(perm) == _nwexbs(perm)
 
 
 @given(st.lists(st.integers(-50, 50), max_size=8, unique=True))
