@@ -189,8 +189,9 @@ def gn(n: int) -> Poly:
     is applied term by term, in one pass over g_m per step: a term
     c * x_X * y^d keeps its place, adds (m - d) * c to x_X * x_m * y^(d+1)
     (the m*x_m*y and y^2 d/dy terms land there together), and adds c to
-    each monomial that swaps one x_i of X for x_m.  n above
-    ``perms.TABLE_MAX_N`` is refused.
+    each monomial that swaps one x_i of X for x_m.  As d = |X| in every
+    term, the swapped supports are ``itertools.combinations(X, d - 1)``,
+    each with m appended.  n above ``perms.TABLE_MAX_N`` is refused.
 
     Read coefficient by coefficient this is the insertion recurrence of
     ``recursion.cdes_insertion_table``, but the two are kept as separate
@@ -207,12 +208,14 @@ def gn(n: int) -> Poly:
     terms: dict[Monomial, int] = {((), 0): 1, ((1,), 1): 1}
     for m in range(2, n):
         step = dict(terms)  # the 1 * g_m part; every other key holds x_m
+        tail = (m,)
         for (xvars, ydeg), c in terms.items():
-            key = (xvars + (m,), ydeg + 1)
+            key = (xvars + tail, ydeg + 1)
             step[key] = step.get(key, 0) + (m - ydeg) * c
-            for j in range(len(xvars)):
-                key = (xvars[:j] + xvars[j + 1 :] + (m,), ydeg)
-                step[key] = step.get(key, 0) + c
+            if ydeg:  # the y-degree of every term is its number of x-variables
+                for rest in itertools.combinations(xvars, ydeg - 1):
+                    key = (rest + tail, ydeg)
+                    step[key] = step.get(key, 0) + c
         terms = step
     return _raw(terms)
 

@@ -8,7 +8,9 @@ Two independent recursions reproduce the closed-form counts:
   bitmask (element v at bit v);
 * the insertion recursion, which extends a full count table for [2, n-1]
   to one for [2, n] by inserting the new largest value n into shorter
-  permutations, and is driven bottom-up.
+  permutations, and is driven bottom-up, the whole table held as 64-bit
+  fields of one int and each step taken in whole-int shifts, adds and
+  masks.
 
 Neither route shares code with the alternating-sum evaluation, so
 agreement between the three is a meaningful cross-check.
@@ -23,6 +25,10 @@ from .perms import TABLE_MAX_N, as_value_set, check_cap
 
 # Minimum-element recursion cache: bitmask of S (element v at bit v) -> count.
 Cache = dict[int, int]
+
+# Width of one count in the insertion table's packed int: a native
+# unsigned 64-bit word, which holds every count up to TABLE_MAX_N!.
+_FIELD_BITS = 64
 
 
 def delta(s: Iterable[int]) -> tuple[int, ...]:
@@ -119,14 +125,25 @@ def cdes_insertion_table(n: int) -> dict[tuple[int, ...], int]:
 
     since inserting m into a shorter permutation either creates exactly the
     new descent value m (m - 1 - |S| slots do) or additionally swallows one
-    existing non-descent value i.
+    existing non-descent value i.  As m - 1 - |S| is one more than the
+    number of i in [2, m-1] outside S, the same step regrouped reads
 
-    The counts live in a list indexed by bitmask, element v at bit v - 2,
-    so S + {i} is ``mask | bit`` and the step for m appends the entries of
-    the masks with bit m - 2 set.  The sorted-tuple keys grow alongside,
-    in the same order, and are paired with the counts once at the end: the
-    table is ordered by ascending bitmask.  n above ``perms.TABLE_MAX_N``
-    is refused before anything is allocated.
+        count_m(S + {m}) = c(S) + sum over i in [2, m-1] outside S
+                                  of (c(S) + c(S + {i}))
+
+    with c = count_{m-1}.
+
+    The counts live in one int, as 64-bit fields indexed by bitmask
+    (element v at bit v - 2, field k at bits 64k to 64k + 63), so that
+    the step for m is m - 2 whole-int passes, one per i: shifting the
+    int down by the fields of bit j = i - 2 puts c(S + {i}) in the field
+    of S, and a mask keeps the fields of the sets without i.  The grown
+    fields go above the old ones, as the masks with bit m - 2 set.  Every
+    field holds less than m! <= 20! < 2^63, so no field ever carries into
+    the next.  The fields are unpacked once at the end and paired with
+    the sorted-tuple keys, grown step by step in the same order: the table
+    is ordered by ascending bitmask.  n above ``perms.TABLE_MAX_N`` is
+    refused before anything is allocated.
 
     >>> cdes_insertion_table(3)
     {(): 1, (2,): 1, (3,): 3, (2, 3): 1}
@@ -134,19 +151,33 @@ def cdes_insertion_table(n: int) -> dict[tuple[int, ...], int]:
     if n < 2:
         raise ValueError(f"insertion table starts at n = 2: {n}")
     check_cap("n", n, "table", "TABLE_MAX_N", TABLE_MAX_N)
+    counts = _insertion_counts(n)
     keys: list[tuple[int, ...]] = [(), (2,)]
-    counts = [1, 1]
     for m in range(3, n + 1):
-        below = len(counts) - 1  # the bits of [2, m-1]
-        grown = []
-        for mask, count in enumerate(counts):
-            total = (m - 1 - mask.bit_count()) * count
-            free = below ^ mask
-            while free:
-                bit = free & -free
-                total += counts[mask | bit]
-                free ^= bit
-            grown.append(total)
-        counts += grown
         keys += [(*s, m) for s in keys]
     return dict(zip(keys, counts))
+
+
+def _insertion_counts(n: int) -> list[int]:
+    # The counts of cdes_insertion_table(n) by ascending bitmask; every
+    # packed int is freed on return, before the table's dict is built.
+    packed = 1 | 1 << _FIELD_BITS
+    for m in range(3, n + 1):
+        size = _FIELD_BITS << (m - 2)  # the bits of the fields of [2, m-1]
+        grown = packed
+        for j in range(m - 2):
+            shift = _FIELD_BITS << j
+            # All ones in the fields whose index lacks bit j: a run of
+            # 2^j fields, repeated every 2^(j+1) fields.
+            lanes = (1 << shift) - 1
+            period = shift << 1
+            while period < size:
+                lanes |= lanes << period
+                period <<= 1
+            grown += (packed + (packed >> shift)) & lanes
+        packed |= grown << size
+    fields = packed.to_bytes(_FIELD_BITS // 8 << (n - 1), sys.byteorder)
+    counts = memoryview(fields).cast("Q").tolist()
+    if sys.byteorder == "big":
+        counts.reverse()  # the int's high fields came first
+    return counts

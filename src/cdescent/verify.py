@@ -20,10 +20,13 @@ the same gap vector and ``cube_sum`` as ``cdes_formula``, so the tree's
 independent check is ``tree-traversal-vs-closed-sum``.  The brute-force
 scans, the recursion, the insertion tables, ``gn``, the tree traversal
 and the column-transfer tableaux count stay independent of the
-evaluator.  The insertion table works on bitmasks and shares no code
-with the brute scan, the formula or ``gn``.  ``genocchi-cross-check`` compares the
-Genocchi value triangle with the expanded Gandhi polynomials and with
-the brute permutation count; the three share no code.
+evaluator.  The insertion table works on packed fields indexed by
+bitmask and shares no code with the brute scan, the formula or ``gn``.
+``poly-slice-reassembly`` also checks each slice ``gnk(n, k)`` at x = 1
+against the Eulerian number A(n, k), from its recurrence, which no route
+computes.  ``genocchi-cross-check`` compares the Genocchi value triangle
+with the expanded Gandhi polynomials and with the brute permutation
+count; the three share no code.
 
 Brute-force sweeps are limited to n <= 8 regardless of ``max_n``; the
 closed-form routes run the full range.  ``workers`` (``verify
@@ -219,12 +222,32 @@ def check_poly_vs_formula(formula: Table) -> CheckResult:
     return _result("poly-vs-formula", bad, f"n <= {max(formula)}")
 
 
+def _eulerian_numbers(n: int) -> list[int]:
+    """A(n, k) for k = 0..n-1, the permutations of [n] with k descents,
+    by the recurrence A(n, k) = (k+1) A(n-1, k) + (n-k) A(n-1, k-1)
+    from A(1, 0) = 1.
+
+    >>> _eulerian_numbers(4)
+    [1, 11, 11, 1]
+    """
+    row = [1]
+    for m in range(2, n + 1):
+        padded = [0, *row, 0]  # padded[k + 1] = A(m-1, k), zero outside [0, m-2]
+        row = [(k + 1) * padded[k + 1] + (m - k) * padded[k] for k in range(m)]
+    return row
+
+
 def check_poly_slices(max_n: int) -> CheckResult:
+    # The slices reassemble gn, and slice k at x = 1 counts the
+    # permutations with k descents: the Eulerian number A(n, k).
     bad = []
     for n in range(2, max_n + 1):
         total = Poly()
-        for k in range(n):
-            total = total + gnk(n, k) * Poly.y(k)
+        for k, eulerian in enumerate(_eulerian_numbers(n)):
+            piece = gnk(n, k)
+            if piece.evaluate(1) != eulerian:
+                bad.append((n, k, "eulerian"))
+            total = total + piece * Poly.y(k)
         if total != gn(n):
             bad.append(n)
     return _result("poly-slice-reassembly", bad, f"n <= {max_n}")

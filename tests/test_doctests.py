@@ -9,6 +9,7 @@ import cdescent.poly
 import cdescent.recursion
 import cdescent.tableaux
 import cdescent.tree
+import cdescent.verify
 
 
 @pytest.mark.parametrize(
@@ -21,6 +22,7 @@ import cdescent.tree
         cdescent.poly,
         cdescent.tableaux,
         cdescent.genocchi,
+        cdescent.verify,
     ],
     ids=lambda m: m.__name__,
 )

@@ -13,6 +13,7 @@ from cdescent import (
     iter_value_sets,
 )
 from cdescent.perms import TABLE_MAX_N, _members
+from cdescent.recursion import _FIELD_BITS
 
 # S within [2, n] for n <= 64, |S| <= 10.
 queries = st.integers(1, 64).flatmap(
@@ -149,6 +150,28 @@ def test_insertion_step_with_explicit_i_equals_1_term():
                 if i not in members:
                     total += cdes_formula(n - 1, tuple(sorted((*s, i))))
             assert total == grown[(*s, n)], (n, s)
+
+
+def test_regrouped_insertion_step_matches_formula():
+    # count_n(S + {n}) = c(S) + sum over i in [2, n-1] outside S of
+    # (c(S) + c(S + {i})), c = cdes_formula(n - 1, .): the step the packed
+    # insertion table takes, one whole-int pass per i.
+    for n in range(3, 9):
+        for s in iter_value_sets(n - 1):
+            c = cdes_formula(n - 1, s)
+            total = c + sum(
+                c + cdes_formula(n - 1, tuple(sorted((*s, i))))
+                for i in range(2, n)
+                if i not in s
+            )
+            assert total == cdes_formula(n, (*s, n)), (n, s)
+
+
+def test_insertion_fields_hold_every_count_below_the_cap():
+    # Every count of a table is below n!; with TABLE_MAX_N! below 2^63 no
+    # field of the packed table can carry into the next.  Raising the cap
+    # past 20 needs wider fields.
+    assert math.factorial(TABLE_MAX_N) < 2 ** (_FIELD_BITS - 1)
 
 
 def test_insertion_matches_brute_scan():

@@ -1,3 +1,4 @@
+import math
 import os
 
 import pytest
@@ -197,3 +198,31 @@ def test_check_result_value_semantics():
     for name in ("name", "passed", "detail"):
         with pytest.raises(AttributeError):
             setattr(result, name, 0)
+
+
+def test_eulerian_numbers():
+    assert verify._eulerian_numbers(1) == [1]
+    assert verify._eulerian_numbers(5) == [1, 26, 66, 26, 1]
+    for n in range(1, 12):
+        row = verify._eulerian_numbers(n)
+        assert sum(row) == math.factorial(n)
+        assert row == row[::-1]
+
+
+def test_eulerian_leg_catches_slices_that_still_reassemble(monkeypatch):
+    # Doubling gn and every slice alike keeps the reassembly exact; only the
+    # slice masses against the Eulerian numbers can see it.
+    gn, gnk = verify.gn, verify.gnk
+    monkeypatch.setattr(verify, "gn", lambda n: gn(n) * 2)
+    monkeypatch.setattr(verify, "gnk", lambda n, k: gnk(n, k) * 2)
+    result = verify.check_poly_slices(5)
+    assert result == verify.CheckResult(
+        "poly-slice-reassembly", False, "first mismatch: (2, 0, 'eulerian')"
+    )
+
+
+def test_eulerian_leg_uses_the_recurrence(monkeypatch):
+    assert verify.check_poly_slices(6) == verify.CheckResult("poly-slice-reassembly", True, "n <= 6")
+    eulerian = verify._eulerian_numbers
+    monkeypatch.setattr(verify, "_eulerian_numbers", lambda n: [*eulerian(n)[:-1], 2])
+    assert not verify.check_poly_slices(6).passed
