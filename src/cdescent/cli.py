@@ -1,12 +1,12 @@
 """Command-line front end.
 
 Commands: count, table, poly, tree, tableaux, genocchi, verify.  All take
-``--format text|json|csv``; verify takes ``--threads N`` (most processes
-it runs, itself included), which count accepts for its callers but
-ignores, as its brute route enumerates one set in process; count and
-genocchi take ``--brute-cap N`` (largest permutation length a brute
-count will accept).  Exit codes: 0 success, 1 validation error, 2
-cross-method mismatch.
+``--format text|json|csv``; verify takes ``--threads N`` (with N > 1 and
+more than one core, one forked child builds the brute tables), which
+count accepts for its callers but ignores, as its brute route enumerates
+one set in process.  Brute counts refuse permutations longer than
+``perms.DEFAULT_ENUMERATION_CAP``.  Exit codes: 0 success, 1 validation
+error, 2 cross-method mismatch.
 
 JSON output is a single object ``{"query": {...}, "result": ...}``; counts
 are decimal strings so arbitrary precision survives every format.  Tree
@@ -114,7 +114,7 @@ def _emit(args, query: dict, result, rows: list[dict] | None = None, text: str |
         print(result)
 
 
-def _count_one(method: str, n: int, s: tuple[int, ...], args) -> int:
+def _count_one(method: str, n: int, s: tuple[int, ...]) -> int:
     if method == "formula":
         from .formula import cdes_formula
 
@@ -133,7 +133,7 @@ def _count_one(method: str, n: int, s: tuple[int, ...], args) -> int:
         return tree_count(n, s)
     from .perms import brute_cdes_count
 
-    return brute_cdes_count(n, s, cap=args.brute_cap)
+    return brute_cdes_count(n, s)
 
 
 def cmd_count(args) -> int:
@@ -141,16 +141,16 @@ def cmd_count(args) -> int:
     query = {"command": "count", "n": args.n, "set": list(s)}
     if args.all_methods:
         methods = [
-            m for m in COUNT_METHODS if m != "brute" or args.n <= args.brute_cap
+            m for m in COUNT_METHODS if m != "brute" or args.n <= DEFAULT_ENUMERATION_CAP
         ]
-        values = {m: _count_one(m, args.n, s, args) for m in methods}
+        values = {m: _count_one(m, args.n, s) for m in methods}
         rows = [{"method": m, "value": str(v)} for m, v in values.items()]
         _emit(args, {**query, "methods": methods}, rows, rows)
         if len(set(values.values())) != 1:
             print("error: methods disagree", file=sys.stderr)
             return 2
         return 0
-    value = _count_one(args.method, args.n, s, args)
+    value = _count_one(args.method, args.n, s)
     _emit(args, {**query, "method": args.method}, str(value))
     return 0
 
@@ -216,7 +216,7 @@ def cmd_genocchi(args) -> int:
     if args.brute:
         if args.n < 2:
             raise ValueError("--brute needs n >= 2 (it recounts the previous index)")
-        brute = brute_genocchi_perm_count(args.k, args.n - 1, cap=args.brute_cap)
+        brute = brute_genocchi_perm_count(args.k, args.n - 1)
         rows = [
             {"method": "recursion", "value": str(value)},
             {"method": "brute", "value": str(brute)},
@@ -267,17 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
     threads = argparse.ArgumentParser(add_help=False)
     threads.add_argument(
         "--threads", type=int, default=1,
-        help="verify: at most this many processes, itself included, capped at the"
-        " core count; count: accepted and ignored (default 1)",
-    )
-    brute_cap = argparse.ArgumentParser(add_help=False)
-    brute_cap.add_argument(
-        "--brute-cap", type=int, default=DEFAULT_ENUMERATION_CAP,
-        help=f"largest permutation length accepted by brute-force enumeration (default {DEFAULT_ENUMERATION_CAP})",
+        help="verify: above 1, with more than one core, one forked child builds the"
+        " brute tables; count: accepted and ignored (default 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("count", parents=[fmt, threads, brute_cap], help="count permutations with a given descent-value set")
+    p = sub.add_parser("count", parents=[fmt, threads], help="count permutations with a given descent-value set")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--set", default="", help="comma-separated ascending values, empty for the empty set")
     p.add_argument("--method", choices=COUNT_METHODS, default="formula")
@@ -306,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_tableaux)
 
-    p = sub.add_parser("genocchi", parents=[fmt, brute_cap], help="generalized Genocchi number of order k")
+    p = sub.add_parser("genocchi", parents=[fmt], help="generalized Genocchi number of order k")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--brute", action="store_true", help="cross-check by permutation enumeration; exit 2 on mismatch")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from .perms import DEFAULT_ENUMERATION_CAP, GENOCCHI_MAX_SIZE, check_cap, count_placements
+from .perms import DEFAULT_ENUMERATION_CAP, GENOCCHI_MAX_SIZE, check_cap, check_int, count_placements
 
 
 def _shift_x_plus_one(coeffs: tuple[int, ...] | list[int]) -> list[int]:
@@ -99,8 +99,10 @@ def genocchi_number(k: int, n: int) -> int:
     >>> genocchi_number(1, 5)
     1
     """
+    check_int("n", n)
     if n < 1:
         raise ValueError(f"index must be positive: {n}")
+    check_int("k", k)
     if k < 1:
         raise ValueError(f"order must be positive: {k}")
     check_cap("k*n", k * n, "Genocchi", "GENOCCHI_MAX_SIZE", GENOCCHI_MAX_SIZE)
@@ -112,9 +114,7 @@ def genocchi_number(k: int, n: int) -> int:
     return values[0]
 
 
-def brute_genocchi_perm_count(
-    k: int, n: int, *, cap: int = DEFAULT_ENUMERATION_CAP
-) -> int:
+def brute_genocchi_perm_count(k: int, n: int) -> int:
     """Count permutations of [k*n] where sigma(i) >= i exactly when k
     divides sigma(i).  Equals ``genocchi_number(k, n + 1)``.
 
@@ -125,9 +125,11 @@ def brute_genocchi_perm_count(
     >>> brute_genocchi_perm_count(2, 2)
     3
     """
+    check_int("k", k)
+    check_int("n", n)
     if k < 1 or n < 1:
         raise ValueError(f"order and index must be positive: ({k}, {n})")
-    check_cap("k*n", k * n, "enumeration", "(--brute-cap)", cap)
+    check_cap("k*n", k * n, "enumeration", "DEFAULT_ENUMERATION_CAP", DEFAULT_ENUMERATION_CAP)
     m = k * n
     # The rule at position i does not depend on the value before it.
     rows = []

@@ -19,8 +19,8 @@ each arrangement of the other values (the head) then ORs its own mask
 and the bit of the pair where head meets tail onto each of them, and
 ``collections.Counter`` tallies the results at C level.  The tables are
 the ground truth against which every closed-form counting route is
-checked, so they share no code with those routes.  A configurable cap
-bounds the runtime.
+checked, so they share no code with those routes.  A fixed cap,
+``DEFAULT_ENUMERATION_CAP``, bounds the runtime.
 
 ``brute_cdes_count`` and ``brute_nwexb_count`` count one set without the
 table: each enumerates, in process, only the permutations whose set is
@@ -41,7 +41,7 @@ import operator
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
-# Input caps.  A caller can change the first one (cap=, --brute-cap).
+# Input caps, fixed: no caller changes them.
 # Length of the permutations of a brute scan: n, or k*n for the Genocchi scan.
 DEFAULT_ENUMERATION_CAP = 10
 SUM_CAP = 30  # length of the alternating sum, 2^length terms
@@ -93,24 +93,30 @@ def as_value_set(elements: Iterable[int], *, n: int | None = None) -> tuple[int,
     return s
 
 
+def check_int(name: str, value: int) -> None:
+    """Refuse a ``value`` that is not an int (a bool is refused), naming
+    the argument ``name``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer: {value!r}")
+
+
 def check_n(n: int) -> None:
     """Refuse an ``n`` that is not a positive int (a bool is refused)."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"n must be an integer: {n!r}")
+    check_int("n", n)
     if n < 1:
         raise ValueError(f"n must be positive: {n}")
 
 
 def check_cap(what: str, value: int, kind: str, name: str, cap: int) -> None:
     """Refuse ``value`` above ``cap``, in the one message format of every
-    cap.  ``name`` is the cap's constant here, or, for a cap the caller
-    set with the ``cap`` keyword, the flag that sets it, in parentheses."""
+    cap.  ``name`` is the cap's constant in this module."""
     if value > cap:
         raise ValueError(f"{what} = {value} exceeds the {kind} cap {name} = {cap}")
 
 
 def check_workers(workers: int) -> None:
-    """Refuse a worker count below 1."""
+    """Refuse a worker count that is not an int, or is below 1."""
+    check_int("workers", workers)
     if workers < 1:
         raise ValueError(f"workers (--threads) must be at least 1: {workers}")
 
@@ -200,8 +206,9 @@ def _pairs_mask(bits: list, start: int, seq: Sequence[int]) -> int:
     return mask
 
 
-def _brute_table(rule: Rule, n: int, workers: int) -> dict[tuple[int, ...], int]:
-    check_workers(workers)
+def _brute_table(rule: Rule, n: int) -> dict[tuple[int, ...], int]:
+    check_n(n)
+    check_cap("n", n, "enumeration", "DEFAULT_ENUMERATION_CAP", DEFAULT_ENUMERATION_CAP)
     bits = [
         [[rule(i, a, b) for b in range(n + 1)] for a in range(n + 1)] for i in range(n - 1)
     ]
@@ -226,9 +233,7 @@ def _brute_table(rule: Rule, n: int, workers: int) -> dict[tuple[int, ...], int]
     return {_members(mask): totals[mask] for mask in sorted(totals)}
 
 
-def brute_cdes_table(
-    n: int, *, cap: int = DEFAULT_ENUMERATION_CAP, workers: int = 1
-) -> dict[tuple[int, ...], int]:
+def brute_cdes_table(n: int, *, workers: int = 1) -> dict[tuple[int, ...], int]:
     """Count permutations of [n] by descent-value set, one full scan.
 
     Unattained sets are absent from the result; the values sum to n!.
@@ -237,9 +242,8 @@ def brute_cdes_table(
     >>> brute_cdes_table(3)
     {(): 1, (2,): 1, (3,): 3, (2, 3): 1}
     """
-    check_n(n)
-    check_cap("n", n, "enumeration", "(--brute-cap)", cap)
-    return _brute_table(_descent_bit, n, workers)
+    check_workers(workers)
+    return _brute_table(_descent_bit, n)
 
 
 def count_placements(allowed: Sequence[Sequence[int]]) -> int:
@@ -269,7 +273,7 @@ def count_placements(allowed: Sequence[Sequence[int]]) -> int:
     return count
 
 
-def brute_cdes_count(n: int, s: Iterable[int], *, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
+def brute_cdes_count(n: int, s: Iterable[int]) -> int:
     """Number of permutations of [n] whose descent-value set is exactly S.
 
     Enumerates only those permutations (and their prefixes): a value
@@ -280,7 +284,7 @@ def brute_cdes_count(n: int, s: Iterable[int], *, cap: int = DEFAULT_ENUMERATION
     3
     """
     target = as_value_set(s, n=n)
-    check_cap("n", n, "enumeration", "(--brute-cap)", cap)
+    check_cap("n", n, "enumeration", "DEFAULT_ENUMERATION_CAP", DEFAULT_ENUMERATION_CAP)
     in_s = sum(1 << v for v in target)
     values = (1 << (n + 1)) - 2
     # What may follow prev: the values below it if prev is in S, else above.
@@ -292,22 +296,17 @@ def brute_cdes_count(n: int, s: Iterable[int], *, cap: int = DEFAULT_ENUMERATION
     return count_placements([follow] * (n - 1) + [last])
 
 
-def brute_nwexb_table(n: int, *, workers: int = 1) -> dict[tuple[int, ...], int]:
-    """Count permutations of [n] by non-weak-excedance position set.
-
-    ``workers`` is validated and has no effect: the scan runs in process.
-    """
-    check_n(n)
-    check_cap("n", n, "enumeration", "DEFAULT_ENUMERATION_CAP", DEFAULT_ENUMERATION_CAP)
-    return _brute_table(_nwexb_bit, n, workers)
+def brute_nwexb_table(n: int) -> dict[tuple[int, ...], int]:
+    """Count permutations of [n] by non-weak-excedance position set."""
+    return _brute_table(_nwexb_bit, n)
 
 
-def brute_nwexb_count(n: int, s: Iterable[int], *, workers: int = 1) -> int:
+def brute_nwexb_count(n: int, s: Iterable[int]) -> int:
     """Number of permutations of [n] with NWEXB set exactly S.
 
     Enumerates only those permutations (and their prefixes): position i
     takes a value below i exactly when i is in S, whatever the value
-    before it.  ``workers`` is validated and has no effect.
+    before it.
 
     >>> brute_nwexb_count(3, {1})
     0
@@ -316,7 +315,6 @@ def brute_nwexb_count(n: int, s: Iterable[int], *, workers: int = 1) -> int:
     """
     target = as_value_set(s, n=n)
     check_cap("n", n, "enumeration", "DEFAULT_ENUMERATION_CAP", DEFAULT_ENUMERATION_CAP)
-    check_workers(workers)
     in_s = sum(1 << i for i in target)
     values = (1 << (n + 1)) - 2
     # Position i (from 1) takes a value below i if i is in S, else one of i..n.

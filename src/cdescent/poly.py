@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Mapping
 
-from .perms import TABLE_MAX_N, as_value_set, check_cap
+from .perms import TABLE_MAX_N, as_value_set, check_cap, check_int
 from .tree import tree_count
 
 Monomial = tuple[tuple[int, ...], int]
@@ -202,6 +202,7 @@ def gn(n: int) -> Poly:
     >>> str(gn(3))
     '1 + x1*y + 3*x2*y + x1*x2*y^2'
     """
+    check_int("n", n)
     if n < 2:
         raise ValueError(f"defined for n >= 2: {n}")
     check_cap("n", n, "table", "TABLE_MAX_N", TABLE_MAX_N)
@@ -256,9 +257,11 @@ def gnk(n: int, k: int) -> Poly:
     >>> str(gnk(4, 2))
     'x1*x2 + 3*x1*x3 + 7*x2*x3'
     """
+    check_int("n", n)
     if n < 1:
         raise ValueError(f"n must be positive: {n}")
     check_cap("n", n, "table", "TABLE_MAX_N", TABLE_MAX_N)
+    check_int("k", k)
     if not 0 <= k <= n - 1:
         raise ValueError(f"slice degree {k} outside [0, {n - 1}]")
     return Poly(

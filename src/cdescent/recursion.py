@@ -21,7 +21,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterable
 
-from .perms import TABLE_MAX_N, as_value_set, check_cap
+from .perms import TABLE_MAX_N, as_value_set, check_cap, check_int
 
 # Minimum-element recursion cache: bitmask of S (element v at bit v) -> count.
 Cache = dict[int, int]
@@ -148,6 +148,7 @@ def cdes_insertion_table(n: int) -> dict[tuple[int, ...], int]:
     >>> cdes_insertion_table(3)
     {(): 1, (2,): 1, (3,): 3, (2, 3): 1}
     """
+    check_int("n", n)
     if n < 2:
         raise ValueError(f"insertion table starts at n = 2: {n}")
     check_cap("n", n, "table", "TABLE_MAX_N", TABLE_MAX_N)

@@ -23,7 +23,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 
 from .formula import cube_sum, gap_vector
-from .perms import BUILD_CAP, COUNT_MAX_N, as_value_set, check_cap
+from .perms import BUILD_CAP, COUNT_MAX_N, as_value_set, check_cap, check_int
 
 
 class TreeNode(namedtuple("TreeNode", "label height children", defaults=((),))):
@@ -46,6 +46,7 @@ def build_tree(k: int) -> TreeNode:
     >>> [(c.height, c.label) for c in root.children]
     [(1, 1), (1, 2)]
     """
+    check_int("k", k)
     if k < 0:
         raise ValueError(f"height must be nonnegative: {k}")
     check_cap("height", k, "materialization", "BUILD_CAP", BUILD_CAP)

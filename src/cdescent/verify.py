@@ -30,12 +30,12 @@ count; the three share no code.
 
 Brute-force sweeps are limited to n <= 8 regardless of ``max_n``; the
 closed-form routes run the full range.  ``workers`` (``verify
---threads``) is the number of processes: with more than one, forked
-children build the permutation tables, ``brute_cdes_table`` and
-``brute_nwexb_table`` for every n <= ``BRUTE_MAX_N``, and send them back
-over pipes while the calling process runs the other checks.  The checks
-themselves always run in the calling process, and the results do not
-depend on ``workers``.
+--threads``) bounds the number of processes: with more than one, one
+forked child builds the permutation tables, ``brute_cdes_table`` and
+``brute_nwexb_table`` for every n <= ``BRUTE_MAX_N``, and sends them
+back over a pipe while the calling process runs the other checks.  The
+checks themselves always run in the calling process, and the results do
+not depend on ``workers``.
 """
 
 from __future__ import annotations
@@ -158,12 +158,12 @@ def check_tree_vs_formula(formula: Table) -> CheckResult:
 def check_traversal_vs_sum(max_n: int, seed: int) -> CheckResult:
     bad = []
     top = min(max_n, 8)
-    for n in range(2, top + 1):
-        for s in iter_value_sets(n):
-            if s:
-                d = gap_vector(s)
-                if tree_weight_traversal(d) != tree_weight_sum(d):
-                    bad.append(d)
+    # Each nonempty S of [2, top] once (the empty set comes first); the
+    # sets of every smaller n are among them.
+    for s in itertools.islice(iter_value_sets(top), 1, None):
+        d = gap_vector(s)
+        if tree_weight_traversal(d) != tree_weight_sum(d):
+            bad.append(d)
     rng = random.Random(seed)
     for _ in range(25):
         d = tuple(rng.randint(0, 4) for _ in range(rng.randint(1, 10)))
@@ -343,19 +343,21 @@ def check_genocchi() -> CheckResult:
     return _result("genocchi-cross-check", bad, "orders 1..3")
 
 
-def _scan(name: str, n: int) -> dict[tuple[int, ...], int]:
-    """One permutation table, by the name of its builder in this module,
-    so that a forked worker builds it with the same function as the
-    caller, a replaced one included."""
-    return globals()[name](n)
+def _brute_tables(top: int) -> tuple[Table, Table]:
+    """The ``brute_cdes_table`` and ``brute_nwexb_table`` tables of every
+    n <= ``top``, built by this module's names, so that a forked child
+    builds them with the same functions as the caller, a replaced one
+    included."""
+    ns = range(1, top + 1)
+    return {n: brute_cdes_table(n) for n in ns}, {n: brute_nwexb_table(n) for n in ns}
 
 
-def _fork_scan(jobs: list[tuple[str, int]]) -> tuple[int, int]:
-    """Fork a child that builds the tables of ``jobs`` (``_scan``
-    arguments) and writes them to a pipe, marshalled as one dict keyed by
-    job; return the child's pid and the pipe's read end.  The child never
-    returns into the caller's code: it leaves by ``os._exit``, with status
-    1 and its traceback on stderr if anything raised."""
+def _fork_scan(top: int) -> tuple[int, int]:
+    """Fork a child that builds ``_brute_tables(top)`` and writes them to
+    a pipe, marshalled; return the child's pid and the pipe's read end.
+    The child never returns into the caller's code: it leaves by
+    ``os._exit``, with status 1 and its traceback on stderr if anything
+    raised."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -367,7 +369,7 @@ def _fork_scan(jobs: list[tuple[str, int]]) -> tuple[int, int]:
         status = 1
         try:
             os.close(read_end)
-            payload = marshal.dumps({job: _scan(*job) for job in jobs})
+            payload = marshal.dumps(_brute_tables(top))
             with open(write_end, "wb") as pipe:
                 pipe.write(payload)
             status = 0
@@ -380,7 +382,7 @@ def _fork_scan(jobs: list[tuple[str, int]]) -> tuple[int, int]:
     return pid, read_end
 
 
-def _join(pid: int, read_end: int) -> dict:
+def _join(pid: int, read_end: int) -> tuple[Table, Table]:
     """Read a forked scan's pipe to the end, then reap the child; raise if
     it failed, so that no check runs on a missing table."""
     try:
@@ -400,32 +402,23 @@ def run_all(
     applies; ``max_n`` above ``perms.VERIFY_MAX_N`` is refused.
     Deterministic for a fixed seed, whatever ``workers``.
 
-    With ``workers`` > 1, ``min(workers, os.cpu_count())`` - 1 forked
-    children build the permutation tables (``brute_cdes_table`` and
-    ``brute_nwexb_table``), a round-robin share each, while this process
-    builds the formula table and runs the checks that need neither; the
-    two checks that do run last.  Every child is reaped before this
-    returns or raises, and a failed one raises.  Without ``os.fork`` the
-    tables are built here.  A fork copies only the calling thread, so a
-    caller that runs other threads passes ``workers=1``.  Every check runs
-    in this process, and the results keep their order."""
+    With ``min(workers, os.cpu_count())`` > 1 and ``os.fork`` available,
+    one forked child builds the permutation tables (``_brute_tables``)
+    while this process builds the formula table and runs the checks that
+    need neither; the two checks that do run last.  The child is reaped
+    before this returns or raises, and a failed one raises.  Otherwise
+    the tables are built here.  A fork copies only the calling thread, so
+    a caller that runs other threads passes ``workers=1``.  Every check
+    runs in this process, and the results keep their order."""
+    perms.check_int("max_n", max_n)
     if max_n < 2:
         raise ValueError(f"max_n must be at least 2: {max_n}")
     perms.check_cap("max_n", max_n, "verify", "VERIFY_MAX_N", perms.VERIFY_MAX_N)
     perms.check_workers(workers)
-    processes = min(workers, os.cpu_count() or 1) if hasattr(os, "fork") else 1
     top = min(max_n, BRUTE_MAX_N)
-    # The two builders alternate, so that with two children or more the two
-    # largest scans (n = top) fall in different round-robin shares.
-    jobs = [
-        (name, n)
-        for n in range(1, top + 1)
-        for name in ("brute_cdes_table", "brute_nwexb_table")
-    ]
-    children = []  # (pid, read end) of every child not yet joined
+    fork = hasattr(os, "fork") and min(workers, os.cpu_count() or 1) > 1
+    child = _fork_scan(top) if fork else None  # (pid, read end)
     try:
-        for i in range(processes - 1):
-            children.append(_fork_scan(jobs[i :: processes - 1]))
         formula = {
             n: {s: cdes_formula(n, s) for s in iter_value_sets(n)}
             for n in range(1, max_n + 1)
@@ -447,17 +440,14 @@ def run_all(
             check_singleton_law(),
             check_genocchi(),
         ]
-        tables = {} if children else {job: _scan(*job) for job in jobs}
-        while children:
-            tables.update(_join(*children.pop()))
-    finally:
-        # Only after a raise: stop reading, so that a child still writing
-        # ends on a broken pipe, and reap it.
-        for pid, read_end in children:
-            os.close(read_end)
-            os.waitpid(pid, 0)
-    brute = {n: tables["brute_cdes_table", n] for n in range(1, top + 1)}
-    nwexb = {n: tables["brute_nwexb_table", n] for n in range(1, top + 1)}
+    except BaseException:
+        if child:
+            # Stop reading, so that a child still writing ends on a broken
+            # pipe, and reap it.
+            os.close(child[1])
+            os.waitpid(child[0], 0)
+        raise
+    brute, nwexb = _join(*child) if child else _brute_tables(top)
     return [
         check_brute_vs_formula(formula, brute),
         *rest[:6],

@@ -288,11 +288,25 @@ def test_genocchi_brute_crosscheck(capsys):
         ("genocchi", "--k", "11", "--n", "2", "--brute"),
     ],
 )
-def test_brute_cap_message_names_the_flag_once(capsys, argv):
+def test_enumeration_cap_message_names_the_constant(capsys, argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 1 and out == ""
-    assert err.endswith(" exceeds the enumeration cap (--brute-cap) = 10\n")
-    assert err.count("\n") == 1 and "cap cap" not in err
+    assert err.endswith(" exceeds the enumeration cap DEFAULT_ENUMERATION_CAP = 10\n")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--n", "5", "--set", "3", "--method", "brute", "--brute-cap", "5"),
+        ("genocchi", "--k", "2", "--n", "3", "--brute", "--brute-cap", "5"),
+    ],
+)
+def test_brute_cap_flag_is_gone(capsys, argv):
+    # The enumeration cap is fixed: no flag sets it.
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert "unrecognized arguments: --brute-cap 5" in err
 
 
 def test_genocchi_brute_mismatch_exits_2(capsys, monkeypatch):
@@ -391,12 +405,12 @@ def test_help_exits_0(capsys):
 
 # Each command's own flags, as (required, optional).
 COMMAND_FLAGS = {
-    "count": (("--n",), ("--set", "--method", "--all-methods", "--threads", "--brute-cap")),
+    "count": (("--n",), ("--set", "--method", "--all-methods", "--threads")),
     "table": (("--n",), ()),
     "poly": (("--n",), ()),
     "tree": (("--gaps",), ("--show",)),
     "tableaux": (("--shape",), ("--method",)),
-    "genocchi": (("--k", "--n"), ("--brute", "--brute-cap")),
+    "genocchi": (("--k", "--n"), ("--brute",)),
     "verify": ((), ("--max-n", "--seed", "--threads")),
 }
 SWITCHES = ("--all-methods", "--show", "--brute")

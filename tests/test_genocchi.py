@@ -98,10 +98,9 @@ def test_brute_count_matches_full_scan():
 
 
 def test_brute_cap():
-    with pytest.raises(ValueError, match="cap \\(--brute-cap\\) = 10"):
+    with pytest.raises(
+        ValueError, match="k\\*n = 11 exceeds the enumeration cap DEFAULT_ENUMERATION_CAP = 10"
+    ):
         brute_genocchi_perm_count(11, 1)
-    with pytest.raises(ValueError, match="cap \\(--brute-cap\\) = 8"):
-        brute_genocchi_perm_count(3, 3, cap=8)
     with pytest.raises(ValueError):
         brute_genocchi_perm_count(2, 0)
-    assert brute_genocchi_perm_count(3, 3, cap=9) == genocchi_number(3, 4)

@@ -11,17 +11,24 @@ from cdescent import (
     as_value_set,
     brute_cdes_count,
     brute_cdes_table,
+    brute_genocchi_perm_count,
     brute_nwexb_count,
     brute_nwexb_table,
+    build_tree,
     cdes_formula,
     cdes_formula_typed,
+    cdes_insertion_table,
     cdes_recursive,
     circular_descent_set,
+    genocchi_number,
+    gn,
+    gnk,
     iter_value_sets,
     nwexb_set,
     reduction,
 )
 from cdescent.tree import tree_count
+from cdescent.verify import run_all
 
 perms = st.integers(1, 7).flatmap(lambda n: st.permutations(list(range(1, n + 1))))
 
@@ -153,7 +160,9 @@ def test_brute_cdes_count_checks_the_set_before_the_cap():
         brute_cdes_count(11, (12,))
     with pytest.raises(ValueError, match="n must be positive: 0"):
         brute_cdes_count(0, ())
-    with pytest.raises(ValueError, match=r"n = 11 exceeds the enumeration cap \(--brute-cap\) = 10"):
+    with pytest.raises(
+        ValueError, match="n = 11 exceeds the enumeration cap DEFAULT_ENUMERATION_CAP = 10"
+    ):
         brute_cdes_count(11, (3,))
 
 
@@ -217,15 +226,12 @@ def test_workers_accepted_and_without_effect():
     # The scan runs in process; the keyword is only validated.
     for workers in (1, 2, 64):
         assert brute_cdes_table(6, workers=workers) == brute_cdes_table(6)
-        assert brute_nwexb_table(6, workers=workers) == brute_nwexb_table(6)
 
 
 @pytest.mark.parametrize("workers", [0, -3])
 def test_worker_count_below_one_rejected(workers):
     with pytest.raises(ValueError, match=r"workers \(--threads\) must be at least 1"):
         brute_cdes_table(5, workers=workers)
-    with pytest.raises(ValueError, match="workers"):
-        brute_nwexb_count(5, (3,), workers=workers)
 
 
 @pytest.mark.parametrize("n", [2.5, 2.0, True])
@@ -233,6 +239,30 @@ def test_worker_count_below_one_rejected(workers):
 def test_tables_refuse_a_non_integer_n(table, n):
     with pytest.raises(ValueError, match=f"^n must be an integer: {n!r}$"):
         table(n)
+
+
+# Each size argument, by the call that passes it: (its name, the call).
+SIZE_ARGUMENTS = {
+    "cdes_insertion_table(n)": ("n", cdes_insertion_table),
+    "gn(n)": ("n", gn),
+    "gnk(n, 1)": ("n", lambda n: gnk(n, 1)),
+    "gnk(4, k)": ("k", lambda k: gnk(4, k)),
+    "genocchi_number(2, n)": ("n", lambda n: genocchi_number(2, n)),
+    "genocchi_number(k, 3)": ("k", lambda k: genocchi_number(k, 3)),
+    "brute_genocchi_perm_count(2, n)": ("n", lambda n: brute_genocchi_perm_count(2, n)),
+    "brute_genocchi_perm_count(k, 2)": ("k", lambda k: brute_genocchi_perm_count(k, 2)),
+    "build_tree(k)": ("k", build_tree),
+    "run_all(max_n)": ("max_n", run_all),
+    "run_all(4, workers)": ("workers", lambda workers: run_all(4, workers=workers)),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True])
+@pytest.mark.parametrize(("name", "call"), SIZE_ARGUMENTS.values(), ids=SIZE_ARGUMENTS.keys())
+def test_sizes_refuse_a_non_integer(name, call, value):
+    # The rule of check_n, an int and not a bool, before any range check.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer: {value!r}$"):
+        call(value)
 
 
 def _descents(perm):
@@ -269,11 +299,11 @@ def test_tables_do_not_depend_on_the_tail_length(monkeypatch, tail):
 
 
 def test_enumeration_cap():
-    with pytest.raises(ValueError):
+    message = "n = 11 exceeds the enumeration cap DEFAULT_ENUMERATION_CAP = 10"
+    with pytest.raises(ValueError, match=message):
         brute_cdes_table(11)
-    with pytest.raises(ValueError):
-        brute_cdes_count(5, (3,), cap=4)
-    assert brute_cdes_table(5, cap=5)[(5,)] == 15
+    with pytest.raises(ValueError, match=message):
+        brute_nwexb_table(11)
 
 
 @given(perms)

@@ -86,9 +86,9 @@ def test_workers_do_not_change_the_results(max_n):
     assert verify.run_all(max_n, workers=2) == verify.run_all(max_n, workers=1)
 
 
-def _record_forks(monkeypatch) -> list[int]:
-    """Fake two cores, let ``os.fork`` run, and collect the pid of every
-    child it starts."""
+def _record_forks(monkeypatch, cpus=2) -> list[int]:
+    """Fake ``cpus`` cores, let ``os.fork`` run, and collect the pid of
+    every child it starts."""
     pids = []
     fork = os.fork
 
@@ -99,7 +99,7 @@ def _record_forks(monkeypatch) -> list[int]:
         return pid
 
     monkeypatch.setattr(os, "fork", recording_fork)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     return pids
 
 
@@ -113,6 +113,14 @@ def _assert_reaped(pids):
 def test_every_child_is_reaped(monkeypatch):
     pids = _record_forks(monkeypatch)
     assert all(r.passed for r in verify.run_all(4, workers=2))
+    assert len(pids) == 1
+    _assert_reaped(pids)
+
+
+@needs_fork
+def test_one_child_however_many_cores(monkeypatch):
+    pids = _record_forks(monkeypatch, cpus=64)
+    assert verify.run_all(4, workers=64) == verify.run_all(4)
     assert len(pids) == 1
     _assert_reaped(pids)
 
@@ -150,31 +158,26 @@ def test_without_fork_the_tables_are_built_in_process(monkeypatch):
     assert verify.run_all(4, workers=2) == verify.run_all(4)
 
 
-SCAN_JOBS = sorted((name, n) for name in ("brute_cdes_table", "brute_nwexb_table") for n in range(1, 5))
-
-
 @pytest.mark.parametrize(
-    "threads, cpus, pool_size",
-    [(64, 2, 1), (64, 8, 7), (3, 8, 2), (2, 1, None), (64, None, None), (1, 8, None)],
+    "threads, cpus, children",
+    [(64, 2, 1), (64, 8, 1), (3, 8, 1), (2, 1, None), (64, None, None), (1, 8, None)],
 )
-def test_verify_pool_is_clamped_to_the_cores(capsys, monkeypatch, threads, cpus, pool_size):
-    # A stand-in fork that records each child's share and builds it in
-    # process, so no process is ever started.  The children work beside
-    # the calling process.
-    shares = []
+def test_verify_pool_is_clamped_to_the_cores(capsys, monkeypatch, threads, cpus, children):
+    # A stand-in fork that records each call and builds the tables in
+    # process, so no process is ever started.  A child works beside the
+    # calling process, so one needs two cores.
+    forks = []
 
-    def recording_fork(jobs):
-        shares.append(jobs)
-        return len(shares), {job: verify._scan(*job) for job in jobs}
+    def recording_fork(top):
+        forks.append(top)
+        return len(forks), verify._brute_tables(top)
 
     monkeypatch.setattr(verify, "_fork_scan", recording_fork)
     monkeypatch.setattr(verify, "_join", lambda pid, tables: tables)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     assert cli.main(["verify", "--max-n", "4", "--threads", str(threads)]) == 0
     assert capsys.readouterr().out.endswith("all 17 checks passed\n")
-    assert len(shares) == (pool_size or 0)
-    if shares:  # every scan, in exactly one share
-        assert sorted(job for share in shares for job in share) == SCAN_JOBS
+    assert forks == [4] * (children or 0)
 
 
 def test_verify_threads_below_one_starts_no_pool(capsys, monkeypatch):
@@ -186,6 +189,20 @@ def test_verify_threads_below_one_starts_no_pool(capsys, monkeypatch):
     assert capsys.readouterr() == ("", "error: workers (--threads) must be at least 1: 0\n")
     with pytest.raises(ValueError, match=r"workers \(--threads\) must be at least 1: -2"):
         verify.run_all(4, workers=-2)
+
+
+def test_traversal_walks_each_gap_vector_once(monkeypatch):
+    # The 127 nonempty sets of [2, 8] and the 25 seeded samples, each once.
+    calls = []
+    traversal = verify.tree_weight_traversal
+
+    def counted(d):
+        calls.append(d)
+        return traversal(d)
+
+    monkeypatch.setattr(verify, "tree_weight_traversal", counted)
+    assert all(r.passed for r in verify.run_all(8))
+    assert len(calls) == 127 + 25
 
 
 def test_check_result_value_semantics():
