@@ -26,7 +26,7 @@ import argparse
 import sys
 from collections.abc import Sequence
 
-from .perms import DEFAULT_ENUMERATION_CAP, check_workers
+from .perms import DEFAULT_ENUMERATION_CAP, check_int
 
 COUNT_METHODS = ("formula", "typed", "recursion", "tree", "brute")
 
@@ -39,7 +39,8 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
 
 
 def parse_set(text: str) -> tuple[int, ...]:
-    """Comma-separated strictly ascending positive integers; '' is empty.
+    """Comma-separated strictly ascending integers; '' is empty.  The
+    count routes refuse elements below 1 (``perms.as_value_set``).
 
     Descending or duplicated input is rejected rather than sorted, to
     surface caller bugs.
@@ -47,21 +48,17 @@ def parse_set(text: str) -> tuple[int, ...]:
     if text == "":
         return ()
     values = _parse_ints(text, "set")
-    if any(v < 1 for v in values):
-        raise ValueError(f"set elements must be positive: {text!r}")
     if any(a >= b for a, b in zip(values, values[1:])):
         raise ValueError(f"set elements must be strictly ascending: {text!r}")
     return values
 
 
 def parse_gaps(text: str) -> tuple[int, ...]:
-    """Comma-separated nonnegative integers; '' is the empty gap vector."""
+    """Comma-separated integers; '' is the empty gap vector.  The tree
+    routes refuse negative ones."""
     if text == "":
         return ()
-    values = _parse_ints(text, "gaps")
-    if any(v < 0 for v in values):
-        raise ValueError(f"gap exponents must be nonnegative: {text!r}")
-    return values
+    return _parse_ints(text, "gaps")
 
 
 def parse_shape(text: str) -> tuple[int, ...]:
@@ -158,9 +155,7 @@ def cmd_count(args) -> int:
 def cmd_table(args) -> int:
     from .recursion import cdes_insertion_table
 
-    if args.n < 1:
-        raise ValueError(f"n must be positive: {args.n}")
-    table = {(): 1} if args.n == 1 else cdes_insertion_table(args.n)
+    table = cdes_insertion_table(args.n)
     ordered = sorted(table.items(), key=lambda kv: (len(kv[0]), kv[0]))
     rows = [{"set": format_set(s), "count": str(c)} for s, c in ordered]
     result = [{"set": list(s), "count": str(c)} for s, c in ordered]
@@ -296,8 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", required=True, help="comma-separated weakly decreasing row lengths")
     p.add_argument(
         "--method", choices=("formula", "transfer", "brute"), default="formula",
-        help="formula: the alternating sum (width <= SUM_CAP); transfer: column by"
-        " column, exponential in rows; brute: the naive search (boxes <= BOX_CAP)",
+        help="formula: the alternating sum, 2^width terms (work <= SUM_CAP);"
+        " transfer: column by column, exponential in rows; brute: the naive search"
+        " (boxes <= BOX_CAP)",
     )
     p.set_defaults(func=cmd_tableaux)
 
@@ -326,7 +322,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         if "threads" in args:
-            check_workers(args.threads)
+            check_int("--threads", args.threads, 1)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -80,8 +80,8 @@ def set_type(s: Iterable[int]) -> tuple[tuple[int, int], ...]:
 def cube_sum(exponents: tuple[int, ...]) -> int:
     """The alternating sum over {0,1}^k of the module docstring, with the
     k nonnegative integer ``exponents`` in place of the gap vector.
-    Callers validate the exponents; lengths above ``perms.SUM_CAP`` are
-    rejected, since the sum has 2^k terms.
+    Callers validate the exponents; work 2^k * (exponent total + 16)
+    above ``perms.SUM_CAP`` is refused, since the sum has 2^k terms.
 
     >>> cube_sum((2, 1))
     3
@@ -92,7 +92,11 @@ def cube_sum(exponents: tuple[int, ...]) -> int:
     # partial product is carried down, so each of the 2^k assignments
     # costs one multiplication instead of k exponentiations.
     k = len(exponents)
-    check_cap("length", k, "summation", "SUM_CAP", SUM_CAP)
+    # The length alone can be over the cap: refuse it on the length, before
+    # the work becomes an integer of many digits.
+    max_length = (SUM_CAP // 16).bit_length() - 1  # the largest k with 16 * 2^k <= cap
+    check_cap("length", k, "summation", "log2(SUM_CAP / 16)", max_length)
+    check_cap("work", (sum(exponents) + 16) << k, "summation", "SUM_CAP", SUM_CAP)
 
     def walk(i: int, prefix: int, acc: int) -> int:
         if i == k:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from .perms import DEFAULT_ENUMERATION_CAP, GENOCCHI_MAX_SIZE, check_cap, check_int, count_placements
+from .perms import DEFAULT_ENUMERATION_CAP, GANDHI_MAX_SIZE, GENOCCHI_MAX_SIZE, check_cap, check_int, count_placements
 
 
 def _shift_x_plus_one(coeffs: tuple[int, ...] | list[int]) -> list[int]:
@@ -55,6 +55,7 @@ def _trimmed_difference(a: list[int], b: list[int]) -> tuple[int, ...]:
 
 def gandhi_poly(k: int, n: int) -> tuple[int, ...]:
     """Dense ascending coefficients of the n-th polynomial of order k.
+    k*n above ``perms.GANDHI_MAX_SIZE`` is refused.
 
     >>> gandhi_poly(2, 0)
     (1,)
@@ -63,10 +64,9 @@ def gandhi_poly(k: int, n: int) -> tuple[int, ...]:
     >>> gandhi_poly(2, 2)
     (1, -4, 6)
     """
-    if k < 1:
-        raise ValueError(f"order must be positive: {k}")
-    if n < 0:
-        raise ValueError(f"index must be nonnegative: {n}")
+    check_int("k", k, 1)
+    check_int("n", n, 0)
+    check_cap("k*n", k * n, "Gandhi", "GANDHI_MAX_SIZE", GANDHI_MAX_SIZE)
     coeffs: tuple[int, ...] = (1,)
     x_minus_one_k = [(-1) ** (k - j) * comb(k, j) for j in range(k + 1)]
     for _ in range(n):
@@ -99,12 +99,8 @@ def genocchi_number(k: int, n: int) -> int:
     >>> genocchi_number(1, 5)
     1
     """
-    check_int("n", n)
-    if n < 1:
-        raise ValueError(f"index must be positive: {n}")
-    check_int("k", k)
-    if k < 1:
-        raise ValueError(f"order must be positive: {k}")
+    check_int("n", n, 1)
+    check_int("k", k, 1)
     check_cap("k*n", k * n, "Genocchi", "GENOCCHI_MAX_SIZE", GENOCCHI_MAX_SIZE)
     powers = [x**k for x in range(n)]
     values = [1] * n
@@ -125,10 +121,8 @@ def brute_genocchi_perm_count(k: int, n: int) -> int:
     >>> brute_genocchi_perm_count(2, 2)
     3
     """
-    check_int("k", k)
-    check_int("n", n)
-    if k < 1 or n < 1:
-        raise ValueError(f"order and index must be positive: ({k}, {n})")
+    check_int("k", k, 1)
+    check_int("n", n, 1)
     check_cap("k*n", k * n, "enumeration", "DEFAULT_ENUMERATION_CAP", DEFAULT_ENUMERATION_CAP)
     m = k * n
     # The rule at position i does not depend on the value before it.

@@ -29,8 +29,10 @@ with it (``count_placements``, which the Genocchi permutation count also
 uses).  The tests pin both to the full scans on every set of every small
 n.
 
-This module also holds every input cap of the package, each refused by
-:func:`check_cap` in one message format before any work.
+This module also holds the package's argument contract: every input cap,
+each refused by :func:`check_cap` in one message format before any work,
+and the integer rule with its bounds, :func:`check_int` for one value and
+:func:`check_ints` for a sequence.
 """
 
 from __future__ import annotations
@@ -44,8 +46,10 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 # Input caps, fixed: no caller changes them.
 # Length of the permutations of a brute scan: n, or k*n for the Genocchi scan.
 DEFAULT_ENUMERATION_CAP = 10
-SUM_CAP = 30  # length of the alternating sum, 2^length terms
-BUILD_CAP = 20  # height of a materialized tree, 2^(height+1) - 1 nodes
+# Work of the alternating sum, 2^length * (exponent total + 16): each term
+# costs about 16 units before its exponents count.  About a second.
+SUM_CAP = 40_000_000
+BUILD_CAP = 17  # height of a materialized tree, 2^(height+1) - 1 nodes
 BOX_CAP = 20  # boxes of a shape whose fillings are searched one by one
 TRANSFER_CAP = 2_000_000  # steps of the column transfer: 4^height summed over columns
 TABLE_MAX_N = 20  # n of a full table over [2, n], 2^(n-1) entries
@@ -53,6 +57,7 @@ TABLE_MAX_N = 20  # n of a full table over [2, n], 2^(n-1) entries
 # (a gap vector sums to max(S) - 1).  Within SUM_CAP, ~1.5n digits at most.
 COUNT_MAX_N = 100_000
 GENOCCHI_MAX_SIZE = 2000  # k*n of a Genocchi number: n^2 products of ~k*n digits
+GANDHI_MAX_SIZE = 300  # k*n of an expanded Gandhi polynomial, ~n^3 products
 VERIFY_MAX_N = 12  # max_n of the verify suite, whose time doubles per step
 
 # Values in the tail of a brute scan: the masks of the tail's arrangements
@@ -63,6 +68,7 @@ _TAIL = 5
 def check_permutation(perm: Sequence[int]) -> tuple[int, ...]:
     """Validate one-line notation: every value of 1..n appears exactly once."""
     p = tuple(perm)
+    check_ints("permutation entry", p)
     if sorted(p) != list(range(1, len(p) + 1)):
         raise ValueError(f"not a permutation of [{len(p)}]: {p!r}")
     return p
@@ -74,18 +80,12 @@ def as_value_set(elements: Iterable[int], *, n: int | None = None) -> tuple[int,
     With ``n`` given, also require n >= 1 and every element to lie in [1, n].
     """
     if n is not None:
-        check_n(n)
+        check_int("n", n, 1)
         check_cap("n", n, "count", "COUNT_MAX_N", COUNT_MAX_N)
     s = tuple(sorted(elements))
-    # Test the few distinct types, not every element: int subclasses other
-    # than bool pass (plain int alone skips the loop), and s is sorted, so
-    # s[0] is its minimum.
-    types = {*map(type, s)}
-    if s and (
-        (types != {int} and (bool in types or not all(issubclass(t, int) for t in types)))
-        or s[0] < 1
-    ):
-        raise ValueError(f"value sets contain positive integers only: {s!r}")
+    check_ints("set element", s)
+    if s:
+        check_int("set element", s[0], 1)  # s is sorted: s[0] is its minimum
     if len(set(s)) != len(s):
         raise ValueError(f"value sets have distinct elements: {s!r}")
     if n is not None and s and s[-1] > n:
@@ -93,18 +93,34 @@ def as_value_set(elements: Iterable[int], *, n: int | None = None) -> tuple[int,
     return s
 
 
-def check_int(name: str, value: int) -> None:
-    """Refuse a ``value`` that is not an int (a bool is refused), naming
-    the argument ``name``."""
-    if not isinstance(value, int) or isinstance(value, bool):
+def check_int(name: str, value: int, low: int | None = None, high: int | None = None) -> None:
+    """Refuse a ``value`` that is not an int (a bool is refused) or lies
+    outside [low, high] (an end that is None is open), naming the argument
+    ``name``.  Every integer argument of the package passes this rule,
+    alone or through :func:`check_ints`."""
+    if type(value) is not int and (not isinstance(value, int) or isinstance(value, bool)):
         raise ValueError(f"{name} must be an integer: {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}: {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be at most {high}: {value}")
 
 
-def check_n(n: int) -> None:
-    """Refuse an ``n`` that is not a positive int (a bool is refused)."""
-    check_int("n", n)
-    if n < 1:
-        raise ValueError(f"n must be positive: {n}")
+def check_ints(name: str, values: Sequence[int], low: int | None = None, high: int | None = None) -> None:
+    """:func:`check_int` on every element of ``values``, each named ``name``.
+
+    Tests the few distinct types, not every element: int subclasses other
+    than bool pass, and plain int alone skips the test.  Only a sequence
+    that fails is walked, to name its first offending element.
+    """
+    types = {*map(type, values)}
+    if values and (
+        (types != {int} and (bool in types or not all(issubclass(t, int) for t in types)))
+        or (low is not None and min(values) < low)
+        or (high is not None and max(values) > high)
+    ):
+        for value in values:
+            check_int(name, value, low, high)
 
 
 def check_cap(what: str, value: int, kind: str, name: str, cap: int) -> None:
@@ -114,19 +130,13 @@ def check_cap(what: str, value: int, kind: str, name: str, cap: int) -> None:
         raise ValueError(f"{what} = {value} exceeds the {kind} cap {name} = {cap}")
 
 
-def check_workers(workers: int) -> None:
-    """Refuse a worker count that is not an int, or is below 1."""
-    check_int("workers", workers)
-    if workers < 1:
-        raise ValueError(f"workers (--threads) must be at least 1: {workers}")
-
-
 def iter_value_sets(n: int) -> Iterator[tuple[int, ...]]:
     """All subsets of [2, n] as sorted tuples, by size then lexicographically.
 
     >>> list(iter_value_sets(3))
     [(), (2,), (3,), (2, 3)]
     """
+    check_int("n", n, 1)
     values = range(2, n + 1)
     for size in range(len(values) + 1):
         yield from itertools.combinations(values, size)
@@ -207,7 +217,7 @@ def _pairs_mask(bits: list, start: int, seq: Sequence[int]) -> int:
 
 
 def _brute_table(rule: Rule, n: int) -> dict[tuple[int, ...], int]:
-    check_n(n)
+    check_int("n", n, 1)
     check_cap("n", n, "enumeration", "DEFAULT_ENUMERATION_CAP", DEFAULT_ENUMERATION_CAP)
     bits = [
         [[rule(i, a, b) for b in range(n + 1)] for a in range(n + 1)] for i in range(n - 1)
@@ -242,7 +252,7 @@ def brute_cdes_table(n: int, *, workers: int = 1) -> dict[tuple[int, ...], int]:
     >>> brute_cdes_table(3)
     {(): 1, (2,): 1, (3,): 3, (2, 3): 1}
     """
-    check_workers(workers)
+    check_int("workers", workers, 1)
     return _brute_table(_descent_bit, n)
 
 

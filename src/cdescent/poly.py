@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Mapping
 
-from .perms import TABLE_MAX_N, as_value_set, check_cap, check_int
+from .perms import TABLE_MAX_N, as_value_set, check_cap, check_int, check_ints
 from .tree import tree_count
 
 Monomial = tuple[tuple[int, ...], int]
@@ -24,12 +24,10 @@ Monomial = tuple[tuple[int, ...], int]
 def _check_monomial(key: Monomial) -> Monomial:
     xvars, ydeg = key
     xv = tuple(sorted(xvars))
-    if any(not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in xv):
-        raise ValueError(f"x-variable indices must be positive integers: {xvars!r}")
+    check_ints("x-variable index", xv, 1)
     if len(set(xv)) != len(xv):
         raise ValueError(f"monomials are squarefree in x: {xvars!r}")
-    if not isinstance(ydeg, int) or isinstance(ydeg, bool) or ydeg < 0:
-        raise ValueError(f"y-degree must be a nonnegative integer: {ydeg!r}")
+    check_int("y-degree", ydeg, 0)
     return xv, ydeg
 
 
@@ -45,8 +43,10 @@ class Poly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
+        terms = terms or {}
+        check_ints("coefficient", tuple(terms.values()))
         clean: dict[Monomial, int] = {}
-        for key, coeff in (terms or {}).items():
+        for key, coeff in terms.items():
             key = _check_monomial(key)
             coeff = clean.get(key, 0) + coeff
             if coeff:
@@ -94,7 +94,8 @@ class Poly:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            other = Poly.constant(other)
+            # Compared as Python compares ints, so a bool compares too.
+            return self._terms == ({((), 0): other} if other else {})
         if not isinstance(other, Poly):
             return NotImplemented
         return self._terms == other._terms
@@ -202,9 +203,7 @@ def gn(n: int) -> Poly:
     >>> str(gn(3))
     '1 + x1*y + 3*x2*y + x1*x2*y^2'
     """
-    check_int("n", n)
-    if n < 2:
-        raise ValueError(f"defined for n >= 2: {n}")
+    check_int("n", n, 2)
     check_cap("n", n, "table", "TABLE_MAX_N", TABLE_MAX_N)
     terms: dict[Monomial, int] = {((), 0): 1, ((1,), 1): 1}
     for m in range(2, n):
@@ -244,8 +243,7 @@ def tau(parts: Iterable[int]) -> tuple[int, ...]:
     (2, 3, 4)
     """
     d = tuple(parts)
-    if any(not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in d):
-        raise ValueError(f"composition parts must be positive integers: {d!r}")
+    check_ints("composition part", d, 1)
     return tuple(1 + t for t in itertools.accumulate(d))
 
 
@@ -257,13 +255,9 @@ def gnk(n: int, k: int) -> Poly:
     >>> str(gnk(4, 2))
     'x1*x2 + 3*x1*x3 + 7*x2*x3'
     """
-    check_int("n", n)
-    if n < 1:
-        raise ValueError(f"n must be positive: {n}")
+    check_int("n", n, 1)
     check_cap("n", n, "table", "TABLE_MAX_N", TABLE_MAX_N)
-    check_int("k", k)
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"slice degree {k} outside [0, {n - 1}]")
+    check_int("k", k, 0, n - 1)
     return Poly(
         {
             (tuple(v - 1 for v in s), 0): tree_count(n, s)

@@ -148,13 +148,11 @@ def cdes_insertion_table(n: int) -> dict[tuple[int, ...], int]:
     >>> cdes_insertion_table(3)
     {(): 1, (2,): 1, (3,): 3, (2, 3): 1}
     """
-    check_int("n", n)
-    if n < 2:
-        raise ValueError(f"insertion table starts at n = 2: {n}")
+    check_int("n", n, 1)
     check_cap("n", n, "table", "TABLE_MAX_N", TABLE_MAX_N)
     counts = _insertion_counts(n)
-    keys: list[tuple[int, ...]] = [(), (2,)]
-    for m in range(3, n + 1):
+    keys: list[tuple[int, ...]] = [()]
+    for m in range(2, n + 1):
         keys += [(*s, m) for s in keys]
     return dict(zip(keys, counts))
 
@@ -162,8 +160,8 @@ def cdes_insertion_table(n: int) -> dict[tuple[int, ...], int]:
 def _insertion_counts(n: int) -> list[int]:
     # The counts of cdes_insertion_table(n) by ascending bitmask; every
     # packed int is freed on return, before the table's dict is built.
-    packed = 1 | 1 << _FIELD_BITS
-    for m in range(3, n + 1):
+    packed = 1  # the table of n = 1: the empty set, once
+    for m in range(2, n + 1):
         size = _FIELD_BITS << (m - 2)  # the bits of the fields of [2, m-1]
         grown = packed
         for j in range(m - 2):

@@ -28,7 +28,7 @@ import itertools
 from collections.abc import Iterable, Iterator, Sequence
 
 from .formula import cdes_formula, cube_sum
-from .perms import BOX_CAP, COUNT_MAX_N, TRANSFER_CAP, check_cap
+from .perms import BOX_CAP, COUNT_MAX_N, TRANSFER_CAP, check_cap, check_int, check_ints
 
 
 def check_shape(parts: Iterable[int]) -> tuple[int, ...]:
@@ -36,8 +36,7 @@ def check_shape(parts: Iterable[int]) -> tuple[int, ...]:
     p = tuple(parts)
     if not p:
         raise ValueError("a shape needs at least one row")
-    if any(not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in p):
-        raise ValueError(f"row lengths must be positive integers: {p!r}")
+    check_ints("row length", p, 1)
     if any(a < b for a, b in itertools.pairwise(p)):
         raise ValueError(f"row lengths must be weakly decreasing: {p!r}")
     check_cap("rows + width", len(p) + p[0], "count", "COUNT_MAX_N", COUNT_MAX_N)
@@ -161,8 +160,7 @@ def _split_rows(p: tuple[int, ...], bits: Sequence[int]) -> list[list[int]]:
     cells = list(bits)
     if len(cells) != sum(p):
         raise ValueError(f"filling has {len(cells)} bits for {sum(p)} boxes")
-    if any(v not in (0, 1) for v in cells):
-        raise ValueError("filling entries must be 0 or 1")
+    check_ints("filling entry", cells, 0, 1)
     rows = []
     at = 0
     for length in p:
@@ -241,6 +239,8 @@ def brute_count_tableaux(parts: Iterable[int]) -> int:
 
 def iter_shapes(max_boxes: int, max_rows: int) -> Iterator[tuple[int, ...]]:
     """Every shape with at most ``max_boxes`` boxes and ``max_rows`` rows."""
+    check_int("max_boxes", max_boxes, 0)
+    check_int("max_rows", max_rows, 0)
 
     def grow(prefix: tuple[int, ...], remaining: int, max_part: int):
         for part in range(1, min(max_part, remaining) + 1):

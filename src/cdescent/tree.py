@@ -23,7 +23,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 
 from .formula import cube_sum, gap_vector
-from .perms import BUILD_CAP, COUNT_MAX_N, as_value_set, check_cap, check_int
+from .perms import BUILD_CAP, COUNT_MAX_N, as_value_set, check_cap, check_int, check_ints
 
 
 class TreeNode(namedtuple("TreeNode", "label height children", defaults=((),))):
@@ -46,9 +46,7 @@ def build_tree(k: int) -> TreeNode:
     >>> [(c.height, c.label) for c in root.children]
     [(1, 1), (1, 2)]
     """
-    check_int("k", k)
-    if k < 0:
-        raise ValueError(f"height must be nonnegative: {k}")
+    check_int("k", k, 0)
     check_cap("height", k, "materialization", "BUILD_CAP", BUILD_CAP)
 
     def grow(label: int, height: int) -> TreeNode:
@@ -75,8 +73,7 @@ def iter_leaf_paths(root: TreeNode) -> Iterator[tuple[int, ...]]:
 
 def _check_weights(d: Iterable[int]) -> tuple[int, ...]:
     w = tuple(d)
-    if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in w):
-        raise ValueError(f"weight exponents must be nonnegative integers: {w!r}")
+    check_ints("weight exponent", w, 0)
     check_cap("exponent total", sum(w), "count", "COUNT_MAX_N", COUNT_MAX_N)
     return w
 
@@ -105,8 +102,8 @@ def tree_weight_traversal(d: Sequence[int]) -> int:
 
 def tree_weight_sum(d: Sequence[int]) -> int:
     """Closed form of :func:`tree_weight_traversal`: ``formula.cube_sum``
-    with d as the exponents, no tree materialized.  Lengths above
-    ``perms.SUM_CAP`` are rejected.
+    with d as the exponents, no tree materialized.  Work above
+    ``perms.SUM_CAP`` is refused.
 
     >>> tree_weight_sum((4,))
     15
@@ -144,9 +141,9 @@ def leaf_theta(path: Sequence[int]) -> tuple[int, ...]:
     p = tuple(path)
     if not p or p[0] != 1:
         raise ValueError("paths start at the root label 1")
+    check_ints("path label", p)
     steps = tuple(b - a for a, b in itertools.pairwise(p))
-    if any(x not in (0, 1) for x in steps):
-        raise ValueError(f"labels must repeat or increment along a path: {p!r}")
+    check_ints("path step", steps, 0, 1)
     return steps
 
 
@@ -156,6 +153,5 @@ def leaf_theta_inverse(bits: Sequence[int]) -> tuple[int, ...]:
     >>> leaf_theta_inverse((1, 0))
     (1, 2, 2)
     """
-    if any(x not in (0, 1) for x in bits):
-        raise ValueError(f"increments are 0 or 1: {tuple(bits)!r}")
+    check_ints("increment", bits, 0, 1)
     return tuple(itertools.accumulate(bits, initial=1))

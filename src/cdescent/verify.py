@@ -410,11 +410,9 @@ def run_all(
     the tables are built here.  A fork copies only the calling thread, so
     a caller that runs other threads passes ``workers=1``.  Every check
     runs in this process, and the results keep their order."""
-    perms.check_int("max_n", max_n)
-    if max_n < 2:
-        raise ValueError(f"max_n must be at least 2: {max_n}")
+    perms.check_int("max_n", max_n, 2)
     perms.check_cap("max_n", max_n, "verify", "VERIFY_MAX_N", perms.VERIFY_MAX_N)
-    perms.check_workers(workers)
+    perms.check_int("workers", workers, 1)
     top = min(max_n, BRUTE_MAX_N)
     fork = hasattr(os, "fork") and min(workers, os.cpu_count() or 1) > 1
     child = _fork_scan(top) if fork else None  # (pid, read end)

@@ -126,6 +126,25 @@ def test_rejected_queries_print_one_error_line(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("count", "--n", "5", "--set", "0,3"), "set element must be at least 1: 0"),
+        (("count", "--n", "5", "--set=-2,3", "--method", "brute"), "set element must be at least 1: -2"),
+        (("tree", "--gaps", "2,-1"), "weight exponent must be at least 0: -1"),
+        (("tree", "--gaps", "-1", "--show"), "weight exponent must be at least 0: -1"),
+        (("table", "--n", "0"), "n must be at least 1: 0"),
+        (("poly", "--n", "1"), "n must be at least 2: 1"),
+        (("genocchi", "--k", "0", "--n", "3"), "k must be at least 1: 0"),
+        (("verify", "--max-n", "1"), "max_n must be at least 2: 1"),
+        (("count", "--n", "5", "--set", "3", "--threads", "0"), "--threads must be at least 1: 0"),
+    ],
+)
+def test_library_refusals_reach_the_cli(capsys, argv, message):
+    # The CLI leaves these bounds to the library and prints its message.
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["table", "poly"])
 def test_table_cap_rejects_before_allocating(capsys, command):
     tracemalloc.start()
@@ -254,7 +273,7 @@ def test_tableaux_transfer_matches_formula(capsys, shape):
 
 def test_tableaux_transfer_reaches_past_the_summation_cap(capsys):
     assert run(capsys, "tableaux", "--shape", "40,30,20") == (
-        1, "", "error: length = 40 exceeds the summation cap SUM_CAP = 30\n"
+        1, "", "error: length = 40 exceeds the summation cap log2(SUM_CAP / 16) = 21\n"
     )
     rc, out, err = run(capsys, "tableaux", "--shape", "40,30,20", "--method", "transfer", "--format", "json")
     assert (rc, err) == (0, "")

@@ -14,7 +14,8 @@ from cdescent import (
     tau,
     tree_weight_sum,
 )
-from cdescent.perms import SUM_CAP
+from cdescent import formula
+from cdescent.formula import cube_sum
 from cdescent.tree import tree_count
 
 value_sets = st.sets(st.integers(2, 14), max_size=7).map(lambda s: tuple(sorted(s)))
@@ -116,8 +117,8 @@ def test_rejects_n_below_max():
 @pytest.mark.parametrize(
     "n, s, message",
     [
-        (0, (), "n must be positive: 0"),
-        (-3, (2,), "n must be positive: -3"),
+        (0, (), "n must be at least 1: 0"),
+        (-3, (2,), "n must be at least 1: -3"),
         (3, (4,), r"element 4 outside \[1, 3\]"),
         (1, (2,), r"element 2 outside \[1, 1\]"),
     ],
@@ -128,11 +129,27 @@ def test_every_count_route_checks_n_and_set_alike(route, n, s, message):
 
 
 def test_summation_cap_guards_the_closed_forms():
-    message = f"length = 32 exceeds the summation cap SUM_CAP = {SUM_CAP}"
+    message = r"^length = 32 exceeds the summation cap log2\(SUM_CAP / 16\) = 21$"
     with pytest.raises(ValueError, match=message):
         cdes_formula(40, range(2, 34))
     with pytest.raises(ValueError, match=message):
         cdes_formula_typed(40, range(2, 34))
+    # 20 elements, within the length, with max(S) = 38: 2^20 * (37 + 16).
+    message = "^work = 55574528 exceeds the summation cap SUM_CAP = 40000000$"
+    with pytest.raises(ValueError, match=message):
+        cdes_formula(40, range(19, 39))
+    with pytest.raises(ValueError, match=message):
+        cdes_formula_typed(40, range(19, 39))
+
+
+def test_summation_work_cap_is_inclusive(monkeypatch):
+    # 2^10 * (0 + 16) is exactly the cap; one more unit of either is over.
+    monkeypatch.setattr(formula, "SUM_CAP", 16 << 10)
+    assert cube_sum((0,) * 10) == 0
+    with pytest.raises(ValueError, match="^work = 17408 exceeds the summation cap SUM_CAP = 16384$"):
+        cube_sum((1,) + (0,) * 9)
+    with pytest.raises(ValueError, match=r"^length = 11 exceeds the summation cap log2\(SUM_CAP / 16\) = 10$"):
+        cube_sum((0,) * 11)
 
 
 def test_formula_independent_of_n():

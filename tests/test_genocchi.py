@@ -29,10 +29,12 @@ def test_gandhi_poly_degree():
 
 
 def test_gandhi_rejects():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^k must be at least 1: 0$"):
         gandhi_poly(0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n must be at least 0: -1$"):
         gandhi_poly(2, -1)
+    with pytest.raises(ValueError, match="^k\\*n = 302 exceeds the Gandhi cap GANDHI_MAX_SIZE = 300$"):
+        gandhi_poly(2, 151)
 
 
 def test_genocchi_order_two_sequence():
@@ -44,9 +46,9 @@ def test_genocchi_order_one_is_constant():
 
 
 def test_genocchi_rejects():
-    with pytest.raises(ValueError, match="order must be positive: 0"):
+    with pytest.raises(ValueError, match="^k must be at least 1: 0$"):
         genocchi_number(0, 3)
-    with pytest.raises(ValueError, match="index must be positive: 0"):
+    with pytest.raises(ValueError, match="^n must be at least 1: 0$"):
         genocchi_number(2, 0)
 
 

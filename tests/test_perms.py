@@ -20,13 +20,18 @@ from cdescent import (
     cdes_insertion_table,
     cdes_recursive,
     circular_descent_set,
+    gandhi_poly,
     genocchi_number,
     gn,
     gnk,
+    is_valid_tableau,
+    iter_shapes,
     iter_value_sets,
+    leaf_theta_inverse,
     nwexb_set,
     reduction,
 )
+from cdescent.poly import Poly
 from cdescent.tree import tree_count
 from cdescent.verify import run_all
 
@@ -98,9 +103,19 @@ class Small(int):
     pass
 
 
-@pytest.mark.parametrize("elements", [[2.0, 3], [3, 2.5], [False], [0], [-4, 3], [Small(0)]])
-def test_as_value_set_refuses_non_positive_integers(elements):
-    with pytest.raises(ValueError, match="positive integers only"):
+@pytest.mark.parametrize(
+    "elements, message",
+    [
+        ([2.0, 3], "set element must be an integer: 2.0"),
+        ([3, 2.5], "set element must be an integer: 2.5"),
+        ([False], "set element must be an integer: False"),
+        ([0], "set element must be at least 1: 0"),
+        ([-4, 3], "set element must be at least 1: -4"),
+        ([Small(0)], "set element must be at least 1: 0"),
+    ],
+)
+def test_as_value_set_refuses_non_positive_integers(elements, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         as_value_set(elements)
 
 
@@ -158,7 +173,7 @@ def test_brute_cdes_count_matches_formula(case):
 def test_brute_cdes_count_checks_the_set_before_the_cap():
     with pytest.raises(ValueError, match=r"element 12 outside \[1, 11\]"):
         brute_cdes_count(11, (12,))
-    with pytest.raises(ValueError, match="n must be positive: 0"):
+    with pytest.raises(ValueError, match="n must be at least 1: 0"):
         brute_cdes_count(0, ())
     with pytest.raises(
         ValueError, match="n = 11 exceeds the enumeration cap DEFAULT_ENUMERATION_CAP = 10"
@@ -230,7 +245,7 @@ def test_workers_accepted_and_without_effect():
 
 @pytest.mark.parametrize("workers", [0, -3])
 def test_worker_count_below_one_rejected(workers):
-    with pytest.raises(ValueError, match=r"workers \(--threads\) must be at least 1"):
+    with pytest.raises(ValueError, match=f"^workers must be at least 1: {workers}$"):
         brute_cdes_table(5, workers=workers)
 
 
@@ -241,7 +256,7 @@ def test_tables_refuse_a_non_integer_n(table, n):
         table(n)
 
 
-# Each size argument, by the call that passes it: (its name, the call).
+# Each integer argument, by the call that passes it: (its name, the call).
 SIZE_ARGUMENTS = {
     "cdes_insertion_table(n)": ("n", cdes_insertion_table),
     "gn(n)": ("n", gn),
@@ -251,6 +266,15 @@ SIZE_ARGUMENTS = {
     "genocchi_number(k, 3)": ("k", lambda k: genocchi_number(k, 3)),
     "brute_genocchi_perm_count(2, n)": ("n", lambda n: brute_genocchi_perm_count(2, n)),
     "brute_genocchi_perm_count(k, 2)": ("k", lambda k: brute_genocchi_perm_count(k, 2)),
+    "gandhi_poly(2, n)": ("n", lambda n: gandhi_poly(2, n)),
+    "gandhi_poly(k, 2)": ("k", lambda k: gandhi_poly(k, 2)),
+    "Poly coefficient": ("coefficient", lambda c: Poly({((1,), 0): c})),
+    "leaf_theta_inverse(bits)": ("increment", lambda b: leaf_theta_inverse((1, b))),
+    "is_valid_tableau(parts, bits)": ("filling entry", lambda b: is_valid_tableau((1,), (b,))),
+    "is_valid_tableau(parts, ...)": ("row length", lambda r: is_valid_tableau((r,), (1,))),
+    "circular_descent_set(perm)": ("permutation entry", lambda v: circular_descent_set((v, 2))),
+    "iter_value_sets(n)": ("n", lambda n: list(iter_value_sets(n))),
+    "iter_shapes(max_boxes, 2)": ("max_boxes", lambda m: list(iter_shapes(m, 2))),
     "build_tree(k)": ("k", build_tree),
     "run_all(max_n)": ("max_n", run_all),
     "run_all(4, workers)": ("workers", lambda workers: run_all(4, workers=workers)),
@@ -260,7 +284,7 @@ SIZE_ARGUMENTS = {
 @pytest.mark.parametrize("value", [2.5, 3.0, True])
 @pytest.mark.parametrize(("name", "call"), SIZE_ARGUMENTS.values(), ids=SIZE_ARGUMENTS.keys())
 def test_sizes_refuse_a_non_integer(name, call, value):
-    # The rule of check_n, an int and not a bool, before any range check.
+    # The rule of check_int, an int and not a bool, before any range check.
     with pytest.raises(ValueError, match=f"^{name} must be an integer: {value!r}$"):
         call(value)
 

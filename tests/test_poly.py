@@ -19,7 +19,8 @@ from cdescent.verify import REFERENCE_COUNTS
 
 def test_constructor_normalizes():
     p = Poly({((2, 1), 1): 3, ((1, 2), 1): -3, ((), 0): 5})
-    assert p == Poly.constant(5)
+    assert p == Poly.constant(5) == 5
+    assert Poly.constant(1) == True and Poly() == 0 and p != 5.0  # noqa: E712
     assert not Poly({((1,), 0): 0})
     with pytest.raises(ValueError):
         Poly({((1, 1), 0): 1})
@@ -128,15 +129,15 @@ def test_tau_rejects_nonpositive():
 
 
 def test_tau_rejects_bool():
-    with pytest.raises(ValueError, match="composition parts must be positive integers"):
+    with pytest.raises(ValueError, match="^composition part must be an integer: True$"):
         tau((True, 2))
 
 
 @pytest.mark.parametrize(
     "key, message",
     [
-        (((True,), 0), "x-variable indices must be positive integers"),
-        (((1,), True), "y-degree must be a nonnegative integer"),
+        (((True,), 0), "^x-variable index must be an integer: True$"),
+        (((1,), True), "^y-degree must be an integer: True$"),
     ],
 )
 def test_monomial_rejects_bool(key, message):

@@ -124,8 +124,9 @@ def test_insertion_table_small():
     table4 = cdes_insertion_table(4)
     assert table4[(4,)] == 7
     assert table4[(2, 3, 4)] == 1
-    with pytest.raises(ValueError):
-        cdes_insertion_table(1)
+    assert cdes_insertion_table(1) == {(): 1}
+    with pytest.raises(ValueError, match="^n must be at least 1: 0$"):
+        cdes_insertion_table(0)
 
 
 def test_insertion_matches_formula_and_mass():

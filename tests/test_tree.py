@@ -109,15 +109,28 @@ def test_tree_weight_sum(d, expected):
     assert tree_weight_sum(d) == expected
 
 
-def test_weight_caps_and_validation():
-    with pytest.raises(ValueError):
-        tree_weight_sum((1,) * 31)
-    with pytest.raises(ValueError):
-        tree_weight_traversal((1,) * 21)
-    with pytest.raises(ValueError):
-        tree_weight_sum((-1,))
-    with pytest.raises(ValueError):
-        tree_weight_sum((True, 2))
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: tree_weight_sum((1,) * 31), r"length = 31 exceeds the summation cap log2\(SUM_CAP / 16\) = 21"),
+        (lambda: tree_weight_sum((2,) * 21), "work = 121634816 exceeds the summation cap SUM_CAP = 40000000"),
+        (lambda: tree_weight_traversal((1,) * 18), "height = 18 exceeds the materialization cap BUILD_CAP = 17"),
+        (lambda: tree_weight_sum((-1,)), "weight exponent must be at least 0: -1"),
+        (lambda: tree_weight_sum((True, 2)), "weight exponent must be an integer: True"),
+        (lambda: tree_weight_traversal((2, 2.0)), "weight exponent must be an integer: 2.0"),
+        (lambda: leaf_theta((1, 2, 3.0)), "path label must be an integer: 3.0"),
+        (lambda: leaf_theta((True, 2)), "path label must be an integer: True"),
+        (lambda: leaf_theta((1, 3)), "path step must be at most 1: 2"),
+        (lambda: leaf_theta((1, 0)), "path step must be at least 0: -1"),
+        (lambda: leaf_theta_inverse((True, 1.0)), "increment must be an integer: True"),
+        (lambda: leaf_theta_inverse((1, 1.0)), "increment must be an integer: 1.0"),
+        (lambda: leaf_theta_inverse((1, 2)), "increment must be at most 1: 2"),
+        (lambda: build_tree(-1), "k must be at least 0: -1"),
+    ],
+)
+def test_weight_caps_and_validation(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_traversal_matches_sum_exhaustively():

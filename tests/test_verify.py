@@ -186,8 +186,8 @@ def test_verify_threads_below_one_starts_no_pool(capsys, monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork, raising=False)
     assert cli.main(["verify", "--max-n", "4", "--threads", "0"]) == 1
-    assert capsys.readouterr() == ("", "error: workers (--threads) must be at least 1: 0\n")
-    with pytest.raises(ValueError, match=r"workers \(--threads\) must be at least 1: -2"):
+    assert capsys.readouterr() == ("", "error: --threads must be at least 1: 0\n")
+    with pytest.raises(ValueError, match="^workers must be at least 1: -2$"):
         verify.run_all(4, workers=-2)
 
 
