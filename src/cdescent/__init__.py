@@ -30,7 +30,6 @@ _EXPORTS = {
     "circular_descent_set": "perms",
     "iter_value_sets": "perms",
     "nwexb_set": "perms",
-    "reduction": "perms",
     "Poly": "poly",
     "descent_set_coefficient": "poly",
     "gn": "poly",
@@ -38,7 +37,6 @@ _EXPORTS = {
     "tau": "poly",
     "cdes_insertion_table": "recursion",
     "cdes_recursive": "recursion",
-    "delta": "recursion",
     "brute_count_tableaux": "tableaux",
     "count_tableaux_formula": "tableaux",
     "count_tableaux_transfer": "tableaux",

@@ -1,10 +1,9 @@
 """Command-line front end.
 
 Commands: count, table, poly, tree, tableaux, genocchi, verify.  All take
-``--format text|json|csv``; verify takes ``--threads N`` (with N > 1 and
-more than one core, one forked child builds the brute tables), which
-count accepts for its callers but ignores, as its brute route enumerates
-one set in process.  Brute counts refuse permutations longer than
+``--format text|json|csv``.  count and verify run in one process; both
+accept ``--threads N`` (N >= 1) and ignore it, kept only for callers
+that pass it.  Brute counts refuse permutations longer than
 ``perms.DEFAULT_ENUMERATION_CAP``.  Exit codes: 0 success, 1 validation
 error, 2 cross-method mismatch.
 
@@ -262,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     threads = argparse.ArgumentParser(add_help=False)
     threads.add_argument(
         "--threads", type=int, default=1,
-        help="verify: above 1, with more than one core, one forked child builds the"
-        " brute tables; count: accepted and ignored (default 1)",
+        help="accepted and ignored, kept for callers that pass it: every command"
+        " runs in one process (default 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

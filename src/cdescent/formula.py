@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable
 
-from .perms import SUM_CAP, as_value_set, check_cap
+from .perms import SUM_CAP, as_descent_set, as_value_set, check_cap
 
 
 def gap_vector(s: Iterable[int]) -> tuple[int, ...]:
@@ -41,11 +41,9 @@ def gap_vector(s: Iterable[int]) -> tuple[int, ...]:
     >>> gap_vector({2, 3, 4})
     (1, 1, 1)
     """
-    s = as_value_set(s)
+    s = as_descent_set(s)
     if not s:
         return ()
-    if s[0] == 1:
-        raise ValueError("1 cannot belong to a descent-value set")
     desc = s[::-1]
     return tuple(a - b for a, b in itertools.pairwise(desc)) + (desc[-1] - 1,)
 
@@ -61,11 +59,9 @@ def set_type(s: Iterable[int]) -> tuple[tuple[int, int], ...]:
     >>> set_type({2})
     ((2, 1),)
     """
-    s = as_value_set(s)
+    s = as_descent_set(s)
     if not s:
         return ()
-    if s[0] == 1:
-        raise ValueError("1 cannot belong to a descent-value set")
     runs: list[tuple[int, int]] = []
     start = prev = s[0]
     for v in s[1:]:
@@ -77,26 +73,33 @@ def set_type(s: Iterable[int]) -> tuple[tuple[int, int], ...]:
     return tuple(reversed(runs))
 
 
-def cube_sum(exponents: tuple[int, ...]) -> int:
-    """The alternating sum over {0,1}^k of the module docstring, with the
-    k nonnegative integer ``exponents`` in place of the gap vector.
-    Callers validate the exponents; work 2^k * (exponent total + 16)
-    above ``perms.SUM_CAP`` is refused, since the sum has 2^k terms.
-
-    >>> cube_sum((2, 1))
-    3
-    >>> cube_sum(())
-    1
-    """
-    # Depth-first walk of {0,1}^k in ascending binary order.  The signed
-    # partial product is carried down, so each of the 2^k assignments
-    # costs one multiplication instead of k exponentiations.
+def check_sum_work(exponents: tuple[int, ...]) -> None:
+    """Refuse ``exponents`` whose sum over {0,1}^k, 2^k terms, is work
+    2^k * (exponent total + 16) above ``perms.SUM_CAP``."""
     k = len(exponents)
     # The length alone can be over the cap: refuse it on the length, before
     # the work becomes an integer of many digits.
     max_length = (SUM_CAP // 16).bit_length() - 1  # the largest k with 16 * 2^k <= cap
     check_cap("length", k, "summation", "log2(SUM_CAP / 16)", max_length)
     check_cap("work", (sum(exponents) + 16) << k, "summation", "SUM_CAP", SUM_CAP)
+
+
+def cube_sum(exponents: tuple[int, ...]) -> int:
+    """The alternating sum over {0,1}^k of the module docstring, with the
+    k nonnegative integer ``exponents`` in place of the gap vector.
+    Callers validate the exponents; work above ``perms.SUM_CAP`` is
+    refused (:func:`check_sum_work`).
+
+    >>> cube_sum((2, 1))
+    3
+    >>> cube_sum(())
+    1
+    """
+    check_sum_work(exponents)
+    # Depth-first walk of {0,1}^k in ascending binary order.  The signed
+    # partial product is carried down, so each of the 2^k assignments
+    # costs one multiplication instead of k exponentiations.
+    k = len(exponents)
 
     def walk(i: int, prefix: int, acc: int) -> int:
         if i == k:

@@ -31,8 +31,9 @@ n.
 
 This module also holds the package's argument contract: every input cap,
 each refused by :func:`check_cap` in one message format before any work,
-and the integer rule with its bounds, :func:`check_int` for one value and
-:func:`check_ints` for a sequence.
+the integer rule with its bounds, :func:`check_int` for one value and
+:func:`check_ints` for a sequence, and the rule that descent-value sets
+lie in [2, n], :func:`as_descent_set`.
 """
 
 from __future__ import annotations
@@ -90,6 +91,19 @@ def as_value_set(elements: Iterable[int], *, n: int | None = None) -> tuple[int,
         raise ValueError(f"value sets have distinct elements: {s!r}")
     if n is not None and s and s[-1] > n:
         raise ValueError(f"element {s[-1]} outside [1, {n}]")
+    return s
+
+
+def as_descent_set(elements: Iterable[int]) -> tuple[int, ...]:
+    """:func:`as_value_set`, refusing 1 as well: a descent value is followed
+    by a smaller value, so descent-value sets lie in [2, n].
+
+    >>> as_descent_set({4, 2})
+    (2, 4)
+    """
+    s = as_value_set(elements)
+    if s and s[0] == 1:
+        raise ValueError(f"1 is never a descent value: {s!r}")
     return s
 
 
@@ -190,21 +204,6 @@ def nwexb_set(perm: Sequence[int]) -> tuple[int, ...]:
     (2, 3)
     """
     return _members(_mask(_nwexb_bit, check_permutation(perm)))
-
-
-def reduction(seq: Sequence[int]) -> tuple[int, ...]:
-    """Replace each entry of a distinct-entry sequence by its rank.
-
-    >>> reduction((8, 6, 5))
-    (3, 2, 1)
-    >>> reduction((4, 8, 3, 7))
-    (2, 4, 1, 3)
-    """
-    s = tuple(seq)
-    if len(set(s)) != len(s):
-        raise ValueError(f"entries must be distinct: {s!r}")
-    rank = {v: r for r, v in enumerate(sorted(s), start=1)}
-    return tuple(rank[v] for v in s)
 
 
 def _pairs_mask(bits: list, start: int, seq: Sequence[int]) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Mapping
 
-from .perms import TABLE_MAX_N, as_value_set, check_cap, check_int, check_ints
+from .perms import TABLE_MAX_N, as_descent_set, check_cap, check_int, check_ints
 from .tree import tree_count
 
 Monomial = tuple[tuple[int, ...], int]
@@ -227,9 +227,7 @@ def descent_set_coefficient(g: Poly, s: Iterable[int]) -> int:
     >>> descent_set_coefficient(gn(5), {3, 5})
     17
     """
-    s = as_value_set(s)
-    if s and s[0] < 2:
-        raise ValueError("descent-value sets lie in [2, n]")
+    s = as_descent_set(s)
     return g.coefficient((v - 1 for v in s), len(s))
 
 

@@ -31,20 +31,6 @@ Cache = dict[int, int]
 _FIELD_BITS = 64
 
 
-def delta(s: Iterable[int]) -> tuple[int, ...]:
-    """Shift every element of S down by one.
-
-    >>> delta((2, 4))
-    (1, 3)
-    >>> delta(())
-    ()
-    """
-    s = as_value_set(s)
-    if s and s[0] == 1:
-        raise ValueError("cannot shift a set containing 1")
-    return tuple(v - 1 for v in s)
-
-
 def cdes_recursive(n: int, s: Iterable[int], cache: Cache | None = None) -> int:
     """Count permutations of [n] with descent-value set S by the
     minimum-element recursion
@@ -53,8 +39,9 @@ def cdes_recursive(n: int, s: Iterable[int], cache: Cache | None = None) -> int:
                  + count(delta(S))
                  + count(delta(S) without its minimum)
 
-    with base cases: 1 in S -> 0, empty S -> 1, singleton {m} -> 2^(m-1)-1.
-    Every subproblem is independent of n (only max(S) matters), so cache
+    where delta(S) shifts every element of S down by one, with base
+    cases: 1 in S -> 0, empty S -> 1, singleton {m} -> 2^(m-1)-1.  Every
+    subproblem is independent of n (only max(S) matters), so cache
     keys are the sets themselves, each as one int with element v at bit v
     (the convention of ``perms._descent_bit``; ``perms._members`` decodes
     a key).  Every step is then a few shifts and xors of that int: with

@@ -22,7 +22,7 @@ import itertools
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 
-from .formula import cube_sum, gap_vector
+from .formula import check_sum_work, cube_sum, gap_vector
 from .perms import BUILD_CAP, COUNT_MAX_N, as_value_set, check_cap, check_int, check_ints
 
 
@@ -80,7 +80,9 @@ def _check_weights(d: Iterable[int]) -> tuple[int, ...]:
 
 def tree_weight_traversal(d: Sequence[int]) -> int:
     """Total signed path weight of the height-len(d) tree, by walking every
-    root-to-leaf path of the materialized tree.
+    root-to-leaf path of the materialized tree.  Heights above
+    ``perms.BUILD_CAP`` are refused, and so is the work that
+    :func:`tree_weight_sum` refuses: the walk has 2^len(d) paths.
 
     >>> tree_weight_traversal((2, 1))
     3
@@ -88,6 +90,8 @@ def tree_weight_traversal(d: Sequence[int]) -> int:
     0
     """
     weights = _check_weights(d)
+    check_cap("height", len(weights), "materialization", "BUILD_CAP", BUILD_CAP)
+    check_sum_work(weights)
     root = build_tree(len(weights))
     total = 0
     for path in iter_leaf_paths(root):

@@ -29,23 +29,16 @@ with the expanded Gandhi polynomials and with the brute permutation
 count; the three share no code.
 
 Brute-force sweeps are limited to n <= 8 regardless of ``max_n``; the
-closed-form routes run the full range.  ``workers`` (``verify
---threads``) bounds the number of processes: with more than one, one
-forked child builds the permutation tables, ``brute_cdes_table`` and
-``brute_nwexb_table`` for every n <= ``BRUTE_MAX_N``, and sends them
-back over a pipe while the calling process runs the other checks.  The
-checks themselves always run in the calling process, and the results do
-not depend on ``workers``.
+closed-form routes run the full range.  The suite runs in one process:
+``workers`` (``verify --threads``) is validated and has no effect, kept
+only for callers that pass it.
 """
 
 from __future__ import annotations
 
 import itertools
-import marshal
 import math
-import os
 import random
-import sys
 from collections import namedtuple
 
 from . import perms  # as a module, so that every check_* name here is a check
@@ -343,112 +336,40 @@ def check_genocchi() -> CheckResult:
     return _result("genocchi-cross-check", bad, "orders 1..3")
 
 
-def _brute_tables(top: int) -> tuple[Table, Table]:
-    """The ``brute_cdes_table`` and ``brute_nwexb_table`` tables of every
-    n <= ``top``, built by this module's names, so that a forked child
-    builds them with the same functions as the caller, a replaced one
-    included."""
-    ns = range(1, top + 1)
-    return {n: brute_cdes_table(n) for n in ns}, {n: brute_nwexb_table(n) for n in ns}
-
-
-def _fork_scan(top: int) -> tuple[int, int]:
-    """Fork a child that builds ``_brute_tables(top)`` and writes them to
-    a pipe, marshalled; return the child's pid and the pipe's read end.
-    The child never returns into the caller's code: it leaves by
-    ``os._exit``, with status 1 and its traceback on stderr if anything
-    raised."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_end)
-            payload = marshal.dumps(_brute_tables(top))
-            with open(write_end, "wb") as pipe:
-                pipe.write(payload)
-            status = 0
-        except BaseException:
-            sys.excepthook(*sys.exc_info())
-            sys.stderr.flush()
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    return pid, read_end
-
-
-def _join(pid: int, read_end: int) -> tuple[Table, Table]:
-    """Read a forked scan's pipe to the end, then reap the child; raise if
-    it failed, so that no check runs on a missing table."""
-    try:
-        with open(read_end, "rb") as pipe:
-            payload = pipe.read()
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    if status:
-        raise RuntimeError(f"scan worker {pid} failed (wait status {status})")
-    return marshal.loads(payload)
-
-
 def run_all(
     max_n: int = 6, *, workers: int = 1, seed: int = DEFAULT_SEED
 ) -> list[CheckResult]:
     """Run every cross-method check, bounded by ``max_n`` where a bound
     applies; ``max_n`` above ``perms.VERIFY_MAX_N`` is refused.
-    Deterministic for a fixed seed, whatever ``workers``.
-
-    With ``min(workers, os.cpu_count())`` > 1 and ``os.fork`` available,
-    one forked child builds the permutation tables (``_brute_tables``)
-    while this process builds the formula table and runs the checks that
-    need neither; the two checks that do run last.  The child is reaped
-    before this returns or raises, and a failed one raises.  Otherwise
-    the tables are built here.  A fork copies only the calling thread, so
-    a caller that runs other threads passes ``workers=1``.  Every check
-    runs in this process, and the results keep their order."""
+    Deterministic for a fixed seed.  Every table is built and every check
+    run in this process; ``workers`` is validated and has no effect, kept
+    only for callers that pass it."""
     perms.check_int("max_n", max_n, 2)
     perms.check_cap("max_n", max_n, "verify", "VERIFY_MAX_N", perms.VERIFY_MAX_N)
     perms.check_int("workers", workers, 1)
-    top = min(max_n, BRUTE_MAX_N)
-    fork = hasattr(os, "fork") and min(workers, os.cpu_count() or 1) > 1
-    child = _fork_scan(top) if fork else None  # (pid, read end)
-    try:
-        formula = {
-            n: {s: cdes_formula(n, s) for s in iter_value_sets(n)}
-            for n in range(1, max_n + 1)
-        }
-        rest = [
-            check_typed_vs_formula(formula),
-            check_recursion_vs_formula(formula),
-            check_tree_vs_formula(formula),
-            check_traversal_vs_sum(max_n, seed),
-            check_insertion_vs_formula(formula),
-            check_table_mass(formula),
-            check_poly_reference_table(),
-            check_poly_vs_formula(formula),
-            check_poly_slices(max_n),
-            check_gap_tau_reversal(min(max_n + 1, 10)),
-            check_tableaux(max_n),
-            check_tableaux_mass(max_n),
-            check_theta_bijection(max_n),
-            check_singleton_law(),
-            check_genocchi(),
-        ]
-    except BaseException:
-        if child:
-            # Stop reading, so that a child still writing ends on a broken
-            # pipe, and reap it.
-            os.close(child[1])
-            os.waitpid(child[0], 0)
-        raise
-    brute, nwexb = _join(*child) if child else _brute_tables(top)
+    formula = {
+        n: {s: cdes_formula(n, s) for s in iter_value_sets(n)}
+        for n in range(1, max_n + 1)
+    }
+    ns = range(1, min(max_n, BRUTE_MAX_N) + 1)
+    brute = {n: brute_cdes_table(n) for n in ns}
+    nwexb = {n: brute_nwexb_table(n) for n in ns}
     return [
         check_brute_vs_formula(formula, brute),
-        *rest[:6],
+        check_typed_vs_formula(formula),
+        check_recursion_vs_formula(formula),
+        check_tree_vs_formula(formula),
+        check_traversal_vs_sum(max_n, seed),
+        check_insertion_vs_formula(formula),
+        check_table_mass(formula),
         check_nwexb_vs_cdes(brute, nwexb),
-        *rest[6:],
+        check_poly_reference_table(),
+        check_poly_vs_formula(formula),
+        check_poly_slices(max_n),
+        check_gap_tau_reversal(min(max_n + 1, 10)),
+        check_tableaux(max_n),
+        check_tableaux_mass(max_n),
+        check_theta_bijection(max_n),
+        check_singleton_law(),
+        check_genocchi(),
     ]

@@ -8,7 +8,9 @@ from cdescent import (
     cdes_formula,
     cdes_formula_typed,
     cdes_recursive,
+    descent_set_coefficient,
     gap_vector,
+    gn,
     iter_value_sets,
     set_type,
     tau,
@@ -34,9 +36,14 @@ def test_gap_vector(s, expected):
     assert gap_vector(s) == expected
 
 
-def test_gap_vector_rejects_one():
-    with pytest.raises(ValueError):
-        gap_vector((1, 3))
+@pytest.mark.parametrize(
+    "call",
+    [gap_vector, set_type, lambda s: descent_set_coefficient(gn(4), s)],
+    ids=["gap_vector", "set_type", "descent_set_coefficient"],
+)
+def test_one_is_never_a_descent_value(call):
+    with pytest.raises(ValueError, match=r"^1 is never a descent value: \(1, 3\)$"):
+        call({3, 1})
 
 
 @given(value_sets.filter(bool))
@@ -94,6 +101,7 @@ def test_cdes_formula(n, s, expected):
         (4, (2, 4), 3),
         (5, (4, 5), 31),
         (9, (), 1),
+        (5, (1, 3), 0),
     ],
 )
 def test_cdes_formula_typed(n, s, expected):

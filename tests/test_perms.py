@@ -29,8 +29,8 @@ from cdescent import (
     iter_value_sets,
     leaf_theta_inverse,
     nwexb_set,
-    reduction,
 )
+from cdescent.perms import as_descent_set
 from cdescent.poly import Poly
 from cdescent.tree import tree_count
 from cdescent.verify import run_all
@@ -69,23 +69,6 @@ def test_invalid_permutations_rejected(bad):
         circular_descent_set(bad)
 
 
-@pytest.mark.parametrize(
-    "seq, expected",
-    [
-        ((8, 6, 5), (3, 2, 1)),
-        ((1, 2, 3), (1, 2, 3)),
-        ((4, 8, 3, 7), (2, 4, 1, 3)),
-    ],
-)
-def test_reduction(seq, expected):
-    assert reduction(seq) == expected
-
-
-def test_reduction_rejects_repeats():
-    with pytest.raises(ValueError):
-        reduction((2, 2, 1))
-
-
 def test_as_value_set():
     assert as_value_set({4, 2}) == (2, 4)
     assert as_value_set((), n=3) == ()
@@ -117,6 +100,38 @@ class Small(int):
 def test_as_value_set_refuses_non_positive_integers(elements, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         as_value_set(elements)
+
+
+@pytest.mark.parametrize(
+    "elements, expected", [((), ()), ({2}, (2,)), ([5, 3, 2], (2, 3, 5))]
+)
+def test_as_descent_set(elements, expected):
+    assert as_descent_set(elements) == expected
+
+
+@pytest.mark.parametrize(
+    "elements, message",
+    [
+        ({1}, r"1 is never a descent value: \(1,\)"),
+        ((4, 1, 2), r"1 is never a descent value: \(1, 2, 4\)"),
+        ([0, 2], "set element must be at least 1: 0"),
+        ((3, 3), r"value sets have distinct elements: \(3, 3\)"),
+        ([True, 2], "set element must be an integer: True"),
+    ],
+)
+def test_as_descent_set_refusals(elements, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        as_descent_set(elements)
+
+
+@pytest.mark.parametrize(
+    "route",
+    [cdes_formula, cdes_formula_typed, cdes_recursive, tree_count, brute_cdes_count],
+    ids=lambda route: route.__name__,
+)
+def test_count_routes_give_zero_for_a_set_containing_one(route):
+    # 1 is never a descent value, so no permutation has such a set.
+    assert [route(1, (1,)), route(5, (1,)), route(5, (1, 3)), route(6, (1, 2, 6))] == [0] * 4
 
 
 def test_as_value_set_keeps_int_subclasses():
@@ -347,10 +362,3 @@ def test_descent_values_lie_in_range(perm):
 def test_statistics_match_naive_definitions(perm):
     assert circular_descent_set(perm) == _descents(perm)
     assert nwexb_set(perm) == _nwexbs(perm)
-
-
-@given(st.lists(st.integers(-50, 50), max_size=8, unique=True))
-def test_reduction_idempotent(seq):
-    reduced = reduction(seq)
-    assert reduction(reduced) == reduced
-    assert sorted(reduced) == list(range(1, len(seq) + 1))

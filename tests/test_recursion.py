@@ -9,7 +9,6 @@ from cdescent import (
     cdes_formula,
     cdes_insertion_table,
     cdes_recursive,
-    delta,
     iter_value_sets,
 )
 from cdescent.perms import TABLE_MAX_N, _members
@@ -19,23 +18,6 @@ from cdescent.recursion import _FIELD_BITS
 queries = st.integers(1, 64).flatmap(
     lambda n: st.tuples(st.just(n), st.sets(st.integers(2, max(n, 2)), max_size=min(10, n - 1)))
 )
-
-
-@pytest.mark.parametrize(
-    "s, expected",
-    [
-        ((2, 4), (1, 3)),
-        ((), ()),
-        ((3, 5, 6), (2, 4, 5)),
-    ],
-)
-def test_delta(s, expected):
-    assert delta(s) == expected
-
-
-def test_delta_rejects_one():
-    with pytest.raises(ValueError):
-        delta((1, 2))
 
 
 @pytest.mark.parametrize(

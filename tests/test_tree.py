@@ -115,6 +115,11 @@ def test_tree_weight_sum(d, expected):
         (lambda: tree_weight_sum((1,) * 31), r"length = 31 exceeds the summation cap log2\(SUM_CAP / 16\) = 21"),
         (lambda: tree_weight_sum((2,) * 21), "work = 121634816 exceeds the summation cap SUM_CAP = 40000000"),
         (lambda: tree_weight_traversal((1,) * 18), "height = 18 exceeds the materialization cap BUILD_CAP = 17"),
+        # 2^17 * (1012 + 16): the walk is bounded by the work of the closed sum.
+        (
+            lambda: tree_weight_traversal((1,) * 12 + (200,) * 5),
+            "work = 134742016 exceeds the summation cap SUM_CAP = 40000000",
+        ),
         (lambda: tree_weight_sum((-1,)), "weight exponent must be at least 0: -1"),
         (lambda: tree_weight_sum((True, 2)), "weight exponent must be an integer: True"),
         (lambda: tree_weight_traversal((2, 2.0)), "weight exponent must be an integer: 2.0"),
@@ -131,6 +136,12 @@ def test_tree_weight_sum(d, expected):
 def test_weight_caps_and_validation(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+def test_traversal_runs_up_to_the_summation_cap():
+    # 2^17 * (289 + 16) = 39,976,960, just within SUM_CAP.
+    d = (17,) * 17
+    assert tree_weight_traversal(d) == tree_weight_sum(d)
 
 
 def test_traversal_matches_sum_exhaustively():

@@ -63,128 +63,54 @@ def test_fault_fails_exactly_its_checks(monkeypatch, name, fault, failing):
     assert {r.name for r in results if not r.passed} == failing
 
 
-# The faults in the tables that forked children build with more than one worker.
+# The faults in the brute tables, which a caller passing workers still sees.
 POOLED_FAULTS = [f for f in FAULTS if f[0] in ("brute_cdes_table", "brute_nwexb_table")]
 
-needs_fork = pytest.mark.skipif(
-    not hasattr(os, "fork"), reason="without os.fork verify builds every table in process"
-)
 
-
-@needs_fork
 @pytest.mark.parametrize(("name", "fault", "failing"), POOLED_FAULTS, ids=[f[0] for f in POOLED_FAULTS])
 def test_fault_in_a_pooled_table_fails_its_checks(monkeypatch, name, fault, failing):
-    # A child sees the faulted builder because it is forked from this process.
     monkeypatch.setattr(verify, name, fault(getattr(verify, name)))
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     results = verify.run_all(6, workers=2)
     assert {r.name for r in results if not r.passed} == failing
 
 
+def _no_fork(*args, **kwargs):
+    raise AssertionError("verify started a process")
+
+
 @pytest.mark.parametrize("max_n", [4, 8])
-def test_workers_do_not_change_the_results(max_n):
+def test_workers_do_not_change_the_results(monkeypatch, max_n):
+    monkeypatch.setattr(os, "fork", _no_fork, raising=False)
     assert verify.run_all(max_n, workers=2) == verify.run_all(max_n, workers=1)
 
 
-def _record_forks(monkeypatch, cpus=2) -> list[int]:
-    """Fake ``cpus`` cores, let ``os.fork`` run, and collect the pid of
-    every child it starts."""
-    pids = []
-    fork = os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    return pids
-
-
-def _assert_reaped(pids):
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
-@needs_fork
-def test_every_child_is_reaped(monkeypatch):
-    pids = _record_forks(monkeypatch)
-    assert all(r.passed for r in verify.run_all(4, workers=2))
-    assert len(pids) == 1
-    _assert_reaped(pids)
-
-
-@needs_fork
-def test_one_child_however_many_cores(monkeypatch):
-    pids = _record_forks(monkeypatch, cpus=64)
-    assert verify.run_all(4, workers=64) == verify.run_all(4)
-    assert len(pids) == 1
-    _assert_reaped(pids)
-
-
-@needs_fork
-def test_failed_child_raises_and_is_reaped(capfd, monkeypatch):
-    def broken(n):
-        raise MemoryError(f"no room for the table of {n}")
-
-    monkeypatch.setattr(verify, "brute_nwexb_table", broken)
-    pids = _record_forks(monkeypatch)
-    with pytest.raises(RuntimeError, match="scan worker [0-9]+ failed"):
-        verify.run_all(4, workers=2)
-    assert len(pids) == 1
-    _assert_reaped(pids)
-    assert "MemoryError: no room for the table of" in capfd.readouterr().err
-
-
-@needs_fork
-def test_child_is_reaped_when_a_check_raises(monkeypatch):
-    def broken():
-        raise ValueError("check failed to run")
-
-    monkeypatch.setattr(verify, "check_genocchi", broken)
-    pids = _record_forks(monkeypatch)
-    with pytest.raises(ValueError, match="check failed to run"):
-        verify.run_all(4, workers=2)
-    assert len(pids) == 1
-    _assert_reaped(pids)
-
-
-def test_without_fork_the_tables_are_built_in_process(monkeypatch):
-    monkeypatch.delattr(os, "fork", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert verify.run_all(4, workers=2) == verify.run_all(4)
-
-
 @pytest.mark.parametrize(
-    "threads, cpus, children",
-    [(64, 2, 1), (64, 8, 1), (3, 8, 1), (2, 1, None), (64, None, None), (1, 8, None)],
+    "threads, cpus", [(64, 2), (64, 8), (3, 8), (2, 1), (64, None), (1, 8)]
 )
-def test_verify_pool_is_clamped_to_the_cores(capsys, monkeypatch, threads, cpus, children):
-    # A stand-in fork that records each call and builds the tables in
-    # process, so no process is ever started.  A child works beside the
-    # calling process, so one needs two cores.
-    forks = []
-
-    def recording_fork(top):
-        forks.append(top)
-        return len(forks), verify._brute_tables(top)
-
-    monkeypatch.setattr(verify, "_fork_scan", recording_fork)
-    monkeypatch.setattr(verify, "_join", lambda pid, tables: tables)
+def test_verify_output_ignores_threads_and_cores(capsys, monkeypatch, threads, cpus):
+    assert cli.main(["verify", "--max-n", "4", "--threads", "1"]) == 0
+    in_process = capsys.readouterr()
+    monkeypatch.setattr(os, "fork", _no_fork, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     assert cli.main(["verify", "--max-n", "4", "--threads", str(threads)]) == 0
-    assert capsys.readouterr().out.endswith("all 17 checks passed\n")
-    assert forks == [4] * (children or 0)
+    assert capsys.readouterr() == in_process
+    assert in_process.out.endswith("all 17 checks passed\n")
+
+
+@pytest.mark.parametrize("name", ["brute_cdes_table", "brute_nwexb_table", "check_genocchi"])
+def test_an_error_in_a_table_or_check_propagates_unchanged(monkeypatch, name):
+    # With workers > 1 too, the caller gets the error itself, not a wrapper.
+    def broken(*args):
+        raise MemoryError(f"{name} failed to run")
+
+    monkeypatch.setattr(os, "fork", _no_fork, raising=False)
+    monkeypatch.setattr(verify, name, broken)
+    with pytest.raises(MemoryError, match=f"^{name} failed to run$"):
+        verify.run_all(4, workers=2)
 
 
 def test_verify_threads_below_one_starts_no_pool(capsys, monkeypatch):
-    def no_fork(*args, **kwargs):
-        raise AssertionError("a rejected worker count forked a child")
-
-    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    monkeypatch.setattr(os, "fork", _no_fork, raising=False)
     assert cli.main(["verify", "--max-n", "4", "--threads", "0"]) == 1
     assert capsys.readouterr() == ("", "error: --threads must be at least 1: 0\n")
     with pytest.raises(ValueError, match="^workers must be at least 1: -2$"):
