@@ -5,7 +5,7 @@ Commands: count, table, poly, tree, tableaux, genocchi, verify.  All take
 accept ``--threads N`` (N >= 1) and ignore it, kept only for callers
 that pass it.  Brute counts refuse permutations longer than
 ``perms.DEFAULT_ENUMERATION_CAP``.  Exit codes: 0 success, 1 validation
-error, 2 cross-method mismatch.
+error or stdout closed early by its reader, 2 cross-method mismatch.
 
 JSON output is a single object ``{"query": {...}, "result": ...}``; counts
 are decimal strings so arbitrary precision survives every format.  Tree
@@ -22,6 +22,7 @@ start-up for its own routes and not for the whole package.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Sequence
 
@@ -322,9 +323,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if "threads" in args:
             check_int("--threads", args.threads, 1)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader fails here, not at exit
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader went away (``| head -1``).  Point stdout at devnull,
+        # so that the interpreter's final flush finds nowhere to fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was complete", file=sys.stderr)
         return 1
     finally:
         sys.set_int_max_str_digits(digit_limit)

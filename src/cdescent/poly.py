@@ -13,6 +13,7 @@ permutations with that exact descent-value set.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Mapping
 
 from .perms import TABLE_MAX_N, as_descent_set, check_cap, check_int, check_ints
@@ -81,13 +82,15 @@ class Poly:
     def evaluate(self, x: int | Mapping[int, int] = 1, y: int = 1) -> int:
         """Exact value with every x-variable set to ``x`` (or looked up in a
         mapping) and y set to ``y``."""
-        total = 0
-        for (xvars, ydeg), coeff in self._terms.items():
-            term = coeff * y**ydeg
-            for i in xvars:
-                term *= x[i] if isinstance(x, Mapping) else x
-            total += term
-        return total
+        if isinstance(x, Mapping):
+            return sum(
+                coeff * y**ydeg * math.prod(x[i] for i in xvars)
+                for (xvars, ydeg), coeff in self._terms.items()
+            )
+        return sum(
+            coeff * y**ydeg * x ** len(xvars)
+            for (xvars, ydeg), coeff in self._terms.items()
+        )
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -186,37 +189,55 @@ def gn(n: int) -> Poly:
                   + x_m * sum_i d(g_m)/d(x_i)
                   - x_m * y^2 * d(g_m)/dy
 
-    from g_2 = 1 + x1*y, not by enumerating permutations.  The recursion
-    is applied term by term, in one pass over g_m per step: a term
-    c * x_X * y^d keeps its place, adds (m - d) * c to x_X * x_m * y^(d+1)
-    (the m*x_m*y and y^2 d/dy terms land there together), and adds c to
-    each monomial that swaps one x_i of X for x_m.  As d = |X| in every
-    term, the swapped supports are ``itertools.combinations(X, d - 1)``,
-    each with m appended.  n above ``perms.TABLE_MAX_N`` is refused.
+    from g_2 = 1 + x1*y, not by enumerating permutations.  As the
+    y-degree of every term is its number of x-variables, g_m is held as
+    a plain list of coefficients indexed by bitmask, x_i at bit i - 1.
+    The recursion is applied term by term, in one pass over the list per
+    step, scattering each term: a term c at mask X keeps its place, adds
+    (m - |X|) * c at X | x_m (the m*x_m*y and y^2 d/dy terms land there
+    together), and for each bit b of X adds c at X ^ b | x_m, the
+    monomial that swaps that x-variable for x_m.  The ``Monomial`` keys
+    are built once, by concatenation in ascending-bitmask order, before
+    the coefficients, and paired with them at the end.  n above
+    ``perms.TABLE_MAX_N`` is refused.
 
     Read coefficient by coefficient this is the insertion recurrence of
     ``recursion.cdes_insertion_table``, but the two are kept as separate
     code on purpose: ``verify``'s ``poly-vs-formula`` and
     ``insertion-vs-formula`` are independent checks only while neither
-    route is derived from the other.
+    route is derived from the other.  Here each term scatters into a
+    list; the insertion table gathers in whole-int passes over packed
+    fields.
 
     >>> str(gn(3))
     '1 + x1*y + 3*x2*y + x1*x2*y^2'
     """
     check_int("n", n, 2)
     check_cap("n", n, "table", "TABLE_MAX_N", TABLE_MAX_N)
-    terms: dict[Monomial, int] = {((), 0): 1, ((1,), 1): 1}
+    # The keys come first, so that the dict is at its final size before the
+    # coefficient list exists: the two never grow side by side.
+    keys: list[Monomial] = [((), 0)]
+    for i in range(1, n):
+        tail = (i,)
+        keys += [(xvars + tail, ydeg + 1) for xvars, ydeg in keys]
+    terms = dict.fromkeys(keys, 0)
+    del keys
+    coeffs = [1, 1]  # g_2 = 1 + x1*y
     for m in range(2, n):
-        step = dict(terms)  # the 1 * g_m part; every other key holds x_m
-        tail = (m,)
-        for (xvars, ydeg), c in terms.items():
-            key = (xvars + tail, ydeg + 1)
-            step[key] = step.get(key, 0) + (m - ydeg) * c
-            if ydeg:  # the y-degree of every term is its number of x-variables
-                for rest in itertools.combinations(xvars, ydeg - 1):
-                    key = (rest + tail, ydeg)
-                    step[key] = step.get(key, 0) + c
-        terms = step
+        top = 1 << (m - 1)  # the bit of x_m
+        # The masks below top hold the 1 * g_m part and are only read; the
+        # scatter writes only to the new masks, each holding x_m.
+        coeffs.extend(itertools.repeat(0, top))
+        for mask, c in zip(range(top), coeffs):
+            grown = mask | top
+            coeffs[grown] += (m - mask.bit_count()) * c
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                coeffs[grown ^ bit] += c
+                rest ^= bit
+    for key, c in zip(terms, coeffs):
+        terms[key] = c
     return _raw(terms)
 
 

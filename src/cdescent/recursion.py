@@ -140,7 +140,8 @@ def cdes_insertion_table(n: int) -> dict[tuple[int, ...], int]:
     counts = _insertion_counts(n)
     keys: list[tuple[int, ...]] = [()]
     for m in range(2, n + 1):
-        keys += [(*s, m) for s in keys]
+        tail = (m,)
+        keys += [s + tail for s in keys]
     return dict(zip(keys, counts))
 
 

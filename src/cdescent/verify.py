@@ -22,6 +22,10 @@ scans, the recursion, the insertion tables, ``gn``, the tree traversal
 and the column-transfer tableaux count stay independent of the
 evaluator.  The insertion table works on packed fields indexed by
 bitmask and shares no code with the brute scan, the formula or ``gn``.
+``gn`` runs the same recurrence as separate code: it scatters each term
+of a list of coefficients indexed by bitmask into the entries it feeds,
+while the insertion table gathers every new field in whole-int passes
+over its packed int.
 ``poly-slice-reassembly`` also checks each slice ``gnk(n, k)`` at x = 1
 against the Eulerian number A(n, k), from its recurrence, which no route
 computes.  ``genocchi-cross-check`` compares the Genocchi value triangle

@@ -1,9 +1,13 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -228,6 +232,46 @@ def test_poly_json(capsys):
     assert rc == 0
     record = json.loads(out)
     assert record["result"] == "1 + x1*y + 3*x2*y + x1*x2*y^2"
+
+
+# sha256 of ``poly --n 8`` stdout per format, as the dict-keyed
+# derivative recursion printed it before gn moved to a bitmask list.
+POLY_8_DIGESTS = {
+    "text": "967b2812ffa8f1a6f1dc7ce730090feb755e408b5f341d8e82f0134de02d57f3",
+    "json": "d0430716a507cd2f83404b24a6416b3c25db1c88ace66eba53353ca64462c00b",
+    "csv": "a01e0ed56453db1e3ff7c1f9cebb91d696f419f632fb5781f5673a146b70fbe8",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(POLY_8_DIGESTS))
+def test_poly_output_is_byte_identical(capsys, fmt):
+    rc, out, _ = run(capsys, "poly", "--n", "8", "--format", fmt)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == POLY_8_DIGESTS[fmt]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["table", "--n", "14"], ["poly", "--n", "15", "--format", "csv"]],
+)
+def test_closed_reader_exits_1_without_a_traceback(argv):
+    # Far more output than a pipe holds, so the writer is still blocked
+    # when the reader goes away after one line (``| head -1``).
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "cdescent.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
+    assert len(err.splitlines()) <= 1
 
 
 def test_tree_weight(capsys):

@@ -48,6 +48,10 @@ def test_evaluate():
     assert p.evaluate(1, 1) == 4
     assert p.evaluate(2, 1) == 13
     assert p.evaluate({1: 1, 2: 0}, 5) == 1
+    # An int x and the mapping that sends every variable to it agree.
+    g = gn(7)
+    for x, y in [(0, 0), (1, 1), (-2, 3), (5, -1)]:
+        assert g.evaluate(x, y) == g.evaluate(dict.fromkeys(range(1, 7), x), y)
 
 
 def test_str_canonical():
@@ -100,7 +104,7 @@ def test_gn_table_cap():
 def test_gn_structure():
     # Past the brute-force range, against the insertion table: the same
     # recurrence, written as separate code.
-    for n in range(2, 15):
+    for n in range(2, 17):
         g = gn(n)
         assert all(len(xv) == ydeg for xv, ydeg in g.terms())
         assert g.evaluate(1, 1) == math.factorial(n)
