@@ -41,7 +41,11 @@ def gap_vector(s: Iterable[int]) -> tuple[int, ...]:
     >>> gap_vector({2, 3, 4})
     (1, 1, 1)
     """
-    s = as_descent_set(s)
+    return _gaps(as_descent_set(s))
+
+
+def _gaps(s: tuple[int, ...]) -> tuple[int, ...]:
+    # gap_vector of a set already checked into an ascending tuple.
     if not s:
         return ()
     desc = s[::-1]
@@ -59,7 +63,11 @@ def set_type(s: Iterable[int]) -> tuple[tuple[int, int], ...]:
     >>> set_type({2})
     ((2, 1),)
     """
-    s = as_descent_set(s)
+    return _runs(as_descent_set(s))
+
+
+def _runs(s: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    # set_type of a set already checked into an ascending tuple.
     if not s:
         return ()
     runs: list[tuple[int, int]] = []
@@ -130,7 +138,7 @@ def cdes_formula(n: int, s: Iterable[int]) -> int:
     s = as_value_set(s, n=n)
     if s and s[0] == 1:
         return 0
-    return cube_sum(gap_vector(s))
+    return cube_sum(_gaps(s))
 
 
 def cdes_formula_typed(n: int, s: Iterable[int]) -> int:
@@ -149,7 +157,7 @@ def cdes_formula_typed(n: int, s: Iterable[int]) -> int:
         return 0
     # Inside a run every gap is 1; the position closing a run also
     # reaches down to the next run max (or the sentinel 1).
-    runs = set_type(s)
+    runs = _runs(s)
     exponents: list[int] = []
     for t, (run_max, run_len) in enumerate(runs):
         next_max = runs[t + 1][0] if t + 1 < len(runs) else 1

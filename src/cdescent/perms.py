@@ -33,7 +33,11 @@ This module also holds the package's argument contract: every input cap,
 each refused by :func:`check_cap` in one message format before any work,
 the integer rule with its bounds, :func:`check_int` for one value and
 :func:`check_ints` for a sequence, and the rule that descent-value sets
-lie in [2, n], :func:`as_descent_set`.
+lie in [2, n], :func:`as_descent_set`.  :func:`as_value_mask` checks a
+set straight into its bitmask (element v at bit v, which :func:`_members`
+decodes): plain valid input is taken at once, and any other input goes
+through :func:`as_value_set`, so every message still comes from it and
+from :func:`check_int` / :func:`check_ints`.
 """
 
 from __future__ import annotations
@@ -92,6 +96,31 @@ def as_value_set(elements: Iterable[int], *, n: int | None = None) -> tuple[int,
     if n is not None and s and s[-1] > n:
         raise ValueError(f"element {s[-1]} outside [1, {n}]")
     return s
+
+
+def as_value_mask(elements: Iterable[int], *, n: int) -> int:
+    """The set :func:`as_value_set` accepts, as one int with element v at
+    bit v (the convention of ``_descent_bit``; :func:`_members` decodes it).
+
+    Plain ints in [1, n], with n a plain int in [1, COUNT_MAX_N], are taken
+    at once, without sorting: they are distinct exactly when the mask has
+    one bit per element.  Any other input goes to :func:`as_value_set`,
+    which refuses it with its own message or accepts it (int subclasses).
+
+    >>> bin(as_value_mask((4, 2), n=4))
+    '0b10100'
+    """
+    t = tuple(elements)
+    if type(n) is int and 0 < n <= COUNT_MAX_N:
+        mask = 0
+        for v in t:
+            if type(v) is not int or not 0 < v <= n:
+                break
+            mask |= 1 << v
+        else:
+            if mask.bit_count() == len(t):
+                return mask
+    return sum(1 << v for v in as_value_set(t, n=n))
 
 
 def as_descent_set(elements: Iterable[int]) -> tuple[int, ...]:
@@ -292,9 +321,8 @@ def brute_cdes_count(n: int, s: Iterable[int]) -> int:
     >>> brute_cdes_count(4, (2, 4))
     3
     """
-    target = as_value_set(s, n=n)
+    in_s = as_value_mask(s, n=n)
     check_cap("n", n, "enumeration", "DEFAULT_ENUMERATION_CAP", DEFAULT_ENUMERATION_CAP)
-    in_s = sum(1 << v for v in target)
     values = (1 << (n + 1)) - 2
     # What may follow prev: the values below it if prev is in S, else above.
     follow = [
@@ -322,9 +350,8 @@ def brute_nwexb_count(n: int, s: Iterable[int]) -> int:
     >>> brute_nwexb_count(3, {2, 3})
     1
     """
-    target = as_value_set(s, n=n)
+    in_s = as_value_mask(s, n=n)
     check_cap("n", n, "enumeration", "DEFAULT_ENUMERATION_CAP", DEFAULT_ENUMERATION_CAP)
-    in_s = sum(1 << i for i in target)
     values = (1 << (n + 1)) - 2
     # Position i (from 1) takes a value below i if i is in S, else one of i..n.
     allowed = [

@@ -21,7 +21,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterable
 
-from .perms import TABLE_MAX_N, as_value_set, check_cap, check_int
+from .perms import TABLE_MAX_N, as_value_mask, check_cap, check_int
 
 # Minimum-element recursion cache: bitmask of S (element v at bit v) -> count.
 Cache = dict[int, int]
@@ -44,7 +44,9 @@ def cdes_recursive(n: int, s: Iterable[int], cache: Cache | None = None) -> int:
     subproblem is independent of n (only max(S) matters), so cache
     keys are the sets themselves, each as one int with element v at bit v
     (the convention of ``perms._descent_bit``; ``perms._members`` decodes
-    a key).  Every step is then a few shifts and xors of that int: with
+    a key).  S is checked straight into that int by ``perms.as_value_mask``,
+    without a sort, so a call whose set is cached costs the check and one
+    lookup.  Every step is then a few shifts and xors of that int: with
     ``low`` the lowest set bit, the three branches are
     ``mask ^ low ^ (low >> 1)``, ``mask >> 1`` and
     ``(mask >> 1) ^ (low >> 1)``, each O(max(S)) bit operations.  When
@@ -64,18 +66,15 @@ def cdes_recursive(n: int, s: Iterable[int], cache: Cache | None = None) -> int:
     >>> cdes_recursive(9, {2})
     1
     """
-    s = as_value_set(s, n=n)
+    mask = as_value_mask(s, n=n)
     if cache is None:
         cache = {}
-    mask = 0
-    for v in s:
-        mask |= 1 << v
     try:
         return _count(mask, cache)
     except RecursionError:
         raise ValueError(
-            f"the recursion for max(S) = {s[-1]} exceeds the interpreter's "
-            f"depth limit {sys.getrecursionlimit()}"
+            f"the recursion for max(S) = {mask.bit_length() - 1} exceeds the "
+            f"interpreter's depth limit {sys.getrecursionlimit()}"
         ) from None
 
 

@@ -22,7 +22,7 @@ import itertools
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 
-from .formula import check_sum_work, cube_sum, gap_vector
+from .formula import _gaps, check_sum_work, cube_sum
 from .perms import BUILD_CAP, COUNT_MAX_N, as_value_set, check_cap, check_int, check_ints
 
 
@@ -131,7 +131,7 @@ def tree_count(n: int, s: Iterable[int]) -> int:
     s = as_value_set(s, n=n)
     if s and s[0] == 1:
         return 0
-    return tree_weight_sum(gap_vector(s))
+    return tree_weight_sum(_gaps(s))
 
 
 def leaf_theta(path: Sequence[int]) -> tuple[int, ...]:

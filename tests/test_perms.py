@@ -139,6 +139,109 @@ def test_as_value_set_keeps_int_subclasses():
     assert as_value_set([Small(3), 2]) == (2, 3)
 
 
+class Index:
+    """Not an int, though ``operator.index`` would take it."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"Index({self.value})"
+
+
+def outcome(call):
+    # The value, or the type and text of the exception: the two functions
+    # must return the same set or refuse it in the same words.
+    try:
+        return call()
+    except (ValueError, TypeError) as error:
+        return type(error), str(error)
+
+
+set_elements = st.one_of(
+    st.integers(-3, 24),
+    st.booleans(),
+    st.sampled_from([2.0, 3.5, -1.0]),
+    st.integers(1, 24).map(Small),
+    st.integers(1, 24).map(Index),
+)
+containers = {
+    "tuple": tuple,
+    "list": list,
+    "set": set,
+    "generator": lambda values: (v for v in values),
+}
+set_sizes = st.one_of(
+    st.integers(1, 24),
+    st.sampled_from([True, False, 2.0, 0, -1, perms_module.COUNT_MAX_N, perms_module.COUNT_MAX_N + 1]),
+    st.integers(1, 24).map(Small),
+    st.integers(1, 24).map(Index),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.sampled_from(sorted(containers)), st.lists(set_elements, max_size=6)),
+        st.tuples(st.just("tuple"), st.lists(st.integers(1, 24), max_size=6)),  # mostly accepted
+        st.tuples(st.just("string"), st.text("0123ab", max_size=4)),
+    ),
+    set_sizes,
+)
+def test_as_value_mask_is_as_value_set_as_a_mask(drawn, n):
+    kind, values = drawn
+
+    def fresh():  # a new container per call, so a generator is read once by each
+        return values if kind == "string" else containers[kind](values)
+
+    mask = outcome(lambda: perms_module.as_value_mask(fresh(), n=n))
+    expected = outcome(lambda: as_value_set(fresh(), n=n))
+    if isinstance(mask, int):
+        assert type(mask) is int and perms_module._members(mask) == expected
+    else:
+        assert mask == expected
+
+
+# The count routes that check their set with as_value_mask.
+mask_routes = [cdes_recursive, brute_cdes_count, brute_nwexb_count]
+
+
+@pytest.mark.parametrize(
+    "n, elements, message",
+    [
+        (0, (0, 0), "n must be at least 1: 0"),
+        (True, (2,), "n must be an integer: True"),
+        (3.0, (2,), "n must be an integer: 3.0"),
+        (100_001, (), "n = 100001 exceeds the count cap COUNT_MAX_N = 100000"),
+        (5, (True, 9), "set element must be an integer: True"),
+        (5, (2, 2.0), "set element must be an integer: 2.0"),
+        (5, (Index(2),), "set element must be an integer: Index(2)"),
+        (5, (0, 0), "set element must be at least 1: 0"),
+        (5, (-2, 3, 9), "set element must be at least 1: -2"),
+        (5, (4, 9, 4), "value sets have distinct elements: (4, 4, 9)"),
+        (5, (3, 7), "element 7 outside [1, 5]"),
+        (5, "24", "set element must be an integer: '2'"),
+    ],
+)
+@pytest.mark.parametrize("route", mask_routes, ids=lambda route: route.__name__)
+def test_count_routes_refuse_a_set_in_the_words_of_as_value_set(route, n, elements, message):
+    # The first rule broken is named, as as_value_set names it.
+    for call in (lambda: as_value_set(elements, n=n), lambda: route(n, iter(elements))):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("route", mask_routes, ids=lambda route: route.__name__)
+def test_count_routes_take_a_one_shot_iterator(route):
+    want = route(5, (3, 5))
+    assert route(5, iter((5, 3))) == want
+    assert route(5, (Small(v) for v in (5, 3))) == want
+
+
 @pytest.mark.parametrize("n", [2.5, 3.0, True])
 @pytest.mark.parametrize(
     "route",

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -71,8 +72,12 @@ def test_too_deep_recursion_raises_value_error():
     cdes_recursive(12, (3, 5, 8), cache)
     filled = dict(cache)
     assert filled
-    with pytest.raises(ValueError, match="depth limit"):
-        cdes_recursive(3000, (1500, 3000), cache)
+    with pytest.raises(ValueError) as refused:
+        cdes_recursive(3000, iter((3000, 1500)), cache)
+    assert str(refused.value) == (
+        "the recursion for max(S) = 3000 exceeds the interpreter's depth limit "
+        f"{sys.getrecursionlimit()}"
+    )
     # Only completed values were published, so the cache stays usable.
     assert cache.items() >= filled.items()
     assert_cache_matches_formula(cache)
@@ -88,6 +93,17 @@ def test_cache_keys_are_bitmasks_of_sets():
     # elements is a key, and nothing else is.
     assert sorted(map(_members, cache)) == sorted(s for s in iter_value_sets(10) if len(s) >= 2)
     assert_cache_matches_formula(cache)
+
+
+def test_shared_cache_sweep_matches_the_insertion_table():
+    # Every set of [2, 12] through one cache, cold then warm: each count is
+    # the table's, and the cache holds every set but the empty set and the
+    # singletons, however the set was checked on its way in.
+    table = cdes_insertion_table(12)
+    cache = {}
+    for _ in range(2):
+        assert {s: cdes_recursive(12, s, cache) for s in table} == table
+        assert len(cache) == 2**11 - 12
 
 
 @settings(max_examples=100, deadline=None)
