@@ -24,6 +24,7 @@ _EXPORTS = {
     "genocchi_number": "genocchi",
     "as_value_set": "perms",
     "brute_cdes_count": "perms",
+    "brute_cdes_nwexb_tables": "perms",
     "brute_cdes_table": "perms",
     "brute_nwexb_count": "perms",
     "brute_nwexb_table": "perms",

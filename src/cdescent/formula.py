@@ -22,7 +22,7 @@ the recursions and the materialized tree stay independent of it.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 from .perms import SUM_CAP, as_descent_set, as_value_set, check_cap
 
@@ -135,10 +135,7 @@ def cdes_formula(n: int, s: Iterable[int]) -> int:
     >>> cdes_formula(6, {6})
     31
     """
-    s = as_value_set(s, n=n)
-    if s and s[0] == 1:
-        return 0
-    return cube_sum(_gaps(s))
+    return _closed_form(n, s, _gaps)
 
 
 def cdes_formula_typed(n: int, s: Iterable[int]) -> int:
@@ -152,9 +149,10 @@ def cdes_formula_typed(n: int, s: Iterable[int]) -> int:
     >>> cdes_formula_typed(5, {4, 5})
     31
     """
-    s = as_value_set(s, n=n)
-    if s and s[0] == 1:
-        return 0
+    return _closed_form(n, s, _typed_exponents)
+
+
+def _typed_exponents(s: tuple[int, ...]) -> tuple[int, ...]:
     # Inside a run every gap is 1; the position closing a run also
     # reaches down to the next run max (or the sentinel 1).
     runs = _runs(s)
@@ -162,4 +160,16 @@ def cdes_formula_typed(n: int, s: Iterable[int]) -> int:
     for t, (run_max, run_len) in enumerate(runs):
         next_max = runs[t + 1][0] if t + 1 < len(runs) else 1
         exponents += [1] * (run_len - 1) + [run_max - run_len + 1 - next_max]
-    return cube_sum(tuple(exponents))
+    return tuple(exponents)
+
+
+def _closed_form(
+    n: int, s: Iterable[int], exponents: Callable[[tuple[int, ...]], tuple[int, ...]]
+) -> int:
+    # The opening step of every closed-form route: n and S pass the check
+    # of every count route, a set containing 1 counts zero, and any other
+    # set is cube_sum of the exponents built from its ascending tuple.
+    s = as_value_set(s, n=n)
+    if s and s[0] == 1:
+        return 0
+    return cube_sum(exponents(s))

@@ -11,16 +11,20 @@ i (from 0), the left value a and the right value b give one bit
 when b < i + 2, b standing at position i + 2).  The mask of one
 permutation is the OR of its rule over its pairs (``_mask``), and the
 public set functions read their sets off that mask.  The ``brute_*_table``
-functions run one scan for either statistic, in process: every one of
-the n! permutations is built exactly once, as a head followed by a tail
-of ``_TAIL`` values, and its complete mask is tallied.  For each set of
-tail values the masks of the tail's arrangements are computed once;
-each arrangement of the other values (the head) then ORs its own mask
-and the bit of the pair where head meets tail onto each of them, and
-``collections.Counter`` tallies the results at C level.  The tables are
-the ground truth against which every closed-form counting route is
-checked, so they share no code with those routes.  A fixed cap,
-``DEFAULT_ENUMERATION_CAP``, bounds the runtime.
+functions each run one scan for their statistic, in process, and
+``brute_cdes_nwexb_tables`` runs one scan for both: every one of the n!
+permutations is built exactly once, as a head followed by a tail of
+``_TAIL`` values, and its complete mask is tallied.  For both
+statistics the rule gives a pair's descent bits with its NWEXB bits
+``_FIELD`` places above them (``_descent_nwexb_bits``), so one OR builds
+both masks side by side in one int, and the tally is split into the two
+tables at the end.  For each set of tail values the masks of the tail's
+arrangements are computed once; each arrangement of the other values
+(the head) then ORs its own mask and the bit of the pair where head
+meets tail onto each of them, and ``collections.Counter`` tallies the
+results at C level.  The tables are the ground truth against which every
+closed-form counting route is checked, so they share no code with those
+routes.  A fixed cap, ``DEFAULT_ENUMERATION_CAP``, bounds the runtime.
 
 ``brute_cdes_count`` and ``brute_nwexb_count`` count one set without the
 table: each enumerates, in process, only the permutations whose set is
@@ -68,6 +72,11 @@ VERIFY_MAX_N = 12  # max_n of the verify suite, whose time doubles per step
 # Values in the tail of a brute scan: the masks of the tail's arrangements
 # are computed once per set of tail values and reused by every head.
 _TAIL = 5
+
+# Width of one statistic's field in a joint mask: every rule's bits lie
+# below bit n + 1 <= _FIELD, so two statistics _FIELD places apart stay
+# apart in one int.
+_FIELD = DEFAULT_ENUMERATION_CAP + 1
 
 
 def check_permutation(perm: Sequence[int]) -> tuple[int, ...]:
@@ -203,6 +212,11 @@ def _nwexb_bit(i: int, a: int, b: int) -> int:
     return 1 << (i + 2) if b < i + 2 else 0
 
 
+def _descent_nwexb_bits(i: int, a: int, b: int) -> int:
+    # Both rules side by side: the NWEXB bits one field above the descent bits.
+    return _descent_bit(i, a, b) | _nwexb_bit(i, a, b) << _FIELD
+
+
 def _mask(rule: Rule, perm: Sequence[int]) -> int:
     """The OR of ``rule`` over the adjacent pairs of ``perm``."""
     return functools.reduce(operator.or_, map(rule, itertools.count(), perm, perm[1:]), 0)
@@ -244,7 +258,8 @@ def _pairs_mask(bits: list, start: int, seq: Sequence[int]) -> int:
     return mask
 
 
-def _brute_table(rule: Rule, n: int) -> dict[tuple[int, ...], int]:
+def _brute_tables(rule: Rule, n: int, fields: int = 1) -> tuple[dict[tuple[int, ...], int], ...]:
+    # One scan, one table per field of _FIELD bits in the rule's masks.
     check_int("n", n, 1)
     check_cap("n", n, "enumeration", "DEFAULT_ENUMERATION_CAP", DEFAULT_ENUMERATION_CAP)
     bits = [
@@ -268,7 +283,14 @@ def _brute_table(rule: Rule, n: int) -> dict[tuple[int, ...], int]:
             joint = bits[start - 1][head[-1]]  # the pair (last of head, first of tail)
             for first, masks in tails.items():
                 totals.update(map((head_mask | joint[first]).__or__, masks))
-    return {_members(mask): totals[mask] for mask in sorted(totals)}
+    low = (1 << _FIELD) - 1
+    tables = []
+    for j in range(fields):
+        split: Counter[int] = Counter()
+        for mask, count in totals.items():
+            split[mask >> j * _FIELD & low] += count
+        tables.append({_members(mask): split[mask] for mask in sorted(split)})
+    return tuple(tables)
 
 
 def brute_cdes_table(n: int, *, workers: int = 1) -> dict[tuple[int, ...], int]:
@@ -281,7 +303,7 @@ def brute_cdes_table(n: int, *, workers: int = 1) -> dict[tuple[int, ...], int]:
     {(): 1, (2,): 1, (3,): 3, (2, 3): 1}
     """
     check_int("workers", workers, 1)
-    return _brute_table(_descent_bit, n)
+    return _brute_tables(_descent_bit, n)[0]
 
 
 def count_placements(allowed: Sequence[Sequence[int]]) -> int:
@@ -335,7 +357,20 @@ def brute_cdes_count(n: int, s: Iterable[int]) -> int:
 
 def brute_nwexb_table(n: int) -> dict[tuple[int, ...], int]:
     """Count permutations of [n] by non-weak-excedance position set."""
-    return _brute_table(_nwexb_bit, n)
+    return _brute_tables(_nwexb_bit, n)[0]
+
+
+def brute_cdes_nwexb_tables(
+    n: int,
+) -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
+    """:func:`brute_cdes_table` and :func:`brute_nwexb_table` of n, from
+    one scan of the n! permutations: each permutation's two masks are
+    tallied side by side in one int.
+
+    >>> brute_cdes_nwexb_tables(3)
+    ({(): 1, (2,): 1, (3,): 3, (2, 3): 1}, {(): 1, (2,): 1, (3,): 3, (2, 3): 1})
+    """
+    return _brute_tables(_descent_nwexb_bits, n, 2)
 
 
 def brute_nwexb_count(n: int, s: Iterable[int]) -> int:

@@ -117,6 +117,11 @@ def count_tableaux_type_sum(parts: Iterable[int]) -> int:
     return cube_sum(tuple(exponents))
 
 
+def _column_heights(p: tuple[int, ...]) -> list[int]:
+    # The height of each column of a checked shape, from the left.
+    return [sum(1 for row in p if row > c) for c in range(p[0])]
+
+
 def count_tableaux_transfer(parts: Iterable[int]) -> int:
     """Number of valid fillings, column by column from the left, keeping
     only the count of partial fillings per state: the bitmask of the rows
@@ -139,7 +144,7 @@ def count_tableaux_transfer(parts: Iterable[int]) -> int:
     # its rows, before the step count becomes an integer of many digits.
     max_rows = (TRANSFER_CAP.bit_length() - 1) // 2  # the largest r with 4^r <= cap
     check_cap("rows", len(p), "column transfer", "log4(TRANSFER_CAP)", max_rows)
-    heights = [sum(1 for row in p if row > c) for c in range(p[0])]
+    heights = _column_heights(p)
     steps = sum(4**h for h in heights)
     check_cap("transfer steps", steps, "column transfer", "TRANSFER_CAP", TRANSFER_CAP)
     weights = {0: 1}
@@ -212,7 +217,7 @@ def brute_count_tableaux(parts: Iterable[int]) -> int:
     """
     p = check_shape(parts)
     check_cap("boxes", sum(p), "filling search", "BOX_CAP", BOX_CAP)
-    heights = [sum(1 for row in p if row > c) for c in range(p[0])]
+    heights = _column_heights(p)
 
     def extend(col: int, row_has_one: tuple[bool, ...]) -> int:
         if col == len(heights):

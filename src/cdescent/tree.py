@@ -22,8 +22,8 @@ import itertools
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 
-from .formula import _gaps, check_sum_work, cube_sum
-from .perms import BUILD_CAP, COUNT_MAX_N, as_value_set, check_cap, check_int, check_ints
+from .formula import _closed_form, _gaps, check_sum_work, cube_sum
+from .perms import BUILD_CAP, COUNT_MAX_N, check_cap, check_int, check_ints
 
 
 class TreeNode(namedtuple("TreeNode", "label height children", defaults=((),))):
@@ -79,10 +79,12 @@ def _check_weights(d: Iterable[int]) -> tuple[int, ...]:
 
 
 def tree_weight_traversal(d: Sequence[int]) -> int:
-    """Total signed path weight of the height-len(d) tree, by walking every
-    root-to-leaf path of the materialized tree.  Heights above
-    ``perms.BUILD_CAP`` are refused, and so is the work that
-    :func:`tree_weight_sum` refuses: the walk has 2^len(d) paths.
+    """Total signed path weight of the height-len(d) tree, by one
+    depth-first walk of the materialized tree: each node's signed path
+    product is its parent's times its own weight, one power per node, and
+    the leaves' products are summed.  Heights above ``perms.BUILD_CAP``
+    are refused, and so is the work that :func:`tree_weight_sum` refuses:
+    the walk has 2^len(d) leaves.
 
     >>> tree_weight_traversal((2, 1))
     3
@@ -92,15 +94,17 @@ def tree_weight_traversal(d: Sequence[int]) -> int:
     weights = _check_weights(d)
     check_cap("height", len(weights), "materialization", "BUILD_CAP", BUILD_CAP)
     check_sum_work(weights)
-    root = build_tree(len(weights))
     total = 0
-    for path in iter_leaf_paths(root):
-        w = 1
-        for parent, child, exponent in zip(path, path[1:], weights):
-            w *= child**exponent
-            if child == parent:
-                w = -w
-        total += w
+    stack = [(build_tree(len(weights)), 1)]  # (node, signed product from the root)
+    while stack:
+        node, w = stack.pop()
+        if not node.children:
+            total += w
+            continue
+        exponent = weights[node.height]  # the weight of the children's height
+        for child in node.children:
+            cw = w * child.label**exponent
+            stack.append((child, -cw if child.label == node.label else cw))
     return total
 
 
@@ -119,19 +123,17 @@ def tree_weight_sum(d: Sequence[int]) -> int:
 
 def tree_count(n: int, s: Iterable[int]) -> int:
     """Count permutations of [n] with descent-value set S as the tree
-    weight of S's gap vector (:func:`tree_weight_sum`).  Sets containing 1
-    count zero; n and S pass the same check as on every other count route
-    (``perms.as_value_set``).
+    weight of S's gap vector, by the closed sum of :func:`tree_weight_sum`
+    (``formula.cube_sum``), the steps of ``formula.cdes_formula``.  Sets
+    containing 1 count zero; n and S pass the same check as on every other
+    count route (``perms.as_value_set``).
 
     >>> tree_count(6, {6})
     31
     >>> tree_count(4, {1, 3})
     0
     """
-    s = as_value_set(s, n=n)
-    if s and s[0] == 1:
-        return 0
-    return tree_weight_sum(_gaps(s))
+    return _closed_form(n, s, _gaps)
 
 
 def leaf_theta(path: Sequence[int]) -> tuple[int, ...]:

@@ -5,12 +5,13 @@ other on overlapping domains, plus structural identities (mass checks,
 bijections, reference coefficients).  The command-line ``verify`` command
 prints one line per check; the test suite asserts the same results.
 
-``run_all`` builds two reference tables once per run and hands them to
+``run_all`` builds its reference tables once per run and hands them to
 every check that compares against them: ``cdes_formula`` on every
-S of [2, n] for n <= ``max_n``, and ``brute_cdes_table`` for n <=
-``BRUTE_MAX_N``; ``nwexb-vs-cdes`` gets the ``brute_nwexb_table`` tables
-of the same n the same way.  No route is compared with a table built by
-its own code.
+S of [2, n] for n <= ``max_n``, and for n <= ``BRUTE_MAX_N`` the brute
+descent and NWEXB tables, both from one n! scan per n
+(``brute_cdes_nwexb_tables``, the tables of ``brute_cdes_table`` and
+``brute_nwexb_table``); ``nwexb-vs-cdes`` compares the two.  No route is
+compared with a table built by its own code.
 
 The closed-form routes share one evaluator, ``formula.cube_sum``, so
 ``typed-vs-formula``, ``tree-sum-vs-formula`` and the type-sum leg of
@@ -48,7 +49,7 @@ from collections import namedtuple
 from . import perms  # as a module, so that every check_* name here is a check
 from .formula import cdes_formula, cdes_formula_typed, gap_vector
 from .genocchi import brute_genocchi_perm_count, evaluate, gandhi_poly, genocchi_number
-from .perms import brute_cdes_table, brute_nwexb_table, iter_value_sets
+from .perms import brute_cdes_nwexb_tables, iter_value_sets
 from .poly import Poly, descent_set_coefficient, gn, gnk, tau
 from .recursion import cdes_insertion_table, cdes_recursive
 from .tableaux import (
@@ -355,9 +356,10 @@ def run_all(
         n: {s: cdes_formula(n, s) for s in iter_value_sets(n)}
         for n in range(1, max_n + 1)
     }
-    ns = range(1, min(max_n, BRUTE_MAX_N) + 1)
-    brute = {n: brute_cdes_table(n) for n in ns}
-    nwexb = {n: brute_nwexb_table(n) for n in ns}
+    brute: Table = {}
+    nwexb: Table = {}
+    for n in range(1, min(max_n, BRUTE_MAX_N) + 1):
+        brute[n], nwexb[n] = brute_cdes_nwexb_tables(n)
     return [
         check_brute_vs_formula(formula, brute),
         check_typed_vs_formula(formula),

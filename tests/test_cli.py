@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import cdescent.cli as cli
 import cdescent.formula as formula
 import cdescent.genocchi as genocchi
+import cdescent.perms as perms
 import cdescent.verify as verify
 from cdescent.perms import (
     BUILD_CAP,
@@ -24,7 +25,6 @@ from cdescent.perms import (
     TABLE_MAX_N,
     TRANSFER_CAP,
     VERIFY_MAX_N,
-    brute_cdes_table,
 )
 
 
@@ -425,17 +425,19 @@ all 17 checks passed
 @pytest.mark.parametrize("max_n", [4, 8])
 def test_verify_passes(capsys, monkeypatch, max_n):
     scanned = []
+    scan = perms._brute_tables
 
-    def counted(n, **kwargs):
-        scanned.append(n)
-        return brute_cdes_table(n, **kwargs)
+    def counted(rule, n, fields=1):
+        scanned.append((n, fields))
+        return scan(rule, n, fields)
 
-    monkeypatch.setattr(verify, "brute_cdes_table", counted)
+    monkeypatch.setattr(perms, "_brute_tables", counted)
     rc, out, err = run(capsys, "verify", "--max-n", str(max_n))
     assert rc == 0 and err == ""
     assert out == VERIFY_TEXT.format(n=max_n, n1=max_n + 1)
-    # One brute table per n, shared by every check that compares against it.
-    assert scanned == list(range(1, max_n + 1))
+    # One n! scan per n, for both brute tables, each shared by every check
+    # that compares against it.
+    assert scanned == [(n, 2) for n in range(1, max_n + 1)]
 
 
 @pytest.mark.parametrize("argv, seed", [((), verify.DEFAULT_SEED), (("--seed", "5"), 5)])

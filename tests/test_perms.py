@@ -10,6 +10,7 @@ import cdescent.perms as perms_module
 from cdescent import (
     as_value_set,
     brute_cdes_count,
+    brute_cdes_nwexb_tables,
     brute_cdes_table,
     brute_genocchi_perm_count,
     brute_nwexb_count,
@@ -368,7 +369,9 @@ def test_worker_count_below_one_rejected(workers):
 
 
 @pytest.mark.parametrize("n", [2.5, 2.0, True])
-@pytest.mark.parametrize("table", [brute_cdes_table, brute_nwexb_table], ids=lambda t: t.__name__)
+@pytest.mark.parametrize(
+    "table", [brute_cdes_table, brute_nwexb_table, brute_cdes_nwexb_tables], ids=lambda t: t.__name__
+)
 def test_tables_refuse_a_non_integer_n(table, n):
     with pytest.raises(ValueError, match=f"^n must be an integer: {n!r}$"):
         table(n)
@@ -428,6 +431,14 @@ def test_tables_match_the_definitions(n):
     assert list(brute_nwexb_table(n).items()) == list(_naive_table(_nwexbs, n).items())
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_joint_scan_gives_the_two_single_tables(n):
+    # Same sets, same counts and the same key order as one scan per rule.
+    cdes, nwexb = brute_cdes_nwexb_tables(n)
+    assert list(cdes.items()) == list(brute_cdes_table(n).items())
+    assert list(nwexb.items()) == list(brute_nwexb_table(n).items())
+
+
 @pytest.mark.parametrize("tail", [1, 2, 3, 7])
 def test_tables_do_not_depend_on_the_tail_length(monkeypatch, tail):
     # tail 7 leaves the head empty for every n <= 7; tail 1 puts one value
@@ -438,6 +449,8 @@ def test_tables_do_not_depend_on_the_tail_length(monkeypatch, tail):
         cdes, nwexb = expected[n]
         assert list(brute_cdes_table(n).items()) == list(cdes.items()), n
         assert list(brute_nwexb_table(n).items()) == list(nwexb.items()), n
+        joint = brute_cdes_nwexb_tables(n)
+        assert [list(t.items()) for t in joint] == [list(cdes.items()), list(nwexb.items())], n
 
 
 def test_enumeration_cap():
@@ -446,6 +459,8 @@ def test_enumeration_cap():
         brute_cdes_table(11)
     with pytest.raises(ValueError, match=message):
         brute_nwexb_table(11)
+    with pytest.raises(ValueError, match=message):
+        brute_cdes_nwexb_tables(11)
 
 
 @given(perms)

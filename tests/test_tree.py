@@ -157,6 +157,27 @@ def test_traversal_matches_sum_sampled():
         assert tree_weight_traversal(d) == tree_weight_sum(d), d
 
 
+def _path_weight_sum(d):
+    # The definition: over every root-to-leaf path of the materialized
+    # tree, the product of label**d[j-1] over its non-root vertices,
+    # negated at each edge whose child repeats its parent's label.
+    total = 0
+    for path in iter_leaf_paths(build_tree(len(d))):
+        w = 1
+        for parent, child, exponent in zip(path, path[1:], d):
+            w *= child**exponent
+            if child == parent:
+                w = -w
+        total += w
+    return total
+
+
+def test_traversal_matches_the_path_definition():
+    for k in range(7):
+        for d in itertools.product(range(4), repeat=k):
+            assert tree_weight_traversal(d) == _path_weight_sum(d), d
+
+
 def test_gap_vector_weight_counts_permutations():
     for n in range(2, 11):
         for s in iter_value_sets(n):

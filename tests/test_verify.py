@@ -4,6 +4,7 @@ import os
 import pytest
 
 import cdescent.cli as cli
+import cdescent.perms as perms
 import cdescent.verify as verify
 
 S = (3, 5)
@@ -30,16 +31,38 @@ def _bump_shape(route):
     return lambda shape: route(shape) + (tuple(shape) == (2, 1))
 
 
-# The name faulted in the verify module, and every check that must then fail.
+def _bump_one_table(index):
+    """A fault of a builder of several tables: table ``index`` off by one on S."""
+
+    def fault(build):
+        def bumped(n, *args, **kwargs):
+            tables = list(build(n, *args, **kwargs))
+            tables[index] = {**tables[index], S: tables[index].get(S, 0) + 1}
+            return tuple(tables)
+
+        return bumped
+
+    return fault
+
+
+def _fault(name, fault, failing, table=None):
+    """The name faulted in the verify module, the fault, and every check
+    that must then fail; the id names the table faulted, if one of several."""
+    return pytest.param(name, fault, failing, id=table or name)
+
+
+# The joint scan builds the descent table (index 0) and the NWEXB table (1).
+SCAN = "brute_cdes_nwexb_tables"
+
 FAULTS = [
-    ("count_tableaux_transfer", _bump_shape, {"tableaux-three-routes"}),
-    ("cdes_formula_typed", _bump_count, {"typed-vs-formula"}),
-    ("cdes_recursive", _bump_count, {"recursion-vs-formula"}),
-    ("tree_count", _bump_count, {"tree-sum-vs-formula"}),
-    ("cdes_insertion_table", _bump_table, {"insertion-vs-formula"}),
-    ("brute_nwexb_table", _bump_table, {"nwexb-vs-cdes"}),
-    ("brute_cdes_table", _bump_table, {"brute-vs-formula", "nwexb-vs-cdes"}),
-    (
+    _fault("count_tableaux_transfer", _bump_shape, {"tableaux-three-routes"}),
+    _fault("cdes_formula_typed", _bump_count, {"typed-vs-formula"}),
+    _fault("cdes_recursive", _bump_count, {"recursion-vs-formula"}),
+    _fault("tree_count", _bump_count, {"tree-sum-vs-formula"}),
+    _fault("cdes_insertion_table", _bump_table, {"insertion-vs-formula"}),
+    _fault(SCAN, _bump_one_table(1), {"nwexb-vs-cdes"}, table="brute_nwexb_table"),
+    _fault(SCAN, _bump_one_table(0), {"brute-vs-formula", "nwexb-vs-cdes"}, table="brute_cdes_table"),
+    _fault(
         "cdes_formula",
         _bump_count,
         {
@@ -55,7 +78,7 @@ FAULTS = [
 ]
 
 
-@pytest.mark.parametrize(("name", "fault", "failing"), FAULTS, ids=[f[0] for f in FAULTS])
+@pytest.mark.parametrize(("name", "fault", "failing"), FAULTS)
 def test_fault_fails_exactly_its_checks(monkeypatch, name, fault, failing):
     # A check that compared a shared table with itself would miss the fault.
     monkeypatch.setattr(verify, name, fault(getattr(verify, name)))
@@ -64,10 +87,10 @@ def test_fault_fails_exactly_its_checks(monkeypatch, name, fault, failing):
 
 
 # The faults in the brute tables, which a caller passing workers still sees.
-POOLED_FAULTS = [f for f in FAULTS if f[0] in ("brute_cdes_table", "brute_nwexb_table")]
+POOLED_FAULTS = [f for f in FAULTS if f.values[0] == SCAN]
 
 
-@pytest.mark.parametrize(("name", "fault", "failing"), POOLED_FAULTS, ids=[f[0] for f in POOLED_FAULTS])
+@pytest.mark.parametrize(("name", "fault", "failing"), POOLED_FAULTS)
 def test_fault_in_a_pooled_table_fails_its_checks(monkeypatch, name, fault, failing):
     monkeypatch.setattr(verify, name, fault(getattr(verify, name)))
     results = verify.run_all(6, workers=2)
@@ -97,14 +120,20 @@ def test_verify_output_ignores_threads_and_cores(capsys, monkeypatch, threads, c
     assert in_process.out.endswith("all 17 checks passed\n")
 
 
-@pytest.mark.parametrize("name", ["brute_cdes_table", "brute_nwexb_table", "check_genocchi"])
-def test_an_error_in_a_table_or_check_propagates_unchanged(monkeypatch, name):
-    # With workers > 1 too, the caller gets the error itself, not a wrapper.
+@pytest.mark.parametrize(
+    "module, name",
+    [(verify, SCAN), (perms, "_descent_bit"), (perms, "_nwexb_bit"), (verify, "check_genocchi")],
+    ids=["brute_cdes_nwexb_tables", "brute_cdes_table", "brute_nwexb_table", "check_genocchi"],
+)
+def test_an_error_in_a_table_or_check_propagates_unchanged(monkeypatch, module, name):
+    # An error of the scan, of either rule inside it (each id names the
+    # rule's table), or of a check: with workers > 1 too, the caller gets
+    # the error itself, not a wrapper.
     def broken(*args):
         raise MemoryError(f"{name} failed to run")
 
     monkeypatch.setattr(os, "fork", _no_fork, raising=False)
-    monkeypatch.setattr(verify, name, broken)
+    monkeypatch.setattr(module, name, broken)
     with pytest.raises(MemoryError, match=f"^{name} failed to run$"):
         verify.run_all(4, workers=2)
 
