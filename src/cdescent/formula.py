@@ -32,7 +32,9 @@ def gap_vector(s: Iterable[int]) -> tuple[int, ...]:
 
     For S = {s_1 > s_2 > ... > s_k} the result is
     (s_1 - s_2, ..., s_{k-1} - s_k, s_k - 1); the empty set gives ().
-    Entries are >= 1 and sum to max(S) - 1.
+    Entries are >= 1 and sum to max(S) - 1.  S is checked by
+    ``perms.as_descent_set``, which refuses a set containing 1; the closed
+    forms call it only on sets without 1.
 
     >>> gap_vector({2, 4})
     (2, 1)
@@ -41,11 +43,7 @@ def gap_vector(s: Iterable[int]) -> tuple[int, ...]:
     >>> gap_vector({2, 3, 4})
     (1, 1, 1)
     """
-    return _gaps(as_descent_set(s))
-
-
-def _gaps(s: tuple[int, ...]) -> tuple[int, ...]:
-    # gap_vector of a set already checked into an ascending tuple.
+    s = as_descent_set(s)
     if not s:
         return ()
     desc = s[::-1]
@@ -54,7 +52,7 @@ def _gaps(s: tuple[int, ...]) -> tuple[int, ...]:
 
 def set_type(s: Iterable[int]) -> tuple[tuple[int, int], ...]:
     """Maximal runs of consecutive elements as (run max, run length) pairs,
-    largest run first.
+    largest run first.  S is checked as in :func:`gap_vector`.
 
     >>> set_type({2, 4})
     ((4, 1), (2, 1))
@@ -63,11 +61,7 @@ def set_type(s: Iterable[int]) -> tuple[tuple[int, int], ...]:
     >>> set_type({2})
     ((2, 1),)
     """
-    return _runs(as_descent_set(s))
-
-
-def _runs(s: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    # set_type of a set already checked into an ascending tuple.
+    s = as_descent_set(s)
     if not s:
         return ()
     runs: list[tuple[int, int]] = []
@@ -83,10 +77,13 @@ def _runs(s: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
 
 def check_sum_work(exponents: tuple[int, ...]) -> None:
     """Refuse ``exponents`` whose sum over {0,1}^k, 2^k terms, is work
-    2^k * (exponent total + 16) above ``perms.SUM_CAP``."""
+    2^k * (exponent total + 16) above ``perms.SUM_CAP``.
+
+    The work is at least 16 * 2^k, so a length k with 16 * 2^k above the
+    cap is refused on its length: the work check would refuse it too, but
+    its message would print a work of about 0.3 * k digits.
+    """
     k = len(exponents)
-    # The length alone can be over the cap: refuse it on the length, before
-    # the work becomes an integer of many digits.
     max_length = (SUM_CAP // 16).bit_length() - 1  # the largest k with 16 * 2^k <= cap
     check_cap("length", k, "summation", "log2(SUM_CAP / 16)", max_length)
     check_cap("work", (sum(exponents) + 16) << k, "summation", "SUM_CAP", SUM_CAP)
@@ -135,7 +132,7 @@ def cdes_formula(n: int, s: Iterable[int]) -> int:
     >>> cdes_formula(6, {6})
     31
     """
-    return _closed_form(n, s, _gaps)
+    return _closed_form(n, s, gap_vector)
 
 
 def cdes_formula_typed(n: int, s: Iterable[int]) -> int:
@@ -155,7 +152,7 @@ def cdes_formula_typed(n: int, s: Iterable[int]) -> int:
 def _typed_exponents(s: tuple[int, ...]) -> tuple[int, ...]:
     # Inside a run every gap is 1; the position closing a run also
     # reaches down to the next run max (or the sentinel 1).
-    runs = _runs(s)
+    runs = set_type(s)
     exponents: list[int] = []
     for t, (run_max, run_len) in enumerate(runs):
         next_max = runs[t + 1][0] if t + 1 < len(runs) else 1

@@ -159,20 +159,10 @@ def check_int(name: str, value: int, low: int | None = None, high: int | None = 
 
 
 def check_ints(name: str, values: Sequence[int], low: int | None = None, high: int | None = None) -> None:
-    """:func:`check_int` on every element of ``values``, each named ``name``.
-
-    Tests the few distinct types, not every element: int subclasses other
-    than bool pass, and plain int alone skips the test.  Only a sequence
-    that fails is walked, to name its first offending element.
-    """
-    types = {*map(type, values)}
-    if values and (
-        (types != {int} and (bool in types or not all(issubclass(t, int) for t in types)))
-        or (low is not None and min(values) < low)
-        or (high is not None and max(values) > high)
-    ):
-        for value in values:
-            check_int(name, value, low, high)
+    """:func:`check_int` on every element of ``values``, each named ``name``,
+    in one walk: the first element it refuses is named in the error."""
+    for value in values:
+        check_int(name, value, low, high)
 
 
 def check_cap(what: str, value: int, kind: str, name: str, cap: int) -> None:

@@ -22,7 +22,7 @@ import itertools
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 
-from .formula import _closed_form, _gaps, check_sum_work, cube_sum
+from .formula import _closed_form, check_sum_work, cube_sum, gap_vector
 from .perms import BUILD_CAP, COUNT_MAX_N, check_cap, check_int, check_ints
 
 
@@ -133,7 +133,7 @@ def tree_count(n: int, s: Iterable[int]) -> int:
     >>> tree_count(4, {1, 3})
     0
     """
-    return _closed_form(n, s, _gaps)
+    return _closed_form(n, s, gap_vector)
 
 
 def leaf_theta(path: Sequence[int]) -> tuple[int, ...]:

@@ -137,6 +137,7 @@ def test_rejected_queries_print_one_error_line(capsys, argv):
         (("count", "--n", "5", "--set=-2,3", "--method", "brute"), "set element must be at least 1: -2"),
         (("tree", "--gaps", "2,-1"), "weight exponent must be at least 0: -1"),
         (("tree", "--gaps", "-1", "--show"), "weight exponent must be at least 0: -1"),
+        (("tableaux", "--shape", "99999"), "length = 99999 exceeds the summation cap log2(SUM_CAP / 16) = 21"),
         (("table", "--n", "0"), "n must be at least 1: 0"),
         (("poly", "--n", "1"), "n must be at least 2: 1"),
         (("genocchi", "--k", "0", "--n", "3"), "k must be at least 1: 0"),

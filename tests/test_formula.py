@@ -18,6 +18,7 @@ from cdescent import (
 )
 from cdescent import formula
 from cdescent.formula import cube_sum
+from cdescent.perms import SUM_CAP
 from cdescent.tree import tree_count
 
 value_sets = st.sets(st.integers(2, 14), max_size=7).map(lambda s: tuple(sorted(s)))
@@ -158,6 +159,16 @@ def test_summation_work_cap_is_inclusive(monkeypatch):
         cube_sum((1,) + (0,) * 9)
     with pytest.raises(ValueError, match=r"^length = 11 exceeds the summation cap log2\(SUM_CAP / 16\) = 10$"):
         cube_sum((0,) * 11)
+    # 16 * 2^k is the least work of k exponents, so k zero exponents are
+    # refused exactly when 16 * 2^k is over the cap, here and at SUM_CAP.
+    for cap in (formula.SUM_CAP, SUM_CAP):
+        monkeypatch.setattr(formula, "SUM_CAP", cap)
+        for k in range(41):
+            if 16 << k > cap:
+                with pytest.raises(ValueError, match="^length = .* exceeds the summation cap "):
+                    formula.check_sum_work((0,) * k)
+            else:
+                formula.check_sum_work((0,) * k)
 
 
 def test_formula_independent_of_n():

@@ -206,6 +206,31 @@ def test_as_value_mask_is_as_value_set_as_a_mask(drawn, n):
         assert mask == expected
 
 
+bounds = st.none() | st.integers(-3, 3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(-5, 5),
+            st.booleans(),
+            st.sampled_from([2.0, -1.5, float("inf")]),
+            st.integers(-5, 5).map(Small),
+            st.integers(-5, 5).map(Index),
+            st.text("1a", max_size=2),
+        ),
+        max_size=8,
+    ),
+    bounds,
+    bounds,
+)
+def test_check_ints_names_the_first_element_check_int_refuses(values, low, high):
+    refusals = [outcome(lambda v=v: perms_module.check_int("entry", v, low, high)) for v in values]
+    first = next((refusal for refusal in refusals if refusal is not None), None)
+    assert outcome(lambda: perms_module.check_ints("entry", values, low, high)) == first
+
+
 # The count routes that check their set with as_value_mask.
 mask_routes = [cdes_recursive, brute_cdes_count, brute_nwexb_count]
 

@@ -113,6 +113,8 @@ def test_tree_weight_sum(d, expected):
     "call, message",
     [
         (lambda: tree_weight_sum((1,) * 31), r"length = 31 exceeds the summation cap log2\(SUM_CAP / 16\) = 21"),
+        # Refused on its length, in a short line, not on a work of ~6,000 digits.
+        (lambda: tree_weight_sum((0,) * 20000), r"length = 20000 exceeds the summation cap log2\(SUM_CAP / 16\) = 21"),
         (lambda: tree_weight_sum((2,) * 21), "work = 121634816 exceeds the summation cap SUM_CAP = 40000000"),
         (lambda: tree_weight_traversal((1,) * 18), "height = 18 exceeds the materialization cap BUILD_CAP = 17"),
         # 2^17 * (1012 + 16): the walk is bounded by the work of the closed sum.
