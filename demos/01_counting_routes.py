@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Four ways to count permutations by their descent-value set.
+"""Four independent ways to count permutations by their descent-value set.
 
 A value v is a "descent value" of a permutation when it sits immediately
 before a smaller neighbour.  This script counts the permutations of [n]
-whose descent-value set is exactly S with every route the library offers
-and shows they agree.
+whose descent-value set is exactly S by brute force, by the closed
+formula, by the minimum-element recursion and by walking the weighted
+generating tree, and shows they agree.  The paper also states the
+formula run by run; that statement builds the same exponents as the
+gaps, so its line is the formula's count under another name.
 """
 
 from cdescent import (
@@ -15,7 +18,7 @@ from cdescent import (
     cdes_recursive,
     circular_descent_set,
     gap_vector,
-    tree_weight_sum,
+    tree_weight_traversal,
 )
 
 # The descent values of a single permutation: 8, 6, 3 and 5 each precede
@@ -28,11 +31,11 @@ print()
 # Count all permutations of [5] with descent-value set {3, 5}.
 n, s = 5, (3, 5)
 print(f"How many permutations of [{n}] have descent-value set {s}?")
-print(f"  brute-force scan of {n}! permutations : {brute_cdes_count(n, s)}")
+print(f"  brute-force enumeration              : {brute_cdes_count(n, s)}")
 print(f"  alternating-sum formula              : {cdes_formula(n, s)}")
-print(f"  run-grouped formula                  : {cdes_formula_typed(n, s)}")
+print(f"  run-grouped formula (same exponents) : {cdes_formula_typed(n, s)}")
 print(f"  minimum-element recursion            : {cdes_recursive(n, s)}")
-print(f"  generating-tree weight               : {tree_weight_sum(gap_vector(s))}")
+print(f"  generating-tree walk                 : {tree_weight_traversal(gap_vector(s))}")
 print()
 
 # The whole table for n = 4.  Sets containing 1 never occur; everything

@@ -6,7 +6,9 @@ above it and a 1 to its left.  Walking the diagram's southeast border
 turns the shape into a descent-value set, so the closed counting formula
 applies; a brute-force search over fillings confirms it, and a
 column-by-column transfer count, exponential in rows only, reaches
-shapes too wide for the formula.
+shapes too wide for the formula.  The paper also states the formula by
+the shape's type; that statement builds the same exponents as the
+border set's gaps, so the type sum is the formula under another name.
 """
 
 import itertools
@@ -33,7 +35,7 @@ for bits in itertools.product((0, 1), repeat=sum(shape)):
 n, s = shape_to_descent_set(shape)
 print(f"Border path of {shape}: length {n}, horizontal steps at {s}")
 print(f"  fillings by formula     : {count_tableaux_formula(shape)}")
-print(f"  fillings by type sum    : {count_tableaux_type_sum(shape)}")
+print(f"  fillings by type sum    : {count_tableaux_type_sum(shape)} (the formula, by type)")
 print(f"  fillings by transfer    : {count_tableaux_transfer(shape)}")
 print(f"  fillings by brute force : {brute_count_tableaux(shape)}")
 print()

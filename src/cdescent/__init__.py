@@ -4,9 +4,12 @@ The circular descent set of a permutation collects the values that sit
 immediately before a smaller neighbour.  This package counts permutations
 with a prescribed descent-value set through four independent routes
 (brute-force scan, alternating-sum formula, minimum-element recursion,
-weighted generating tree), assembles the counts into sparse generating
-polynomials, and applies them to 0/1 fillings of Young diagrams and to
-generalized Genocchi numbers.  All arithmetic is exact.
+walk of the weighted generating tree), assembles the counts into sparse
+generating polynomials, and applies them to 0/1 fillings of Young
+diagrams and to generalized Genocchi numbers.  The formula's statements
+by runs and by a diagram's type build its gap vector, so
+``cdes_formula_typed`` and ``count_tableaux_type_sum`` return
+``cdes_formula``.  All arithmetic is exact.
 
 ``import cdescent`` loads no submodule: each public name is imported from
 the module that defines it on first access, so a caller pays only for

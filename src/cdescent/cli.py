@@ -112,22 +112,14 @@ def _emit(args, query: dict, result, rows: list[dict] | None = None, text: str |
 
 
 def _count_one(method: str, n: int, s: tuple[int, ...]) -> int:
-    if method == "formula":
+    if method in ("formula", "typed", "tree"):  # one closed form, three statements
         from .formula import cdes_formula
 
         return cdes_formula(n, s)
-    if method == "typed":
-        from .formula import cdes_formula_typed
-
-        return cdes_formula_typed(n, s)
     if method == "recursion":
         from .recursion import cdes_recursive
 
         return cdes_recursive(n, s)
-    if method == "tree":
-        from .tree import tree_count
-
-        return tree_count(n, s)
     from .perms import brute_cdes_count
 
     return brute_cdes_count(n, s)
@@ -270,7 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", parents=[fmt, threads], help="count permutations with a given descent-value set")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--set", default="", help="comma-separated ascending values, empty for the empty set")
-    p.add_argument("--method", choices=COUNT_METHODS, default="formula")
+    p.add_argument(
+        "--method", choices=COUNT_METHODS, default="formula",
+        help="typed and tree print the closed form (formula) under the paper's"
+        " other statements; recursion and brute are independent routes",
+    )
     p.add_argument("--all-methods", action="store_true", help="run every applicable method; exit 2 on disagreement")
     p.set_defaults(func=cmd_count)
 

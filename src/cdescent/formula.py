@@ -9,20 +9,23 @@ factor base by its prefix sum,
 
 with d the gap vector of S read from the largest element down.
 :func:`cube_sum` is the package's only evaluator of this sum, in exact
-integer arithmetic.  The closed-form routes share it and differ only in
-how they build the exponent vector: :func:`cdes_formula` from the gaps,
-:func:`cdes_formula_typed` run by run (inside a run of consecutive
-elements every gap is 1, so only the position closing a run carries
-more), ``tree.tree_weight_sum`` from a weight sequence, and
-``tableaux.count_tableaux_type_sum`` from a shape's type.  Comparing two
-of these routes tests their builders, not the sum; the brute-force scan,
-the recursions and the materialized tree stay independent of it.
+integer arithmetic, and :func:`gap_vector` builds its exponents from a
+set: :func:`cdes_formula` is the one closed form.  The paper states the
+formula two more ways, run by run (:func:`set_type`: inside a run of
+consecutive elements every gap is 1) and by a Young diagram's type
+(``tableaux.partition_type``), and the exponents each statement builds
+are the gap vector again.  So :func:`cdes_formula_typed` and
+``tableaux.count_tableaux_type_sum`` return the closed form under those
+names, ``verify``'s ``typed-vs-formula`` checks the run-by-run builder
+against :func:`gap_vector`, and ``tree.tree_weight_sum`` is
+:func:`cube_sum` on any weight sequence.  The brute-force scan, the
+recursions and the materialized tree share no code with the sum.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 
 from .perms import SUM_CAP, as_descent_set, as_value_set, check_cap
 
@@ -132,41 +135,21 @@ def cdes_formula(n: int, s: Iterable[int]) -> int:
     >>> cdes_formula(6, {6})
     31
     """
-    return _closed_form(n, s, gap_vector)
-
-
-def cdes_formula_typed(n: int, s: Iterable[int]) -> int:
-    """Same count as :func:`cdes_formula`, with the exponents built from
-    the run decomposition of S (:func:`set_type`) instead of the gaps:
-    exponent 1 inside each run of consecutive elements, and at the
-    position closing a run the distance down to the next run.
-
-    >>> cdes_formula_typed(4, {2, 4})
-    3
-    >>> cdes_formula_typed(5, {4, 5})
-    31
-    """
-    return _closed_form(n, s, _typed_exponents)
-
-
-def _typed_exponents(s: tuple[int, ...]) -> tuple[int, ...]:
-    # Inside a run every gap is 1; the position closing a run also
-    # reaches down to the next run max (or the sentinel 1).
-    runs = set_type(s)
-    exponents: list[int] = []
-    for t, (run_max, run_len) in enumerate(runs):
-        next_max = runs[t + 1][0] if t + 1 < len(runs) else 1
-        exponents += [1] * (run_len - 1) + [run_max - run_len + 1 - next_max]
-    return tuple(exponents)
-
-
-def _closed_form(
-    n: int, s: Iterable[int], exponents: Callable[[tuple[int, ...]], tuple[int, ...]]
-) -> int:
-    # The opening step of every closed-form route: n and S pass the check
-    # of every count route, a set containing 1 counts zero, and any other
-    # set is cube_sum of the exponents built from its ascending tuple.
     s = as_value_set(s, n=n)
     if s and s[0] == 1:
         return 0
-    return cube_sum(exponents(s))
+    return cube_sum(gap_vector(s))
+
+
+def cdes_formula_typed(n: int, s: Iterable[int]) -> int:
+    """:func:`cdes_formula` under the name of the paper's run-grouped
+    statement.  Building the exponents run by run from :func:`set_type`
+    (exponent 1 inside a run of consecutive elements, and at the position
+    closing a run the distance down to the next run) gives exactly the gap
+    vector, so the count is the one closed form; ``verify``'s
+    ``typed-vs-formula`` checks that identity of exponent vectors.
+
+    >>> cdes_formula_typed(5, {4, 5})
+    31
+    """
+    return cdes_formula(n, s)

@@ -36,7 +36,8 @@ n.
 This module also holds the package's argument contract: every input cap,
 each refused by :func:`check_cap` in one message format before any work,
 the integer rule with its bounds, :func:`check_int` for one value and
-:func:`check_ints` for a sequence, and the rule that descent-value sets
+:func:`check_ints` for a sequence (a refused value past ~30 digits is
+named by its size, :func:`_show`), and the rule that descent-value sets
 lie in [2, n], :func:`as_descent_set`.  :func:`as_value_mask` checks a
 set straight into its bitmask (element v at bit v, which :func:`_members`
 decodes): plain valid input is taken at once, and any other input goes
@@ -103,7 +104,7 @@ def as_value_set(elements: Iterable[int], *, n: int | None = None) -> tuple[int,
     if len(set(s)) != len(s):
         raise ValueError(f"value sets have distinct elements: {s!r}")
     if n is not None and s and s[-1] > n:
-        raise ValueError(f"element {s[-1]} outside [1, {n}]")
+        raise ValueError(f"element {_show(s[-1])} outside [1, {n}]")
     return s
 
 
@@ -153,9 +154,9 @@ def check_int(name: str, value: int, low: int | None = None, high: int | None = 
     if type(value) is not int and (not isinstance(value, int) or isinstance(value, bool)):
         raise ValueError(f"{name} must be an integer: {value!r}")
     if low is not None and value < low:
-        raise ValueError(f"{name} must be at least {low}: {value}")
+        raise ValueError(f"{name} must be at least {low}: {_show(value)}")
     if high is not None and value > high:
-        raise ValueError(f"{name} must be at most {high}: {value}")
+        raise ValueError(f"{name} must be at most {high}: {_show(value)}")
 
 
 def check_ints(name: str, values: Sequence[int], low: int | None = None, high: int | None = None) -> None:
@@ -169,7 +170,16 @@ def check_cap(what: str, value: int, kind: str, name: str, cap: int) -> None:
     """Refuse ``value`` above ``cap``, in the one message format of every
     cap.  ``name`` is the cap's constant in this module."""
     if value > cap:
-        raise ValueError(f"{what} = {value} exceeds the {kind} cap {name} = {cap}")
+        raise ValueError(f"{what} = {_show(value)} exceeds the {kind} cap {name} = {cap}")
+
+
+def _show(value: int) -> str:
+    # An int in a message: past 30 digits by its size, with no decimal
+    # conversion (Python refuses one of more than 4300 digits).
+    bits = value.bit_length()
+    if bits <= 100:  # every int of up to 30 digits
+        return f"{value}"
+    return f"{'a negative' if value < 0 else 'an'} integer of {bits} bits"
 
 
 def iter_value_sets(n: int) -> Iterator[tuple[int, ...]]:

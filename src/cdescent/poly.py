@@ -16,8 +16,8 @@ import itertools
 import math
 from collections.abc import Iterable, Mapping
 
+from .formula import cdes_formula
 from .perms import TABLE_MAX_N, as_descent_set, check_cap, check_int, check_ints
-from .tree import tree_count
 
 Monomial = tuple[tuple[int, ...], int]
 
@@ -268,8 +268,8 @@ def tau(parts: Iterable[int]) -> tuple[int, ...]:
 
 def gnk(n: int, k: int) -> Poly:
     """The y-degree-k slice of :func:`gn` with the y-power dropped: one
-    term per size-k subset S of [2, n], whose coefficient is the tree
-    weight of S's gap vector (``tree.tree_count``).
+    term per size-k subset S of [2, n], whose coefficient is the closed
+    form ``formula.cdes_formula`` of S.
 
     >>> str(gnk(4, 2))
     'x1*x2 + 3*x1*x3 + 7*x2*x3'
@@ -279,7 +279,7 @@ def gnk(n: int, k: int) -> Poly:
     check_int("k", k, 0, n - 1)
     return Poly(
         {
-            (tuple(v - 1 for v in s), 0): tree_count(n, s)
+            (tuple(v - 1 for v in s), 0): cdes_formula(n, s)
             for s in itertools.combinations(range(2, n + 1), k)
         }
     )

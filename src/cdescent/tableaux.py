@@ -11,15 +11,17 @@ its bounding rectangle down to the bottom-left corner and numbering the
 steps 1..n (n = rows + columns), the horizontal steps form a set S of
 values in [2, n] with max S = n, and the number of valid fillings equals
 the number of permutations of [n] with descent-value set S.  The count is
-therefore available four ways: by the border-path descent set, by the
-alternating sum with exponents built from the shape's distinct row
-lengths, by a column-transfer count of fillings, and by brute
-enumeration of fillings.  The first two evaluate the same sum
-(``formula.cube_sum``) and differ only in the exponent builder.  The
-column transfer shares no code with them or with the search; it is
-exponential in rows only, so it reaches shapes too wide for the sum, and
-it is the independent check.  The search, exponential in boxes, stays
-the naive oracle.
+therefore available three ways: by the border-path descent set
+(``formula.cdes_formula``, the one closed form), by a column-transfer
+count of fillings, and by brute enumeration of fillings.  The paper also
+states the formula by the shape's type (:func:`partition_type`); the
+exponents it builds are the gap vector of the border set, so
+:func:`count_tableaux_type_sum` is the closed form under that name.  The
+column transfer shares no code with the closed form or with the search;
+it is exponential in rows only, so it reaches shapes too wide for the
+sum.  The search, exponential in boxes, stays the naive oracle.
+``verify``'s ``tableaux-three-routes`` compares the closed form with the
+transfer and with the brute permutation scan's count of the border set.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
 
-from .formula import cdes_formula, cube_sum
+from .formula import cdes_formula
 from .perms import BOX_CAP, COUNT_MAX_N, TRANSFER_CAP, check_cap, check_int, check_ints
 
 
@@ -99,22 +101,16 @@ def count_tableaux_formula(parts: Iterable[int]) -> int:
 
 
 def count_tableaux_type_sum(parts: Iterable[int]) -> int:
-    """Number of valid fillings, directly from the shape's type
-    (:func:`partition_type`): the alternating sum over {0,1}^width
-    (``formula.cube_sum``) with exponent 1 per column, raised at each
-    distinct row length.
+    """:func:`count_tableaux_formula` under the name of the paper's
+    statement by the shape's type (:func:`partition_type`): exponent 1 per
+    column, raised at column a_t by the number of rows of length exactly
+    a_t (one fewer at the widest).  Those exponents are the gap vector of
+    the border-path descent set, so the count is the one closed form.
 
-    Agrees with :func:`count_tableaux_formula` on every shape.
+    >>> count_tableaux_type_sum((3, 3, 1))
+    37
     """
-    a, b = partition_type(parts)
-    # Column a_t carries the extra exponent b_t - b_{t-1}: how many rows
-    # of length exactly a_t there are, with a sentinel 1 above the widest.
-    exponents = [1] * a[0]
-    prev_count = 1
-    for length, count in zip(a, b):
-        exponents[length - 1] += count - prev_count
-        prev_count = count
-    return cube_sum(tuple(exponents))
+    return count_tableaux_formula(parts)
 
 
 def _column_heights(p: tuple[int, ...]) -> list[int]:

@@ -8,12 +8,17 @@ a bijection onto {0,1}^k (``leaf_theta``).
 Given a weight sequence d, a non-root vertex at height j with label l
 weighs l**d[j-1]; an edge weighs +1 when the child label increments and
 -1 when it repeats.  The sum of signed path weights over all leaves can
-be computed two ways: by walking the materialized tree, or as a closed
-alternating sum over {0,1}^k with no tree at all.  The closed sum is
-``formula.cube_sum``, shared by every closed-form route, with d as the
-exponents; the walk shares no code with it.  When d is the gap vector
-of a descent-value set S, both equal the number of permutations with
-descent-value set S.
+be computed two ways: by walking the materialized tree
+(:func:`tree_weight_traversal`), or as a closed alternating sum over
+{0,1}^k with no tree at all (:func:`tree_weight_sum`).  The closed sum is
+``formula.cube_sum`` with d as the exponents, the one evaluator of the
+package; the walk shares no code with it.  When d is the gap vector of a
+descent-value set S, both equal the number of permutations with
+descent-value set S, so the count of S by the tree is
+``formula.cdes_formula``.  ``verify`` checks the walk against the
+formula table on the gap vector of every set of [2, n], n <= 8
+(``tree-sum-vs-formula``), and against the closed sum on seeded weight
+sequences (``tree-traversal-vs-closed-sum``).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import itertools
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 
-from .formula import _closed_form, check_sum_work, cube_sum, gap_vector
+from .formula import check_sum_work, cube_sum
 from .perms import BUILD_CAP, COUNT_MAX_N, check_cap, check_int, check_ints
 
 
@@ -119,21 +124,6 @@ def tree_weight_sum(d: Sequence[int]) -> int:
     15
     """
     return cube_sum(_check_weights(d))
-
-
-def tree_count(n: int, s: Iterable[int]) -> int:
-    """Count permutations of [n] with descent-value set S as the tree
-    weight of S's gap vector, by the closed sum of :func:`tree_weight_sum`
-    (``formula.cube_sum``), the steps of ``formula.cdes_formula``.  Sets
-    containing 1 count zero; n and S pass the same check as on every other
-    count route (``perms.as_value_set``).
-
-    >>> tree_count(6, {6})
-    31
-    >>> tree_count(4, {1, 3})
-    0
-    """
-    return _closed_form(n, s, gap_vector)
 
 
 def leaf_theta(path: Sequence[int]) -> tuple[int, ...]:

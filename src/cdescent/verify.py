@@ -13,30 +13,33 @@ descent and NWEXB tables, both from one n! scan per n
 ``brute_nwexb_table``); ``nwexb-vs-cdes`` compares the two.  No route is
 compared with a table built by its own code.
 
-The closed-form routes share one evaluator, ``formula.cube_sum``, so
-``typed-vs-formula``, ``tree-sum-vs-formula`` and the type-sum leg of
-``tableaux-three-routes`` test only their exponent builders.  The tree
-route on a set (``tree.tree_count``, also ``count --method tree``) runs
-the same gap vector and ``cube_sum`` as ``cdes_formula``, so the tree's
-independent check is ``tree-traversal-vs-closed-sum``.  The brute-force
-scans, the recursion, the insertion tables, ``gn``, the tree traversal
-and the column-transfer tableaux count stay independent of the
-evaluator.  The insertion table works on packed fields indexed by
-bitmask and shares no code with the brute scan, the formula or ``gn``.
-``gn`` runs the same recurrence as separate code: it scatters each term
-of a list of coefficients indexed by bitmask into the entries it feeds,
-while the insertion table gathers every new field in whole-int passes
-over its packed int.
-``poly-slice-reassembly`` also checks each slice ``gnk(n, k)`` at x = 1
-against the Eulerian number A(n, k), from its recurrence, which no route
-computes.  ``genocchi-cross-check`` compares the Genocchi value triangle
-with the expanded Gandhi polynomials and with the brute permutation
-count; the three share no code.
+The package has one closed form, ``cdes_formula``, which
+``cdes_formula_typed`` and ``count_tableaux_type_sum`` return under the
+paper's other statements; no check compares it with itself.
+``typed-vs-formula`` compares the run-grouped exponents of every S
+(``_typed_exponents``) with ``gap_vector``, evaluating no sum;
+``tree-sum-vs-formula`` compares the walk of the materialized tree on
+each gap vector with the formula table; ``tree-traversal-vs-closed-sum``
+compares the walk with ``tree_weight_sum`` on seeded weight sequences;
+``tableaux-three-routes`` compares a shape's closed form with the column
+transfer and with the brute table's entry for its border set.  The
+brute-force scans, the recursion, the insertion tables, ``gn``, the tree
+traversal and the column transfer stay independent of ``cube_sum``.  The
+insertion table works on packed fields indexed by bitmask and shares no
+code with the brute scan, the formula or ``gn``.  ``gn`` runs the same
+recurrence as separate code: it scatters each term of a list of
+coefficients indexed by bitmask into the entries it feeds, while the
+insertion table gathers every new field in whole-int passes over its
+packed int.  ``poly-slice-reassembly`` also checks each slice
+``gnk(n, k)`` at x = 1 against the Eulerian number A(n, k), from its
+recurrence, which no route computes.  ``genocchi-cross-check`` compares
+the Genocchi value triangle with the expanded Gandhi polynomials and
+with the brute permutation count; the three share no code.
 
-Brute-force sweeps are limited to n <= 8 regardless of ``max_n``; the
-closed-form routes run the full range.  The suite runs in one process:
-``workers`` (``verify --threads``) is validated and has no effect, kept
-only for callers that pass it.
+Brute-force sweeps and the tree walks are limited to n <= 8 regardless
+of ``max_n``; the other routes run the full range.  The suite runs in
+one process: ``workers`` (``verify --threads``) is validated and has no
+effect, kept only for callers that pass it.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import random
 from collections import namedtuple
 
 from . import perms  # as a module, so that every check_* name here is a check
-from .formula import cdes_formula, cdes_formula_typed, gap_vector
+from .formula import cdes_formula, gap_vector, set_type
 from .genocchi import brute_genocchi_perm_count, evaluate, gandhi_poly, genocchi_number
 from .perms import brute_cdes_nwexb_tables, iter_value_sets
 from .poly import Poly, descent_set_coefficient, gn, gnk, tau
@@ -55,15 +58,14 @@ from .recursion import cdes_insertion_table, cdes_recursive
 from .tableaux import (
     count_tableaux_formula,
     count_tableaux_transfer,
-    count_tableaux_type_sum,
     iter_shapes,
+    shape_to_descent_set,
 )
 from .tree import (
     build_tree,
     iter_leaf_paths,
     leaf_theta,
     leaf_theta_inverse,
-    tree_count,
     tree_weight_sum,
     tree_weight_traversal,
 )
@@ -137,9 +139,21 @@ def check_brute_vs_formula(formula: Table, brute: Table) -> CheckResult:
     return _result("brute-vs-formula", bad, f"all sets, n <= {max(brute)}")
 
 
-def check_typed_vs_formula(formula: Table) -> CheckResult:
-    bad = _mismatches(cdes_formula_typed, formula)
-    return _result("typed-vs-formula", bad, f"all sets, n <= {max(formula)}")
+def _typed_exponents(s: tuple[int, ...]) -> tuple[int, ...]:
+    # The run-grouped statement's exponents, from the runs of S: 1 inside
+    # a run, and at the position closing a run the distance down to the
+    # next run max (or the sentinel 1).
+    runs = set_type(s)
+    exponents: list[int] = []
+    for t, (run_max, run_len) in enumerate(runs):
+        next_max = runs[t + 1][0] if t + 1 < len(runs) else 1
+        exponents += [1] * (run_len - 1) + [run_max - run_len + 1 - next_max]
+    return tuple(exponents)
+
+
+def check_typed_vs_formula(max_n: int) -> CheckResult:
+    bad = [s for s in iter_value_sets(max_n) if _typed_exponents(s) != gap_vector(s)]
+    return _result("typed-vs-formula", bad, f"all sets, n <= {max_n}")
 
 
 def check_recursion_vs_formula(formula: Table) -> CheckResult:
@@ -149,27 +163,26 @@ def check_recursion_vs_formula(formula: Table) -> CheckResult:
 
 
 def check_tree_vs_formula(formula: Table) -> CheckResult:
-    bad = _mismatches(tree_count, formula)
-    return _result("tree-sum-vs-formula", bad, f"all sets, n <= {max(formula)}")
-
-
-def check_traversal_vs_sum(max_n: int, seed: int) -> CheckResult:
-    bad = []
-    top = min(max_n, 8)
     # Each nonempty S of [2, top] once (the empty set comes first); the
     # sets of every smaller n are among them.
-    for s in itertools.islice(iter_value_sets(top), 1, None):
-        d = gap_vector(s)
-        if tree_weight_traversal(d) != tree_weight_sum(d):
-            bad.append(d)
+    top = min(max(formula), 8)
+    row = formula[top]
+    bad = [
+        s
+        for s in itertools.islice(iter_value_sets(top), 1, None)
+        if tree_weight_traversal(gap_vector(s)) != row[s]
+    ]
+    return _result("tree-sum-vs-formula", bad, f"tree traversal, all sets, n <= {top}")
+
+
+def check_traversal_vs_sum(seed: int) -> CheckResult:
     rng = random.Random(seed)
+    bad = []
     for _ in range(25):
         d = tuple(rng.randint(0, 4) for _ in range(rng.randint(1, 10)))
         if tree_weight_traversal(d) != tree_weight_sum(d):
             bad.append(d)
-    return _result(
-        "tree-traversal-vs-closed-sum", bad, f"gap vectors n <= {top} + samples"
-    )
+    return _result("tree-traversal-vs-closed-sum", bad, "25 seeded weight sequences")
 
 
 def check_insertion_vs_formula(formula: Table) -> CheckResult:
@@ -267,17 +280,18 @@ def _compositions(total: int, parts: int):
         yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
-def check_tableaux(max_n: int) -> CheckResult:
+def check_tableaux(brute: Table) -> CheckResult:
     bad = []
-    top = min(max_n, BRUTE_MAX_N)
+    top = max(brute)
     for shape in iter_shapes(16, 5):
         if len(shape) + shape[0] > top:
             continue
         want = count_tableaux_formula(shape)
         if count_tableaux_transfer(shape) != want:
             bad.append((shape, "transfer"))
-        if count_tableaux_type_sum(shape) != want:
-            bad.append((shape, "type-sum"))
+        n, s = shape_to_descent_set(shape)
+        if brute[n].get(s, 0) != want:
+            bad.append((shape, "brute"))
     return _result("tableaux-three-routes", bad, f"shapes of length <= {top}")
 
 
@@ -362,10 +376,10 @@ def run_all(
         brute[n], nwexb[n] = brute_cdes_nwexb_tables(n)
     return [
         check_brute_vs_formula(formula, brute),
-        check_typed_vs_formula(formula),
+        check_typed_vs_formula(max_n),
         check_recursion_vs_formula(formula),
         check_tree_vs_formula(formula),
-        check_traversal_vs_sum(max_n, seed),
+        check_traversal_vs_sum(seed),
         check_insertion_vs_formula(formula),
         check_table_mass(formula),
         check_nwexb_vs_cdes(brute, nwexb),
@@ -373,7 +387,7 @@ def run_all(
         check_poly_vs_formula(formula),
         check_poly_slices(max_n),
         check_gap_tau_reversal(min(max_n + 1, 10)),
-        check_tableaux(max_n),
+        check_tableaux(brute),
         check_tableaux_mass(max_n),
         check_theta_bijection(max_n),
         check_singleton_law(),

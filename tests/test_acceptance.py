@@ -26,8 +26,8 @@ from cdescent import (
     leaf_theta,
     leaf_theta_inverse,
     tau,
+    tree_weight_traversal,
 )
-from cdescent.tree import tree_count
 from cdescent.verify import REFERENCE_COUNTS
 
 
@@ -75,7 +75,7 @@ def test_criterion_2_four_way_agreement():
             assert cdes_formula(n, s) == expected, (n, s, "formula")
             assert cdes_formula_typed(n, s) == expected, (n, s, "typed")
             assert cdes_recursive(n, s, cache) == expected, (n, s, "recursion")
-            assert tree_count(n, s) == expected, (n, s, "tree")
+            assert tree_weight_traversal(gap_vector(s)) == expected, (n, s, "tree")
 
 
 @criterion(3, "insertion recursion equals formula n<=12", budget_seconds=10.0)

@@ -143,6 +143,8 @@ def test_rejected_queries_print_one_error_line(capsys, argv):
         (("genocchi", "--k", "0", "--n", "3"), "k must be at least 1: 0"),
         (("verify", "--max-n", "1"), "max_n must be at least 2: 1"),
         (("count", "--n", "5", "--set", "3", "--threads", "0"), "--threads must be at least 1: 0"),
+        # A 61-digit n is named by its size, not echoed in full.
+        (("count", "--n", str(10**60), "--set", "2"), "n = an integer of 200 bits exceeds the count cap COUNT_MAX_N = 100000"),
     ],
 )
 def test_library_refusals_reach_the_cli(capsys, argv, message):
@@ -405,8 +407,8 @@ VERIFY_TEXT = """\
 PASS brute-vs-formula (all sets, n <= {n})
 PASS typed-vs-formula (all sets, n <= {n})
 PASS recursion-vs-formula (all sets, n <= {n})
-PASS tree-sum-vs-formula (all sets, n <= {n})
-PASS tree-traversal-vs-closed-sum (gap vectors n <= {n} + samples)
+PASS tree-sum-vs-formula (tree traversal, all sets, n <= {n})
+PASS tree-traversal-vs-closed-sum (25 seeded weight sequences)
 PASS insertion-vs-formula (entrywise at n = {n})
 PASS formula-mass-equals-factorial (n <= {n})
 PASS nwexb-vs-cdes (full tables, n <= {n})

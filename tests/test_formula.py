@@ -19,7 +19,6 @@ from cdescent import (
 from cdescent import formula
 from cdescent.formula import cube_sum
 from cdescent.perms import SUM_CAP
-from cdescent.tree import tree_count
 
 value_sets = st.sets(st.integers(2, 14), max_size=7).map(lambda s: tuple(sorted(s)))
 
@@ -120,7 +119,7 @@ def test_rejects_n_below_max():
 
 @pytest.mark.parametrize(
     "route",
-    [cdes_formula, cdes_formula_typed, cdes_recursive, tree_count, brute_cdes_count],
+    [cdes_formula, cdes_formula_typed, cdes_recursive, brute_cdes_count],
     ids=lambda route: route.__name__,
 )
 @pytest.mark.parametrize(
@@ -135,6 +134,27 @@ def test_rejects_n_below_max():
 def test_every_count_route_checks_n_and_set_alike(route, n, s, message):
     with pytest.raises(ValueError, match=message):
         route(n, s)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: cdes_formula(10**5000, ()), "n = an integer of 16610 bits exceeds the count cap COUNT_MAX_N = 100000"),
+        (lambda: cdes_formula(-(10**5000), ()), "n must be at least 1: a negative integer of 16610 bits"),
+        (lambda: gn(10**5000), "n = an integer of 16610 bits exceeds the table cap TABLE_MAX_N = 20"),
+        (lambda: cdes_formula(5, (10**5000,)), "element an integer of 16610 bits outside [1, 5]"),
+        # Up to 30 digits a value prints in full, as it always has.
+        (lambda: cdes_formula(10**30 - 1, ()), f"n = {10**30 - 1} exceeds the count cap COUNT_MAX_N = 100000"),
+        (lambda: cdes_formula(5, (2**100,)), "element an integer of 101 bits outside [1, 5]"),
+    ],
+    ids=["n", "negative n", "gn", "element", "30 digits", "101 bits"],
+)
+def test_huge_integers_are_refused_by_their_size(call, message):
+    # Past Python's 4300-digit conversion limit the refusal is still the
+    # package's own one-line message.
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message
 
 
 def test_summation_cap_guards_the_closed_forms():

@@ -10,6 +10,7 @@ from cdescent import (
     count_tableaux_transfer,
     count_tableaux_type_sum,
     format_filling,
+    gap_vector,
     is_valid_tableau,
     iter_shapes,
     partition_type,
@@ -133,6 +134,34 @@ def test_box_cap():
     # column patterns to search.
     at_cap = (BOX_CAP // 2,) * 2
     assert brute_count_tableaux(at_cap) == count_tableaux_formula(at_cap)
+
+
+def type_exponents(shape):
+    """The exponents of the paper's statement by the shape's type: 1 per
+    column, raised at column a_t by b_t - b_{t-1}, with b_0 = 1."""
+    a, b = partition_type(shape)
+    exponents = [1] * a[0]
+    prev_count = 1
+    for length, count in zip(a, b):
+        exponents[length - 1] += count - prev_count
+        prev_count = count
+    return tuple(exponents)
+
+
+@st.composite
+def shapes_within(draw, max_boxes=40, max_rows=10):
+    # Row lengths from the top, each at most the row above and the boxes left.
+    parts = [draw(st.integers(1, max_boxes))]
+    while len(parts) < max_rows and sum(parts) < max_boxes and draw(st.booleans()):
+        parts.append(draw(st.integers(1, min(parts[-1], max_boxes - sum(parts)))))
+    return tuple(parts)
+
+
+@given(shapes_within())
+def test_type_exponents_are_the_border_gap_vector(shape):
+    # Why count_tableaux_type_sum is count_tableaux_formula: the type
+    # statement builds the gap vector of the border-path descent set.
+    assert type_exponents(shape) == gap_vector(shape_to_descent_set(shape)[1])
 
 
 def test_three_routes_agree():

@@ -2,10 +2,13 @@ import math
 import os
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import cdescent.cli as cli
 import cdescent.perms as perms
 import cdescent.verify as verify
+from cdescent.formula import gap_vector
 
 S = (3, 5)
 
@@ -24,6 +27,27 @@ def _bump_table(build):
         return table
 
     return bumped
+
+
+def _bump_exponents(build):
+    """``build`` off by one on S: an exponent builder raising its last
+    exponent there."""
+
+    def bumped(s):
+        d = build(s)
+        return (*d[:-1], d[-1] + 1) if tuple(s) == S else d
+
+    return bumped
+
+
+def _bump_walk(walk):
+    """``walk`` off by one on the gap vector of S, (2, 2)."""
+    return lambda d: walk(d) + (tuple(d) == gap_vector(S))
+
+
+def _off_by_one(route):
+    """``route`` off by one everywhere."""
+    return lambda *args: route(*args) + 1
 
 
 def _bump_shape(route):
@@ -56,18 +80,23 @@ SCAN = "brute_cdes_nwexb_tables"
 
 FAULTS = [
     _fault("count_tableaux_transfer", _bump_shape, {"tableaux-three-routes"}),
-    _fault("cdes_formula_typed", _bump_count, {"typed-vs-formula"}),
+    _fault("_typed_exponents", _bump_exponents, {"typed-vs-formula"}),
     _fault("cdes_recursive", _bump_count, {"recursion-vs-formula"}),
-    _fault("tree_count", _bump_count, {"tree-sum-vs-formula"}),
+    _fault("tree_weight_traversal", _bump_walk, {"tree-sum-vs-formula"}),
+    _fault("tree_weight_sum", _off_by_one, {"tree-traversal-vs-closed-sum"}),
     _fault("cdes_insertion_table", _bump_table, {"insertion-vs-formula"}),
     _fault(SCAN, _bump_one_table(1), {"nwexb-vs-cdes"}, table="brute_nwexb_table"),
-    _fault(SCAN, _bump_one_table(0), {"brute-vs-formula", "nwexb-vs-cdes"}, table="brute_cdes_table"),
+    _fault(
+        SCAN,
+        _bump_one_table(0),
+        {"brute-vs-formula", "nwexb-vs-cdes", "tableaux-three-routes"},
+        table="brute_cdes_table",
+    ),
     _fault(
         "cdes_formula",
         _bump_count,
         {
             "brute-vs-formula",
-            "typed-vs-formula",
             "recursion-vs-formula",
             "tree-sum-vs-formula",
             "insertion-vs-formula",
@@ -158,6 +187,13 @@ def test_traversal_walks_each_gap_vector_once(monkeypatch):
     monkeypatch.setattr(verify, "tree_weight_traversal", counted)
     assert all(r.passed for r in verify.run_all(8))
     assert len(calls) == 127 + 25
+
+
+@given(st.sets(st.integers(2, 200)).map(lambda s: tuple(sorted(s))))
+def test_run_type_exponents_are_the_gap_vector(s):
+    # The identity behind typed-vs-formula, past verify's sizes: the
+    # run-grouped statement of the formula is the gap-vector statement.
+    assert verify._typed_exponents(s) == gap_vector(s)
 
 
 def test_check_result_value_semantics():
