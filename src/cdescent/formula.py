@@ -80,16 +80,10 @@ def set_type(s: Iterable[int]) -> tuple[tuple[int, int], ...]:
 
 def check_sum_work(exponents: tuple[int, ...]) -> None:
     """Refuse ``exponents`` whose sum over {0,1}^k, 2^k terms, is work
-    2^k * (exponent total + 16) above ``perms.SUM_CAP``.
-
-    The work is at least 16 * 2^k, so a length k with 16 * 2^k above the
-    cap is refused on its length: the work check would refuse it too, but
-    its message would print a work of about 0.3 * k digits.
-    """
-    k = len(exponents)
-    max_length = (SUM_CAP // 16).bit_length() - 1  # the largest k with 16 * 2^k <= cap
-    check_cap("length", k, "summation", "log2(SUM_CAP / 16)", max_length)
-    check_cap("work", (sum(exponents) + 16) << k, "summation", "SUM_CAP", SUM_CAP)
+    2^k * (exponent total + 16) above ``perms.SUM_CAP``.  The shift is
+    cheap at any length, and a work past 30 digits is named by its size,
+    so a long input is refused in one short line."""
+    check_cap("work", (sum(exponents) + 16) << len(exponents), "summation", "SUM_CAP", SUM_CAP)
 
 
 def cube_sum(exponents: tuple[int, ...]) -> int:

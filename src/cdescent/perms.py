@@ -36,8 +36,9 @@ n.
 This module also holds the package's argument contract: every input cap,
 each refused by :func:`check_cap` in one message format before any work,
 the integer rule with its bounds, :func:`check_int` for one value and
-:func:`check_ints` for a sequence (a refused value past ~30 digits is
-named by its size, :func:`_show`), and the rule that descent-value sets
+:func:`check_ints` for a sequence, :func:`check_distinct` for a sorted
+one (every message names at most one value, and a value past ~30 digits
+by its size, :func:`_show`), and the rule that descent-value sets
 lie in [2, n], :func:`as_descent_set`.  :func:`as_value_mask` checks a
 set straight into its bitmask (element v at bit v, which :func:`_members`
 decodes): plain valid input is taken at once, and any other input goes
@@ -84,8 +85,9 @@ def check_permutation(perm: Sequence[int]) -> tuple[int, ...]:
     """Validate one-line notation: every value of 1..n appears exactly once."""
     p = tuple(perm)
     check_ints("permutation entry", p)
-    if sorted(p) != list(range(1, len(p) + 1)):
-        raise ValueError(f"not a permutation of [{len(p)}]: {p!r}")
+    missing = set(range(1, len(p) + 1)).difference(p)
+    if missing:
+        raise ValueError(f"not a permutation of [{len(p)}]: {min(missing)} is missing")
     return p
 
 
@@ -101,8 +103,7 @@ def as_value_set(elements: Iterable[int], *, n: int | None = None) -> tuple[int,
     check_ints("set element", s)
     if s:
         check_int("set element", s[0], 1)  # s is sorted: s[0] is its minimum
-    if len(set(s)) != len(s):
-        raise ValueError(f"value sets have distinct elements: {s!r}")
+    check_distinct("value sets have distinct elements", s)
     if n is not None and s and s[-1] > n:
         raise ValueError(f"element {_show(s[-1])} outside [1, {n}]")
     return s
@@ -142,7 +143,7 @@ def as_descent_set(elements: Iterable[int]) -> tuple[int, ...]:
     """
     s = as_value_set(elements)
     if s and s[0] == 1:
-        raise ValueError(f"1 is never a descent value: {s!r}")
+        raise ValueError("1 is never a descent value")
     return s
 
 
@@ -164,6 +165,13 @@ def check_ints(name: str, values: Sequence[int], low: int | None = None, high: i
     in one walk: the first element it refuses is named in the error."""
     for value in values:
         check_int(name, value, low, high)
+
+
+def check_distinct(what: str, values: Sequence[int]) -> None:
+    """Refuse sorted ``values`` with a repeat, naming the least one."""
+    if len(set(values)) != len(values):
+        repeated = next(a for a, b in itertools.pairwise(values) if a == b)
+        raise ValueError(f"{what}: {_show(repeated)} is repeated")
 
 
 def check_cap(what: str, value: int, kind: str, name: str, cap: int) -> None:
@@ -296,7 +304,8 @@ def _brute_tables(rule: Rule, n: int, fields: int = 1) -> tuple[dict[tuple[int, 
 def brute_cdes_table(n: int, *, workers: int = 1) -> dict[tuple[int, ...], int]:
     """Count permutations of [n] by descent-value set, one full scan.
 
-    Unattained sets are absent from the result; the values sum to n!.
+    Every subset of [2, n] is attained, keyed in the ascending bitmask
+    order of ``cdes_insertion_table(n)``; the values sum to n!.
     ``workers`` is validated and has no effect: the scan runs in process.
 
     >>> brute_cdes_table(3)

@@ -17,7 +17,7 @@ import math
 from collections.abc import Iterable, Mapping
 
 from .formula import cdes_formula
-from .perms import TABLE_MAX_N, as_descent_set, check_cap, check_int, check_ints
+from .perms import TABLE_MAX_N, as_descent_set, check_cap, check_distinct, check_int, check_ints
 
 Monomial = tuple[tuple[int, ...], int]
 
@@ -26,8 +26,7 @@ def _check_monomial(key: Monomial) -> Monomial:
     xvars, ydeg = key
     xv = tuple(sorted(xvars))
     check_ints("x-variable index", xv, 1)
-    if len(set(xv)) != len(xv):
-        raise ValueError(f"monomials are squarefree in x: {xvars!r}")
+    check_distinct("monomials are squarefree in x", xv)
     check_int("y-degree", ydeg, 0)
     return xv, ydeg
 

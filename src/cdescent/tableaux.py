@@ -26,7 +26,6 @@ transfer and with the brute permutation scan's count of the border set.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable, Iterator, Sequence
 
 from .formula import cdes_formula
@@ -39,8 +38,9 @@ def check_shape(parts: Iterable[int]) -> tuple[int, ...]:
     if not p:
         raise ValueError("a shape needs at least one row")
     check_ints("row length", p, 1)
-    if any(a < b for a, b in itertools.pairwise(p)):
-        raise ValueError(f"row lengths must be weakly decreasing: {p!r}")
+    above = next((i for i in range(1, len(p)) if p[i - 1] < p[i]), 0)
+    if above:
+        raise ValueError(f"row lengths must be weakly decreasing: row {above + 1} is longer than row {above}")
     check_cap("rows + width", len(p) + p[0], "count", "COUNT_MAX_N", COUNT_MAX_N)
     return p
 
@@ -127,8 +127,8 @@ def count_tableaux_transfer(parts: Iterable[int]) -> int:
     when no row below the topmost 1 of P holds a 0 and a 1 to its left;
     the state then becomes its union with P, cut to the rows of the next
     column.  The work is 4^h (patterns by states) per column, refused
-    above ``TRANSFER_CAP`` in all, and so above log4(``TRANSFER_CAP``)
-    rows, before any is done.
+    above ``TRANSFER_CAP`` in all before any is done: the first column's
+    4^rows first, before the heights of a tall shape are scanned.
 
     >>> count_tableaux_transfer((2, 1))
     3
@@ -136,10 +136,7 @@ def count_tableaux_transfer(parts: Iterable[int]) -> int:
     7
     """
     p = check_shape(parts)
-    # The first column alone takes 4^rows steps: refuse a taller shape on
-    # its rows, before the step count becomes an integer of many digits.
-    max_rows = (TRANSFER_CAP.bit_length() - 1) // 2  # the largest r with 4^r <= cap
-    check_cap("rows", len(p), "column transfer", "log4(TRANSFER_CAP)", max_rows)
+    check_cap("first-column steps", 4 ** len(p), "column transfer", "TRANSFER_CAP", TRANSFER_CAP)
     heights = _column_heights(p)
     steps = sum(4**h for h in heights)
     check_cap("transfer steps", steps, "column transfer", "TRANSFER_CAP", TRANSFER_CAP)

@@ -87,9 +87,9 @@ def tree_weight_traversal(d: Sequence[int]) -> int:
     """Total signed path weight of the height-len(d) tree, by one
     depth-first walk of the materialized tree: each node's signed path
     product is its parent's times its own weight, one power per node, and
-    the leaves' products are summed.  Heights above ``perms.BUILD_CAP``
-    are refused, and so is the work that :func:`tree_weight_sum` refuses:
-    the walk has 2^len(d) leaves.
+    the leaves' products are summed.  The work that :func:`tree_weight_sum`
+    refuses is refused first (the walk has 2^len(d) leaves), then a height
+    above ``perms.BUILD_CAP`` (:func:`build_tree`), before any node is built.
 
     >>> tree_weight_traversal((2, 1))
     3
@@ -97,7 +97,6 @@ def tree_weight_traversal(d: Sequence[int]) -> int:
     0
     """
     weights = _check_weights(d)
-    check_cap("height", len(weights), "materialization", "BUILD_CAP", BUILD_CAP)
     check_sum_work(weights)
     total = 0
     stack = [(build_tree(len(weights)), 1)]  # (node, signed product from the root)

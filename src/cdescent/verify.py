@@ -36,10 +36,10 @@ recurrence, which no route computes.  ``genocchi-cross-check`` compares
 the Genocchi value triangle with the expanded Gandhi polynomials and
 with the brute permutation count; the three share no code.
 
-Brute-force sweeps and the tree walks are limited to n <= 8 regardless
-of ``max_n``; the other routes run the full range.  The suite runs in
-one process: ``workers`` (``verify --threads``) is validated and has no
-effect, kept only for callers that pass it.
+Brute-force sweeps, tree walks and tableaux shapes (rows + width) stop
+at ``BRUTE_MAX_N`` and ``singleton-law`` at ``SINGLETON_MAX_N``, whatever
+``max_n``.  The suite runs in one process: ``workers`` (``verify
+--threads``) is validated and has no effect, kept only for callers.
 """
 
 from __future__ import annotations
@@ -70,7 +70,8 @@ from .tree import (
     tree_weight_traversal,
 )
 
-BRUTE_MAX_N = 8
+BRUTE_MAX_N = 8  # n of the brute scans, tree walks and tableaux shapes, whatever max_n
+SINGLETON_MAX_N = 64  # n of the singleton law, in exact big integers
 DEFAULT_SEED = 987131
 
 # Reference coefficient tables for the generating polynomials of order
@@ -165,7 +166,7 @@ def check_recursion_vs_formula(formula: Table) -> CheckResult:
 def check_tree_vs_formula(formula: Table) -> CheckResult:
     # Each nonempty S of [2, top] once (the empty set comes first); the
     # sets of every smaller n are among them.
-    top = min(max(formula), 8)
+    top = min(max(formula), BRUTE_MAX_N)
     row = formula[top]
     bad = [
         s
@@ -280,12 +281,16 @@ def _compositions(total: int, parts: int):
         yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
+def _shapes(top: int):
+    # Every shape with rows + width <= top, which bounds the boxes by
+    # top^2 / 4 and the rows by top - 1.
+    return (p for p in iter_shapes(top * top // 4, top - 1) if len(p) + p[0] <= top)
+
+
 def check_tableaux(brute: Table) -> CheckResult:
     bad = []
     top = max(brute)
-    for shape in iter_shapes(16, 5):
-        if len(shape) + shape[0] > top:
-            continue
+    for shape in _shapes(top):
         want = count_tableaux_formula(shape)
         if count_tableaux_transfer(shape) != want:
             bad.append((shape, "transfer"))
@@ -299,12 +304,7 @@ def check_tableaux_mass(max_n: int) -> CheckResult:
     bad = []
     top = min(max_n, BRUTE_MAX_N)
     for n in range(2, top + 1):
-        # rows + width <= n bounds the boxes by n^2 / 4 and the rows by n - 1.
-        total = 1 + sum(
-            count_tableaux_formula(shape)
-            for shape in iter_shapes(n * n // 4, n - 1)
-            if len(shape) + shape[0] <= n
-        )
+        total = 1 + sum(count_tableaux_formula(shape) for shape in _shapes(n))
         if total != math.factorial(n):
             bad.append((n, total))
     return _result("tableaux-mass-equals-factorial", bad, f"n <= {top}")
@@ -312,8 +312,7 @@ def check_tableaux_mass(max_n: int) -> CheckResult:
 
 def check_theta_bijection(max_k: int) -> CheckResult:
     bad = []
-    top = min(max_k, 12)
-    for k in range(top + 1):
+    for k in range(max_k + 1):
         seen = set()
         for path in iter_leaf_paths(build_tree(k)):
             bits = leaf_theta(path)
@@ -322,16 +321,16 @@ def check_theta_bijection(max_k: int) -> CheckResult:
             seen.add(bits)
         if len(seen) != 2**k:
             bad.append(("leaf count", k))
-    return _result("theta-round-trip", bad, f"heights <= {top}")
+    return _result("theta-round-trip", bad, f"heights <= {max_k}")
 
 
-def check_singleton_law(max_n: int = 64) -> CheckResult:
+def check_singleton_law() -> CheckResult:
     bad = []
-    for n in range(2, max_n + 1):
+    for n in range(2, SINGLETON_MAX_N + 1):
         want = 2 ** (n - 1) - 1
         if cdes_formula(n, (n,)) != want or cdes_recursive(n, (n,)) != want:
             bad.append(n)
-    return _result("singleton-law", bad, f"exact big integers, n <= {max_n}")
+    return _result("singleton-law", bad, f"exact big integers, n <= {SINGLETON_MAX_N}")
 
 
 def check_genocchi() -> CheckResult:

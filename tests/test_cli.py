@@ -137,7 +137,8 @@ def test_rejected_queries_print_one_error_line(capsys, argv):
         (("count", "--n", "5", "--set=-2,3", "--method", "brute"), "set element must be at least 1: -2"),
         (("tree", "--gaps", "2,-1"), "weight exponent must be at least 0: -1"),
         (("tree", "--gaps", "-1", "--show"), "weight exponent must be at least 0: -1"),
-        (("tableaux", "--shape", "99999"), "length = 99999 exceeds the summation cap log2(SUM_CAP / 16) = 21"),
+        # 2^99999 * (99999 + 16): a work of 100016 bits, named by its size.
+        (("tableaux", "--shape", "99999"), "work = an integer of 100016 bits exceeds the summation cap SUM_CAP = 40000000"),
         (("table", "--n", "0"), "n must be at least 1: 0"),
         (("poly", "--n", "1"), "n must be at least 2: 1"),
         (("genocchi", "--k", "0", "--n", "3"), "k must be at least 1: 0"),
@@ -320,7 +321,7 @@ def test_tableaux_transfer_matches_formula(capsys, shape):
 
 def test_tableaux_transfer_reaches_past_the_summation_cap(capsys):
     assert run(capsys, "tableaux", "--shape", "40,30,20") == (
-        1, "", "error: length = 40 exceeds the summation cap log2(SUM_CAP / 16) = 21\n"
+        1, "", "error: work = 63771674411008 exceeds the summation cap SUM_CAP = 40000000\n"
     )
     rc, out, err = run(capsys, "tableaux", "--shape", "40,30,20", "--method", "transfer", "--format", "json")
     assert (rc, err) == (0, "")

@@ -42,7 +42,7 @@ def test_gap_vector(s, expected):
     ids=["gap_vector", "set_type", "descent_set_coefficient"],
 )
 def test_one_is_never_a_descent_value(call):
-    with pytest.raises(ValueError, match=r"^1 is never a descent value: \(1, 3\)$"):
+    with pytest.raises(ValueError, match=r"^1 is never a descent value$"):
         call({3, 1})
 
 
@@ -158,12 +158,13 @@ def test_huge_integers_are_refused_by_their_size(call, message):
 
 
 def test_summation_cap_guards_the_closed_forms():
-    message = r"^length = 32 exceeds the summation cap log2\(SUM_CAP / 16\) = 21$"
+    # 32 elements with max(S) = 33: 2^32 * (32 + 16).
+    message = "^work = 206158430208 exceeds the summation cap SUM_CAP = 40000000$"
     with pytest.raises(ValueError, match=message):
         cdes_formula(40, range(2, 34))
     with pytest.raises(ValueError, match=message):
         cdes_formula_typed(40, range(2, 34))
-    # 20 elements, within the length, with max(S) = 38: 2^20 * (37 + 16).
+    # 20 elements with max(S) = 38: 2^20 * (37 + 16).
     message = "^work = 55574528 exceeds the summation cap SUM_CAP = 40000000$"
     with pytest.raises(ValueError, match=message):
         cdes_formula(40, range(19, 39))
@@ -177,18 +178,25 @@ def test_summation_work_cap_is_inclusive(monkeypatch):
     assert cube_sum((0,) * 10) == 0
     with pytest.raises(ValueError, match="^work = 17408 exceeds the summation cap SUM_CAP = 16384$"):
         cube_sum((1,) + (0,) * 9)
-    with pytest.raises(ValueError, match=r"^length = 11 exceeds the summation cap log2\(SUM_CAP / 16\) = 10$"):
+    with pytest.raises(ValueError, match="^work = 32768 exceeds the summation cap SUM_CAP = 16384$"):
         cube_sum((0,) * 11)
-    # 16 * 2^k is the least work of k exponents, so k zero exponents are
-    # refused exactly when 16 * 2^k is over the cap, here and at SUM_CAP.
-    for cap in (formula.SUM_CAP, SUM_CAP):
-        monkeypatch.setattr(formula, "SUM_CAP", cap)
-        for k in range(41):
-            if 16 << k > cap:
-                with pytest.raises(ValueError, match="^length = .* exceeds the summation cap "):
-                    formula.check_sum_work((0,) * k)
-            else:
-                formula.check_sum_work((0,) * k)
+
+
+def _work_refusal(exponents):
+    try:
+        formula.check_sum_work(exponents)
+    except ValueError as refused:
+        return str(refused)
+    return None
+
+
+def test_zero_exponents_are_refused_exactly_past_the_cap():
+    # 16 * 2^k is the least work of k exponents: k zero exponents are
+    # refused exactly when 16 << k is over SUM_CAP, by the one work check.
+    assert [_work_refusal((0,) * k) for k in range(41)] == [
+        f"work = {16 << k} exceeds the summation cap SUM_CAP = {SUM_CAP}" if 16 << k > SUM_CAP else None
+        for k in range(41)
+    ]
 
 
 def test_formula_independent_of_n():

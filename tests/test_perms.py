@@ -21,6 +21,8 @@ from cdescent import (
     cdes_insertion_table,
     cdes_recursive,
     circular_descent_set,
+    count_tableaux_formula,
+    gap_vector,
     gandhi_poly,
     genocchi_number,
     gn,
@@ -69,6 +71,43 @@ def test_invalid_permutations_rejected(bad):
         circular_descent_set(bad)
 
 
+HUGE = 10**5000  # past Python's 4300-digit limit on int-to-str conversion
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: cdes_formula(5, (HUGE, HUGE)), "value sets have distinct elements: an integer of 16610 bits is repeated"),
+        (lambda: gap_vector((1, HUGE)), "1 is never a descent value"),
+        (lambda: gap_vector(range(1, 100001)), "1 is never a descent value"),
+        (lambda: count_tableaux_formula((1, HUGE)), "row lengths must be weakly decreasing: row 2 is longer than row 1"),
+        (lambda: count_tableaux_formula((3, 3, 4)), "row lengths must be weakly decreasing: row 3 is longer than row 2"),
+        (lambda: circular_descent_set((HUGE, 1)), "not a permutation of [2]: 2 is missing"),
+        (lambda: circular_descent_set((4, 1, 4, 5)), "not a permutation of [4]: 2 is missing"),
+        (lambda: Poly({((HUGE, HUGE), 0): 1}), "monomials are squarefree in x: an integer of 16610 bits is repeated"),
+        (lambda: Poly({((3, 1, 3), 0): 1}), "monomials are squarefree in x: 3 is repeated"),
+    ],
+    ids=[
+        "repeated huge element",
+        "1 beside a huge element",
+        "1 in 100000 elements",
+        "huge row under a short one",
+        "longer row",
+        "huge permutation entry",
+        "missing value",
+        "huge repeated index",
+        "repeated index",
+    ],
+)
+def test_refusals_name_one_offender(call, message):
+    # One value at most, not the whole input: a short line even for an
+    # input too long or an element too large to print.
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message
+    assert len(message) < 200
+
+
 def test_as_value_set():
     assert as_value_set({4, 2}) == (2, 4)
     assert as_value_set((), n=3) == ()
@@ -112,10 +151,10 @@ def test_as_descent_set(elements, expected):
 @pytest.mark.parametrize(
     "elements, message",
     [
-        ({1}, r"1 is never a descent value: \(1,\)"),
-        ((4, 1, 2), r"1 is never a descent value: \(1, 2, 4\)"),
+        ({1}, "1 is never a descent value"),
+        ((4, 1, 2), "1 is never a descent value"),
         ([0, 2], "set element must be at least 1: 0"),
-        ((3, 3), r"value sets have distinct elements: \(3, 3\)"),
+        ((3, 3), "value sets have distinct elements: 3 is repeated"),
         ([True, 2], "set element must be an integer: True"),
     ],
 )
@@ -246,7 +285,7 @@ mask_routes = [cdes_recursive, brute_cdes_count, brute_nwexb_count]
         (5, (Index(2),), "set element must be an integer: Index(2)"),
         (5, (0, 0), "set element must be at least 1: 0"),
         (5, (-2, 3, 9), "set element must be at least 1: -2"),
-        (5, (4, 9, 4), "value sets have distinct elements: (4, 4, 9)"),
+        (5, (4, 9, 4), "value sets have distinct elements: 4 is repeated"),
         (5, (3, 7), "element 7 outside [1, 5]"),
         (5, "24", "set element must be an integer: '2'"),
     ],

@@ -201,11 +201,17 @@ def test_transfer_cap():
         match=f"transfer steps = 2621440 exceeds the column transfer cap TRANSFER_CAP = {TRANSFER_CAP}",
     ):
         count_tableaux_transfer((40,) * 8)
-    # A shape too tall for one column is refused on its rows, at once,
-    # without a step count of thousands of digits.
-    with pytest.raises(ValueError, match="rows = 11 exceeds the column transfer cap log4"):
+    # A shape too tall for its first column, 4^rows steps, is refused on
+    # that column before the heights are scanned, a huge count by its size.
+    with pytest.raises(
+        ValueError,
+        match=f"^first-column steps = 4194304 exceeds the column transfer cap TRANSFER_CAP = {TRANSFER_CAP}$",
+    ):
         count_tableaux_transfer((1,) * 11)
-    with pytest.raises(ValueError, match="rows = 49999 exceeds the column transfer cap log4"):
+    with pytest.raises(
+        ValueError,
+        match="^first-column steps = an integer of 99999 bits exceeds the column transfer cap TRANSFER_CAP = ",
+    ):
         count_tableaux_transfer((50000,) * 49999)
     assert count_tableaux_transfer((1,) * 10) == count_tableaux_formula((1,) * 10)
     below = (16,) * 8  # 16 * 4^8 steps, under the cap

@@ -111,11 +111,14 @@ def test_tree_weight_sum(d, expected):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: tree_weight_sum((1,) * 31), r"length = 31 exceeds the summation cap log2\(SUM_CAP / 16\) = 21"),
-        # Refused on its length, in a short line, not on a work of ~6,000 digits.
-        (lambda: tree_weight_sum((0,) * 20000), r"length = 20000 exceeds the summation cap log2\(SUM_CAP / 16\) = 21"),
+        (lambda: tree_weight_sum((1,) * 31), "work = 100931731456 exceeds the summation cap SUM_CAP = 40000000"),
+        # A work of ~6,000 digits is named by its size, in a short line.
+        (lambda: tree_weight_sum((0,) * 20000), "work = an integer of 20005 bits exceeds the summation cap SUM_CAP = 40000000"),
         (lambda: tree_weight_sum((2,) * 21), "work = 121634816 exceeds the summation cap SUM_CAP = 40000000"),
         (lambda: tree_weight_traversal((1,) * 18), "height = 18 exceeds the materialization cap BUILD_CAP = 17"),
+        # 2^30 * (30 + 16): the work is checked before the height, whose
+        # one check is build_tree's.
+        (lambda: tree_weight_traversal((1,) * 30), "work = 49392123904 exceeds the summation cap SUM_CAP = 40000000"),
         # 2^17 * (1012 + 16): the walk is bounded by the work of the closed sum.
         (
             lambda: tree_weight_traversal((1,) * 12 + (200,) * 5),

@@ -189,6 +189,24 @@ def test_traversal_walks_each_gap_vector_once(monkeypatch):
     assert len(calls) == 127 + 25
 
 
+def test_tableaux_check_visits_every_shape_up_to_its_top(monkeypatch):
+    # Every shape with rows + width <= 8, 2^(n-2) of each n = rows + width:
+    # 127, the tall shapes of 6 and 7 rows included.
+    seen = []
+    transfer = verify.count_tableaux_transfer
+
+    def counted(shape):
+        seen.append(shape)
+        return transfer(shape)
+
+    monkeypatch.setattr(verify, "count_tableaux_transfer", counted)
+    brute = {n: perms.brute_cdes_table(n) for n in range(1, 9)}
+    assert verify.check_tableaux(brute).passed
+    assert len(seen) == len(set(seen)) == 127
+    assert set(seen) == {p for p in verify.iter_shapes(16, 7) if len(p) + p[0] <= 8}
+    assert {len(p) for p in seen} == set(range(1, 8))
+
+
 @given(st.sets(st.integers(2, 200)).map(lambda s: tuple(sorted(s))))
 def test_run_type_exponents_are_the_gap_vector(s):
     # The identity behind typed-vs-formula, past verify's sizes: the
