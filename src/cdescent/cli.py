@@ -5,7 +5,11 @@ Commands: count, table, poly, tree, tableaux, genocchi, verify.  All take
 accept ``--threads N`` (N >= 1) and ignore it, kept only for callers
 that pass it.  Brute counts refuse permutations longer than
 ``perms.DEFAULT_ENUMERATION_CAP``.  Exit codes: 0 success, 1 validation
-error or stdout closed early by its reader, 2 cross-method mismatch.
+error or stdout closed early by its reader, 2 cross-method mismatch (a
+failed ``verify`` check, or ``error: methods disagree`` from the one
+cross-check report of ``count --all-methods`` and ``genocchi --brute``).
+List arguments are comma-separated integers, '' the empty list; a
+refusal names one token or pair.
 
 JSON output is a single object ``{"query": {...}, "result": ...}``; counts
 are decimal strings so arbitrary precision survives every format.  Tree
@@ -26,16 +30,23 @@ import os
 import sys
 from collections.abc import Sequence
 
-from .perms import DEFAULT_ENUMERATION_CAP, check_int
+from .perms import DEFAULT_ENUMERATION_CAP, _show, check_int
 
 COUNT_METHODS = ("formula", "typed", "recursion", "tree", "brute")
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise ValueError(f"malformed {what} {text!r}: expected comma-separated integers")
+    """Comma-separated integers; '' is empty.  A refusal names the first
+    token that is not one, cut to 30 characters."""
+    if text == "":
+        return ()
+    values = []
+    for tok in text.split(","):
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise ValueError(f"malformed {what}: {tok[:30]!r} is not an integer") from None
+    return tuple(values)
 
 
 def parse_set(text: str) -> tuple[int, ...]:
@@ -43,22 +54,13 @@ def parse_set(text: str) -> tuple[int, ...]:
     count routes refuse elements below 1 (``perms.as_value_set``).
 
     Descending or duplicated input is rejected rather than sorted, to
-    surface caller bugs.
+    surface caller bugs; the refusal names the first pair out of order.
     """
-    if text == "":
-        return ()
     values = _parse_ints(text, "set")
-    if any(a >= b for a, b in zip(values, values[1:])):
-        raise ValueError(f"set elements must be strictly ascending: {text!r}")
+    for a, b in zip(values, values[1:]):
+        if a >= b:
+            raise ValueError(f"set elements must be strictly ascending: {_show(b)} follows {_show(a)}")
     return values
-
-
-def parse_gaps(text: str) -> tuple[int, ...]:
-    """Comma-separated integers; '' is the empty gap vector.  The tree
-    routes refuse negative ones."""
-    if text == "":
-        return ()
-    return _parse_ints(text, "gaps")
 
 
 def parse_shape(text: str) -> tuple[int, ...]:
@@ -84,9 +86,9 @@ def format_tree(root) -> str:
     return "\n".join(lines)
 
 
-def _emit(args, query: dict, result, rows: list[dict] | None = None, text: str | None = None) -> None:
-    """Print one record.  ``rows`` drives the csv rendering (and the text
-    one unless ``text`` overrides it); scalar results print bare."""
+def _emit(args, query: dict, result, rows: list[dict] | None = None) -> None:
+    """Print one record.  ``rows`` drives the csv rendering, and the text
+    one unless the result is a string, which text prints bare."""
     if args.format == "json":
         import json
 
@@ -102,13 +104,22 @@ def _emit(args, query: dict, result, rows: list[dict] | None = None, text: str |
             writer.writerow(rows[0].keys())
             for row in rows:
                 writer.writerow(row.values())
-    elif text is not None:
-        print(text)
-    elif rows is not None:
+    elif isinstance(result, str):
+        print(result)
+    else:
         for row in rows:
             print(" ".join(str(v) for v in row.values()))
-    else:
-        print(result)
+
+
+def _cross_check(args, query: dict, values: dict[str, int]) -> int:
+    """Print one row per method with the value it gave; exit code 2 when
+    the values disagree, else 0."""
+    rows = [{"method": m, "value": str(v)} for m, v in values.items()]
+    _emit(args, query, rows, rows)
+    if len(set(values.values())) != 1:
+        print("error: methods disagree", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _count_one(method: str, n: int, s: tuple[int, ...]) -> int:
@@ -133,12 +144,7 @@ def cmd_count(args) -> int:
             m for m in COUNT_METHODS if m != "brute" or args.n <= DEFAULT_ENUMERATION_CAP
         ]
         values = {m: _count_one(m, args.n, s) for m in methods}
-        rows = [{"method": m, "value": str(v)} for m, v in values.items()]
-        _emit(args, {**query, "methods": methods}, rows, rows)
-        if len(set(values.values())) != 1:
-            print("error: methods disagree", file=sys.stderr)
-            return 2
-        return 0
+        return _cross_check(args, {**query, "methods": methods}, values)
     value = _count_one(args.method, args.n, s)
     _emit(args, {**query, "method": args.method}, str(value))
     return 0
@@ -163,14 +169,14 @@ def cmd_poly(args) -> int:
         {"xvars": ",".join(str(i) for i in xv), "ydeg": ydeg, "coefficient": str(c)}
         for (xv, ydeg), c in g.sorted_terms()
     ]
-    _emit(args, {"command": "poly", "n": args.n}, str(g), rows, text=str(g))
+    _emit(args, {"command": "poly", "n": args.n}, str(g), rows)
     return 0
 
 
 def cmd_tree(args) -> int:
     from .tree import build_tree, tree_weight_sum
 
-    gaps = parse_gaps(args.gaps)
+    gaps = _parse_ints(args.gaps, "gaps")
     # Built first, so that BUILD_CAP refuses before any work or output.
     root = build_tree(len(gaps)) if args.show and args.format == "text" else None
     weight = tree_weight_sum(gaps)
@@ -204,15 +210,7 @@ def cmd_genocchi(args) -> int:
         if args.n < 2:
             raise ValueError("--brute needs n >= 2 (it recounts the previous index)")
         brute = brute_genocchi_perm_count(args.k, args.n - 1)
-        rows = [
-            {"method": "recursion", "value": str(value)},
-            {"method": "brute", "value": str(brute)},
-        ]
-        _emit(args, {**query, "brute": True}, rows, rows)
-        if brute != value:
-            print("error: brute count disagrees with the recursion", file=sys.stderr)
-            return 2
-        return 0
+        return _cross_check(args, {**query, "brute": True}, {"recursion": value, "brute": brute})
     _emit(args, query, str(value))
     return 0
 
@@ -220,8 +218,7 @@ def cmd_genocchi(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify
 
-    seed = verify.DEFAULT_SEED if args.seed is None else args.seed
-    results = verify.run_all(args.max_n, workers=args.threads, seed=seed)
+    results = verify.run_all(args.max_n, workers=args.threads)
     rows = [
         {"check": r.name, "status": "PASS" if r.passed else "FAIL", "detail": r.detail}
         for r in results
@@ -301,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[fmt, threads], help="run the cross-method verification suite")
     p.add_argument("--max-n", type=int, default=6)
-    p.add_argument("--seed", type=int, help="seed for the sampled checks")
     p.set_defaults(func=cmd_verify)
 
     return parser

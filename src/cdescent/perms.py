@@ -99,10 +99,9 @@ def as_value_set(elements: Iterable[int], *, n: int | None = None) -> tuple[int,
     if n is not None:
         check_int("n", n, 1)
         check_cap("n", n, "count", "COUNT_MAX_N", COUNT_MAX_N)
-    s = tuple(sorted(elements))
-    check_ints("set element", s)
-    if s:
-        check_int("set element", s[0], 1)  # s is sorted: s[0] is its minimum
+    s = tuple(elements)
+    check_ints("set element", s, 1)  # unsorted: sorting may fail on a non-int
+    s = tuple(sorted(s))
     check_distinct("value sets have distinct elements", s)
     if n is not None and s and s[-1] > n:
         raise ValueError(f"element {_show(s[-1])} outside [1, {n}]")

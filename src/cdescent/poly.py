@@ -24,11 +24,21 @@ Monomial = tuple[tuple[int, ...], int]
 
 def _check_monomial(key: Monomial) -> Monomial:
     xvars, ydeg = key
-    xv = tuple(sorted(xvars))
-    check_ints("x-variable index", xv, 1)
+    xv = tuple(xvars)
+    check_ints("x-variable index", xv, 1)  # unsorted: sorting may fail on a non-int
+    xv = tuple(sorted(xv))
     check_distinct("monomials are squarefree in x", xv)
     check_int("y-degree", ydeg, 0)
     return xv, ydeg
+
+
+def _accumulate(terms: dict[Monomial, int], key: Monomial, coeff: int) -> None:
+    # Add coeff to the term at key; a term that sums to zero is dropped.
+    total = terms.get(key, 0) + coeff
+    if total:
+        terms[key] = total
+    else:
+        terms.pop(key, None)
 
 
 class Poly:
@@ -47,12 +57,7 @@ class Poly:
         check_ints("coefficient", tuple(terms.values()))
         clean: dict[Monomial, int] = {}
         for key, coeff in terms.items():
-            key = _check_monomial(key)
-            coeff = clean.get(key, 0) + coeff
-            if coeff:
-                clean[key] = coeff
-            else:
-                clean.pop(key, None)
+            _accumulate(clean, _check_monomial(key), coeff)
         self._terms = clean
 
     @classmethod
@@ -111,11 +116,7 @@ class Poly:
             return NotImplemented
         merged = dict(self._terms)
         for key, coeff in other._terms.items():
-            total = merged.get(key, 0) + coeff
-            if total:
-                merged[key] = total
-            else:
-                merged.pop(key, None)
+            _accumulate(merged, key, coeff)
         return _raw(merged)
 
     __radd__ = __add__
@@ -139,17 +140,9 @@ class Poly:
         product: dict[Monomial, int] = {}
         for (xa, ya), ca in self._terms.items():
             for (xb, yb), cb in other._terms.items():
-                if set(xa) & set(xb):
-                    raise ValueError(
-                        f"cannot square x-variables {sorted(set(xa) & set(xb))}: "
-                        "monomials are squarefree"
-                    )
-                key = (tuple(sorted(xa + xb)), ya + yb)
-                total = product.get(key, 0) + ca * cb
-                if total:
-                    product[key] = total
-                else:
-                    product.pop(key, None)
+                xv = tuple(sorted(xa + xb))
+                check_distinct("monomials are squarefree in x", xv)
+                _accumulate(product, (xv, ya + yb), ca * cb)
         return _raw(product)
 
     __rmul__ = __mul__

@@ -71,7 +71,7 @@ def test_count_all_methods_disagreement_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(formula, "cdes_formula", lambda n, s: 999)
     rc, _, err = run(capsys, "count", "--n", "5", "--set", "3,5", "--all-methods")
     assert rc == 2
-    assert "disagree" in err
+    assert err == "error: methods disagree\n"
 
 
 def test_count_all_methods_skips_brute_over_cap(capsys):
@@ -151,6 +151,40 @@ def test_rejected_queries_print_one_error_line(capsys, argv):
 def test_library_refusals_reach_the_cli(capsys, argv, message):
     # The CLI leaves these bounds to the library and prints its message.
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("count", "--n", "5", "--set", "3,x"), "malformed set: 'x' is not an integer"),
+        (("count", "--n", "5", "--set", "2,,3"), "malformed set: '' is not an integer"),
+        (("tree", "--gaps", "1," + "9" * 40 + "z"), f"malformed gaps: '{'9' * 30}' is not an integer"),
+        (("tableaux", "--shape", "3,1.5"), "malformed shape: '1.5' is not an integer"),
+        (("count", "--n", "5", "--set", "2,5,3,4"), "set elements must be strictly ascending: 3 follows 5"),
+        (("count", "--n", "5", "--set", "2,3,3"), "set elements must be strictly ascending: 3 follows 3"),
+        # '' is the empty list for every list argument; a shape needs a row.
+        (("tableaux", "--shape", ""), "a shape needs at least one row"),
+    ],
+)
+def test_list_refusals_name_one_token(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 9,999 descending elements and 20,000 gaps then a stray token: each
+        # refusal names one pair or one token, not the whole argument.
+        ("count", "--n", "100000", "--set", ",".join(map(str, range(100000, 9, -10)))),
+        ("tree", "--gaps", ",".join(map(str, range(1, 20001))) + ",x"),
+    ],
+    ids=["descending set", "malformed gaps"],
+)
+def test_long_list_refusals_print_one_short_line(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 160
 
 
 @pytest.mark.parametrize("command", ["table", "poly"])
@@ -380,7 +414,31 @@ def test_genocchi_brute_mismatch_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(genocchi, "genocchi_number", lambda k, n: 999)
     rc, _, err = run(capsys, "genocchi", "--k", "2", "--n", "3", "--brute")
     assert rc == 2
-    assert "disagrees" in err
+    assert err == "error: methods disagree\n"
+
+
+# sha256 of the two cross-check reports' stdout per format, as each
+# command printed them through its own code before they shared one.
+CROSS_CHECK_DIGESTS = {
+    ("count", "--n", "9", "--set", "2,5,9", "--all-methods"): {
+        "text": "82f5f07eed7b3e91947dd8f1b472ce4157020e5edb40d9707484fd7e236acb61",
+        "json": "b2283db19335f7d76752fed50aa73e7c3f77f0a23641a1a8b97502447d4d722e",
+        "csv": "717ba2484b7e38cdd97e226d2e7f8e8e0091acce16e64dc607aea12429ab5142",
+    },
+    ("genocchi", "--k", "2", "--n", "5", "--brute"): {
+        "text": "13123b4a015fae9f4b8d65bcfbf90c3f5f2ca7fc9589da67e29b32d3b89da30b",
+        "json": "10df49664ef95459e4f9a8d16fb2f17541baa4611e5dc2c9d4456f1e6614bbb2",
+        "csv": "5a4ea2561244a11112bc4828e9c0ce88714687f035984dc2c8ee9517eaf98ade",
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("argv", sorted(CROSS_CHECK_DIGESTS))
+def test_cross_check_output_is_byte_identical(capsys, argv, fmt):
+    rc, out, err = run(capsys, *argv, "--format", fmt)
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CROSS_CHECK_DIGESTS[argv][fmt]
 
 
 def test_count_json_schema(capsys):
@@ -444,17 +502,11 @@ def test_verify_passes(capsys, monkeypatch, max_n):
     assert scanned == [(n, 2) for n in range(1, max_n + 1)]
 
 
-@pytest.mark.parametrize("argv, seed", [((), verify.DEFAULT_SEED), (("--seed", "5"), 5)])
-def test_verify_seed_reaches_run_all(capsys, monkeypatch, argv, seed):
-    seen = []
-
-    def recording(max_n, *, workers, seed):
-        seen.append(seed)
-        return []
-
-    monkeypatch.setattr(verify, "run_all", recording)
-    assert run(capsys, "verify", *argv)[0] == 0
-    assert seen == [seed]
+def test_verify_seed_flag_is_gone(capsys):
+    # The sampled checks run on verify.DEFAULT_SEED: no flag sets it.
+    rc, out, err = run(capsys, "verify", "--seed", "5")
+    assert rc == 1 and out == ""
+    assert "unrecognized arguments: --seed 5" in err
 
 
 def test_verify_failure_exits_2(capsys, monkeypatch):
@@ -480,7 +532,7 @@ COMMAND_FLAGS = {
     "tree": (("--gaps",), ("--show",)),
     "tableaux": (("--shape",), ("--method",)),
     "genocchi": (("--k", "--n"), ("--brute",)),
-    "verify": ((), ("--max-n", "--seed", "--threads")),
+    "verify": ((), ("--max-n", "--threads")),
 }
 SWITCHES = ("--all-methods", "--show", "--brute")
 # Small or malformed values, as (parsed by argparse, refused by it).  No

@@ -38,7 +38,7 @@ def test_arithmetic_identities():
 
 
 def test_squarefree_multiplication_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^monomials are squarefree in x: 1 is repeated$"):
         Poly.x(1) * Poly.x(1)
     assert Poly.x(1) * Poly.x(2) == Poly({((1, 2), 0): 1})
 
