@@ -12,19 +12,22 @@ when b < i + 2, b standing at position i + 2).  The mask of one
 permutation is the OR of its rule over its pairs (``_mask``), and the
 public set functions read their sets off that mask.  The ``brute_*_table``
 functions each run one scan for their statistic, in process, and
-``brute_cdes_nwexb_tables`` runs one scan for both: every one of the n!
-permutations is built exactly once, as a head followed by a tail of
-``_TAIL`` values, and its complete mask is tallied.  For both
-statistics the rule gives a pair's descent bits with its NWEXB bits
-``_FIELD`` places above them (``_descent_nwexb_bits``), so one OR builds
-both masks side by side in one int, and the tally is split into the two
-tables at the end.  For each set of tail values the masks of the tail's
-arrangements are computed once; each arrangement of the other values
-(the head) then ORs its own mask and the bit of the pair where head
-meets tail onto each of them, and ``collections.Counter`` tallies the
-results at C level.  The tables are the ground truth against which every
-closed-form counting route is checked, so they share no code with those
-routes.  A fixed cap, ``DEFAULT_ENUMERATION_CAP``, bounds the runtime.
+``brute_cdes_nwexb_tables`` runs one scan for both.  A scan splits each
+permutation into a head followed by a tail of ``_TAIL`` values and
+meets in the middle: for each set of tail values, every arrangement of
+the tail and every arrangement of the other values (the head) is built
+once and tallied by class (the tail by its first value and the mask of
+its own pairs, the head by its last value and its own mask).
+A permutation's complete mask is its head's mask, the bit of the pair
+where head meets tail, and its tail's mask ORed together, so the n!
+permutations are counted as products of class counts, one product per
+pair of classes, never one by one.  For both statistics the rule gives
+a pair's descent bits with its NWEXB bits ``_FIELD`` places above them
+(``_descent_nwexb_bits``), so one OR builds both masks side by side in
+one int, and the tally is split into the two tables at the end.  The
+tables are the ground truth against which every closed-form counting
+route is checked, so they share no code with those routes.  A fixed
+cap, ``DEFAULT_ENUMERATION_CAP``, bounds the runtime.
 
 ``brute_cdes_count`` and ``brute_nwexb_count`` count one set without the
 table: each enumerates, in process, only the permutations whose set is
@@ -71,8 +74,9 @@ GENOCCHI_MAX_SIZE = 2000  # k*n of a Genocchi number: n^2 products of ~k*n digit
 GANDHI_MAX_SIZE = 300  # k*n of an expanded Gandhi polynomial, ~n^3 products
 VERIFY_MAX_N = 12  # max_n of the verify suite, whose time doubles per step
 
-# Values in the tail of a brute scan: the masks of the tail's arrangements
-# are computed once per set of tail values and reused by every head.
+# Values in the tail of a brute scan: for each set of tail values, the
+# tail's and the head's arrangements are each built once and tallied by
+# class, and every pair of classes adds one product.
 _TAIL = 5
 
 # Width of one statistic's field in a joint mask: every rule's bits lie
@@ -276,20 +280,32 @@ def _brute_tables(rule: Rule, n: int, fields: int = 1) -> tuple[dict[tuple[int, 
     start = n - size  # the tail's first position (from 0): the head's length
     totals: Counter[int] = Counter()
     for tail_values in itertools.combinations(range(1, n + 1), size):
-        # The masks of the tail's own pairs, grouped by the tail's first value.
-        tails: dict[int, list[int]] = {}
-        for tail in itertools.permutations(tail_values):
-            tails.setdefault(tail[0], []).append(_pairs_mask(bits, start, tail))
+        # Each arrangement of the tail, then of the other values (the head),
+        # is built once and tallied by its end value next to the other half
+        # and the mask of its own pairs.
+        tails = Counter(
+            (tail[0], _pairs_mask(bits, start, tail)) for tail in itertools.permutations(tail_values)
+        )
         if not start:
-            for masks in tails.values():
-                totals.update(masks)
+            for (_, tail_mask), count in tails.items():
+                totals[tail_mask] += count
             continue
         rest = [v for v in range(1, n + 1) if v not in tail_values]
-        for head in itertools.permutations(rest):
-            head_mask = _pairs_mask(bits, 0, head)
-            joint = bits[start - 1][head[-1]]  # the pair (last of head, first of tail)
-            for first, masks in tails.items():
-                totals.update(map((head_mask | joint[first]).__or__, masks))
+        heads = Counter(
+            (head[-1], _pairs_mask(bits, 0, head)) for head in itertools.permutations(rest)
+        )
+        # For each last value of a head, the tail classes with the bit of
+        # the pair where head meets tail ORed in, merged where they meet.
+        joined: dict[int, Counter[int]] = {}
+        for last in rest:
+            joint = bits[start - 1][last]
+            joined[last] = masks = Counter()
+            for (first, tail_mask), count in tails.items():
+                masks[joint[first] | tail_mask] += count
+        # The permutations of this split, counted by class products.
+        for (last, head_mask), head_count in heads.items():
+            for mask, count in joined[last].items():
+                totals[head_mask | mask] += head_count * count
     low = (1 << _FIELD) - 1
     tables = []
     for j in range(fields):
@@ -301,7 +317,8 @@ def _brute_tables(rule: Rule, n: int, fields: int = 1) -> tuple[dict[tuple[int, 
 
 
 def brute_cdes_table(n: int, *, workers: int = 1) -> dict[tuple[int, ...], int]:
-    """Count permutations of [n] by descent-value set, one full scan.
+    """Count permutations of [n] by descent-value set, in one scan that
+    counts the n! permutations by head and tail classes (module docstring).
 
     Every subset of [2, n] is attained, keyed in the ascending bitmask
     order of ``cdes_insertion_table(n)``; the values sum to n!.
@@ -372,8 +389,8 @@ def brute_cdes_nwexb_tables(
     n: int,
 ) -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
     """:func:`brute_cdes_table` and :func:`brute_nwexb_table` of n, from
-    one scan of the n! permutations: each permutation's two masks are
-    tallied side by side in one int.
+    one scan that counts the n! permutations by head and tail classes:
+    each class's two masks are tallied side by side in one int.
 
     >>> brute_cdes_nwexb_tables(3)
     ({(): 1, (2,): 1, (3,): 3, (2, 3): 1}, {(): 1, (2,): 1, (3,): 3, (2, 3): 1})

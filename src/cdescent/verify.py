@@ -8,9 +8,10 @@ prints one line per check; the test suite asserts the same results.
 ``run_all`` builds its reference tables once per run and hands them to
 every check that compares against them: ``cdes_formula`` on every
 S of [2, n] for n <= ``max_n``, and for n <= ``BRUTE_MAX_N`` the brute
-descent and NWEXB tables, both from one n! scan per n
-(``brute_cdes_nwexb_tables``, the tables of ``brute_cdes_table`` and
-``brute_nwexb_table``); ``nwexb-vs-cdes`` compares the two.  No route is
+descent and NWEXB tables, both from one scan per n that counts the n!
+permutations by head and tail classes (``brute_cdes_nwexb_tables``, the
+tables of ``brute_cdes_table`` and ``brute_nwexb_table``);
+``nwexb-vs-cdes`` compares the two.  No route is
 compared with a table built by its own code.
 
 The package has one closed form, ``cdes_formula``, which

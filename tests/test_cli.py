@@ -497,8 +497,8 @@ def test_verify_passes(capsys, monkeypatch, max_n):
     rc, out, err = run(capsys, "verify", "--max-n", str(max_n))
     assert rc == 0 and err == ""
     assert out == VERIFY_TEXT.format(n=max_n, n1=max_n + 1)
-    # One n! scan per n, for both brute tables, each shared by every check
-    # that compares against it.
+    # One class-tally scan of the n! permutations per n, for both brute
+    # tables, each shared by every check that compares against it.
     assert scanned == [(n, 2) for n in range(1, max_n + 1)]
 
 

@@ -525,10 +525,19 @@ def test_joint_scan_gives_the_two_single_tables(n):
     assert list(nwexb.items()) == list(brute_nwexb_table(n).items())
 
 
-@pytest.mark.parametrize("tail", [1, 2, 3, 7])
+def test_tables_at_nine_are_the_insertion_table():
+    # The first n with a head of four values.  Same sets, same counts and
+    # the same key order.
+    table = cdes_insertion_table(9)
+    assert list(brute_cdes_table(9).items()) == list(table.items())
+    assert [list(t.items()) for t in brute_cdes_nwexb_tables(9)] == [list(table.items())] * 2
+
+
+@pytest.mark.parametrize("tail", [1, 2, 3, 4, 5, 6, 7])
 def test_tables_do_not_depend_on_the_tail_length(monkeypatch, tail):
-    # tail 7 leaves the head empty for every n <= 7; tail 1 puts one value
-    # in the tail and all the others in the head.
+    # Every head/tail split of n <= 7: tail 7 leaves the head empty for
+    # every n <= 7; tail 1 puts one value in the tail and all the others
+    # in the head.
     expected = {n: (brute_cdes_table(n), brute_nwexb_table(n)) for n in range(1, 8)}
     monkeypatch.setattr(perms_module, "_TAIL", tail)
     for n in range(1, 8):
