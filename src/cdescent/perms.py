@@ -12,12 +12,14 @@ when b < i + 2, b standing at position i + 2).  The mask of one
 permutation is the OR of its rule over its pairs (``_mask``), and the
 public set functions read their sets off that mask.  The ``brute_*_table``
 functions each run one scan for their statistic, in process, and
-``brute_cdes_nwexb_tables`` runs one scan for both.  A scan splits each
-permutation into a head followed by a tail of ``_TAIL`` values and
-meets in the middle: for each set of tail values, every arrangement of
-the tail and every arrangement of the other values (the head) is built
-once and tallied by class (the tail by its first value and the mask of
-its own pairs, the head by its last value and its own mask).
+``brute_cdes_nwexb_tables`` runs one scan for both.  A scan of [n] splits
+each permutation into a head followed by a tail of n // 2 values (the one
+value for n = 1; ``_tail_length``), so that the two halves have about as
+many arrangements, and meets in the middle: for each set of tail values,
+every arrangement of the tail and every arrangement of the other values
+(the head) is built once and tallied by class (the tail by its first
+value and the mask of its own pairs, the head by its last value and its
+own mask).
 A permutation's complete mask is its head's mask, the bit of the pair
 where head meets tail, and its tail's mask ORed together, so the n!
 permutations are counted as products of class counts, one product per
@@ -74,15 +76,20 @@ GENOCCHI_MAX_SIZE = 2000  # k*n of a Genocchi number: n^2 products of ~k*n digit
 GANDHI_MAX_SIZE = 300  # k*n of an expanded Gandhi polynomial, ~n^3 products
 VERIFY_MAX_N = 12  # max_n of the verify suite, whose time doubles per step
 
-# Values in the tail of a brute scan: for each set of tail values, the
-# tail's and the head's arrangements are each built once and tallied by
-# class, and every pair of classes adds one product.
-_TAIL = 5
-
 # Width of one statistic's field in a joint mask: every rule's bits lie
 # below bit n + 1 <= _FIELD, so two statistics _FIELD places apart stay
 # apart in one int.
 _FIELD = DEFAULT_ENUMERATION_CAP + 1
+
+
+def _tail_length(n: int) -> int:
+    # Values in the tail of a brute scan of [n]: for each set of tail
+    # values, the tail's and the head's arrangements are each built once
+    # and tallied by class, and every pair of classes adds one product.
+    # Half the values, rounded down (one for n = 1), balances the two
+    # halves' arrangements and was the fastest split timed for n = 6..10
+    # (at n = 8, tied with a tail of 3).
+    return max(1, n // 2)
 
 
 def check_permutation(perm: Sequence[int]) -> tuple[int, ...]:
@@ -276,7 +283,7 @@ def _brute_tables(rule: Rule, n: int, fields: int = 1) -> tuple[dict[tuple[int, 
     bits = [
         [[rule(i, a, b) for b in range(n + 1)] for a in range(n + 1)] for i in range(n - 1)
     ]
-    size = min(_TAIL, n)
+    size = _tail_length(n)
     start = n - size  # the tail's first position (from 0): the head's length
     totals: Counter[int] = Counter()
     for tail_values in itertools.combinations(range(1, n + 1), size):

@@ -5,7 +5,9 @@ Two independent recursions reproduce the closed-form counts:
 * the minimum-element recursion, which splits the permutations with
   descent-value set S by the relative placement of min(S) and min(S) - 1
   and is driven top-down with memoization, each set held as one int
-  bitmask (element v at bit v);
+  bitmask (element v at bit v) and each child resolved in its parent's
+  frame when it is a base case or already cached, so that a call is made
+  only for a state still to be computed;
 * the insertion recursion, which extends a full count table for [2, n-1]
   to one for [2, n] by inserting the new largest value n into shorter
   permutations, and is driven bottom-up, the whole table held as 64-bit
@@ -51,9 +53,16 @@ def cdes_recursive(n: int, s: Iterable[int], cache: Cache | None = None) -> int:
     ``mask ^ low ^ (low >> 1)``, ``mask >> 1`` and
     ``(mask >> 1) ^ (low >> 1)``, each O(max(S)) bit operations.  When
     min(S) = 2 the first two branches vanish and a single-step shortcut is
-    taken.  The recursion depth grows with the elements of S; a set that
-    needs more than the interpreter's recursion limit raises
-    ``ValueError``.
+    taken.  A set missing from the cache is computed by ``_fill``, which
+    resolves each child in its own frame: a singleton (the first two
+    branches keep |S|, so only the last child can be one) by its base
+    case, a cached set by one lookup, and only a composite set still
+    missing by a call.  So each frame computes one state, each state is
+    computed and cached once, and the cache ends up holding exactly the
+    composite sets visited.  The recursion depth grows with the elements
+    of S; a set that needs more than the interpreter's recursion limit
+    raises ``ValueError``: from the top of a fresh interpreter, S = [33, 64]
+    fits and [41, 80] does not.
 
     A cache may be shared across calls and across threads: it only ever
     grows, and a key is published only once its value is complete, always
@@ -87,15 +96,44 @@ def _count(mask: int, cache: Cache) -> int:
     value = cache.get(mask)
     if value is not None:
         return value
+    return _fill(mask, cache)
+
+
+def _fill(mask: int, cache: Cache) -> int:
+    # The count of a composite set without 1 that is missing from the
+    # cache, its children resolved in this frame.  The first two children
+    # keep the size of S, so only the last can be a singleton, and no
+    # child is empty or holds 1.
     low = mask & -mask
     if low == 4:
         # Only the third branch survives: the 2 forces its companion 1
         # immediately to its right, and deleting the pair reduces n by one.
-        value = _count((mask ^ 4) >> 1, cache)
+        child = (mask ^ 4) >> 1
+        if child & (child - 1) == 0:
+            value = (1 << (child.bit_length() - 2)) - 1
+        else:
+            value = cache.get(child)
+            if value is None:
+                value = _fill(child, cache)
     else:
         below = low >> 1  # the bit of min(S) - 1
         shifted = mask >> 1
-        value = _count(mask ^ low ^ below, cache) + _count(shifted, cache) + _count(shifted ^ below, cache)
+        child = mask ^ low ^ below
+        value = cache.get(child)
+        if value is None:
+            value = _fill(child, cache)
+        part = cache.get(shifted)
+        if part is None:
+            part = _fill(shifted, cache)
+        value += part
+        child = shifted ^ below
+        if child & (child - 1) == 0:
+            value += (1 << (child.bit_length() - 2)) - 1
+        else:
+            part = cache.get(child)
+            if part is None:
+                part = _fill(child, cache)
+            value += part
     cache[mask] = value
     return value
 

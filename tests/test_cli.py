@@ -146,6 +146,11 @@ def test_rejected_queries_print_one_error_line(capsys, argv):
         (("count", "--n", "5", "--set", "3", "--threads", "0"), "--threads must be at least 1: 0"),
         # A 61-digit n is named by its size, not echoed in full.
         (("count", "--n", str(10**60), "--set", "2"), "n = an integer of 200 bits exceeds the count cap COUNT_MAX_N = 100000"),
+        # A dense set deeper than the interpreter's depth limit.
+        (
+            ("count", "--n", "96", "--set", ",".join(map(str, range(49, 97))), "--method", "recursion"),
+            f"the recursion for max(S) = 96 exceeds the interpreter's depth limit {sys.getrecursionlimit()}",
+        ),
     ],
 )
 def test_library_refusals_reach_the_cli(capsys, argv, message):

@@ -526,8 +526,9 @@ def test_joint_scan_gives_the_two_single_tables(n):
 
 
 def test_tables_at_nine_are_the_insertion_table():
-    # The first n with a head of four values.  Same sets, same counts and
-    # the same key order.
+    # Past the splits that test_tables_do_not_depend_on_the_tail_length
+    # forces: a head of five values and a tail of four.  Same sets, same
+    # counts and the same key order.
     table = cdes_insertion_table(9)
     assert list(brute_cdes_table(9).items()) == list(table.items())
     assert [list(t.items()) for t in brute_cdes_nwexb_tables(9)] == [list(table.items())] * 2
@@ -535,11 +536,11 @@ def test_tables_at_nine_are_the_insertion_table():
 
 @pytest.mark.parametrize("tail", [1, 2, 3, 4, 5, 6, 7])
 def test_tables_do_not_depend_on_the_tail_length(monkeypatch, tail):
-    # Every head/tail split of n <= 7: tail 7 leaves the head empty for
-    # every n <= 7; tail 1 puts one value in the tail and all the others
-    # in the head.
+    # Every head/tail split of n <= 7, against the default split of each n:
+    # tail 7 leaves the head empty for every n <= 7; tail 1 puts one value
+    # in the tail and all the others in the head.
     expected = {n: (brute_cdes_table(n), brute_nwexb_table(n)) for n in range(1, 8)}
-    monkeypatch.setattr(perms_module, "_TAIL", tail)
+    monkeypatch.setattr(perms_module, "_tail_length", lambda n: min(tail, n))
     for n in range(1, 8):
         cdes, nwexb = expected[n]
         assert list(brute_cdes_table(n).items()) == list(cdes.items()), n

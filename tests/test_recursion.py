@@ -1,5 +1,8 @@
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,8 @@ from cdescent import (
 )
 from cdescent.perms import TABLE_MAX_N, _members
 from cdescent.recursion import _FIELD_BITS
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # S within [2, n] for n <= 64, |S| <= 10.
 queries = st.integers(1, 64).flatmap(
@@ -82,6 +87,82 @@ def test_too_deep_recursion_raises_value_error():
     assert cache.items() >= filled.items()
     assert_cache_matches_formula(cache)
     assert cdes_recursive(12, (3, 5, 8), cache) == cdes_formula(12, (3, 5, 8))
+
+
+def test_depth_limit_landmarks():
+    # The recursion takes one frame per state it computes, so the depth
+    # limit decides which dense sets it accepts.  Called from the top of a
+    # fresh interpreter, under the default limit of 1000 frames: [33, 64]
+    # fits, [41, 80] and [49, 96] do not.
+    code = """
+from cdescent import cdes_recursive
+print(cdes_recursive(64, range(33, 65)) > 0)
+for n, low in ((80, 41), (96, 49)):
+    try:
+        cdes_recursive(n, range(low, n + 1))
+    except ValueError as refused:
+        print(refused)
+"""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "True",
+        "the recursion for max(S) = 80 exceeds the interpreter's depth limit 1000",
+        "the recursion for max(S) = 96 exceeds the interpreter's depth limit 1000",
+    ]
+
+
+def _visited(s):
+    # The composite sets the recursion computes from the sorted tuple s:
+    # s, then the children of each, by the three branches (min replaced by
+    # min - 1, delta(S), delta(S) without its minimum) or, when min = 2,
+    # the shortcut (delta(S) without its minimum, which is then 1).  Empty
+    # sets and singletons are base cases, never cached.
+    seen = set()
+    stack = [s]
+    while stack:
+        t = stack.pop()
+        if len(t) < 2 or t in seen:
+            continue
+        seen.add(t)
+        shifted = tuple(v - 1 for v in t)
+        if t[0] == 2:
+            stack.append(shifted[1:])
+        else:
+            stack += [(t[0] - 1, *t[1:]), shifted, shifted[1:]]
+    return seen
+
+
+class _WriteLog(dict):
+    # A cache that logs the key of every write.
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def __setitem__(self, key, value):
+        self.writes.append(key)
+        super().__setitem__(key, value)
+
+
+def test_fresh_cache_holds_exactly_the_visited_sets():
+    # The recursion's work: every visited set is computed and written once,
+    # no state is skipped and none is added; through a shared cache, no
+    # state is computed again.
+    shared = _WriteLog()
+    for s in iter_value_sets(10):
+        cache = _WriteLog()
+        cdes_recursive(10, s, cache)
+        assert len(cache.writes) == len(cache), s
+        assert set(map(_members, cache)) == _visited(s), s
+        cdes_recursive(10, s, shared)
+    assert len(shared.writes) == len(shared)
 
 
 def test_cache_keys_are_bitmasks_of_sets():
