@@ -11,25 +11,22 @@ i (from 0), the left value a and the right value b give one bit
 when b < i + 2, b standing at position i + 2).  The mask of one
 permutation is the OR of its rule over its pairs (``_mask``), and the
 public set functions read their sets off that mask.  The ``brute_*_table``
-functions each run one scan for their statistic, in process, and
-``brute_cdes_nwexb_tables`` runs one scan for both.  A scan of [n] splits
-each permutation into a head followed by a tail of n // 2 values (the one
-value for n = 1; ``_tail_length``), so that the two halves have about as
-many arrangements, and meets in the middle: for each set of tail values,
-every arrangement of the tail and every arrangement of the other values
-(the head) is built once and tallied by class (the tail by its first
-value and the mask of its own pairs, the head by its last value and its
-own mask).
+functions each run one scan of their own statistic, in process
+(``brute_cdes_nwexb_tables`` runs the two, one after the other).  A scan
+of [n] splits each permutation into a head followed by a tail of n // 2
+values (the one value for n = 1; ``_tail_length``), so that the two
+halves have about as many arrangements, and meets in the middle: for
+each set of tail values, every arrangement of the tail and every
+arrangement of the other values (the head) is built once and tallied by
+class (the tail by its first value and the mask of its own pairs, the
+head by its last value and its own mask).
 A permutation's complete mask is its head's mask, the bit of the pair
 where head meets tail, and its tail's mask ORed together, so the n!
 permutations are counted as products of class counts, one product per
-pair of classes, never one by one.  For both statistics the rule gives
-a pair's descent bits with its NWEXB bits ``_FIELD`` places above them
-(``_descent_nwexb_bits``), so one OR builds both masks side by side in
-one int, and the tally is split into the two tables at the end.  The
-tables are the ground truth against which every closed-form counting
-route is checked, so they share no code with those routes.  A fixed
-cap, ``DEFAULT_ENUMERATION_CAP``, bounds the runtime.
+pair of classes, never one by one.  The tables are the ground truth
+against which every closed-form counting route is checked, so they
+share no code with those routes.  A fixed cap,
+``DEFAULT_ENUMERATION_CAP``, bounds the runtime.
 
 ``brute_cdes_count`` and ``brute_nwexb_count`` count one set without the
 table: each enumerates, in process, only the permutations whose set is
@@ -75,11 +72,6 @@ COUNT_MAX_N = 100_000
 GENOCCHI_MAX_SIZE = 2000  # k*n of a Genocchi number: n^2 products of ~k*n digits
 GANDHI_MAX_SIZE = 300  # k*n of an expanded Gandhi polynomial, ~n^3 products
 VERIFY_MAX_N = 12  # max_n of the verify suite, whose time doubles per step
-
-# Width of one statistic's field in a joint mask: every rule's bits lie
-# below bit n + 1 <= _FIELD, so two statistics _FIELD places apart stay
-# apart in one int.
-_FIELD = DEFAULT_ENUMERATION_CAP + 1
 
 
 def _tail_length(n: int) -> int:
@@ -230,11 +222,6 @@ def _nwexb_bit(i: int, a: int, b: int) -> int:
     return 1 << (i + 2) if b < i + 2 else 0
 
 
-def _descent_nwexb_bits(i: int, a: int, b: int) -> int:
-    # Both rules side by side: the NWEXB bits one field above the descent bits.
-    return _descent_bit(i, a, b) | _nwexb_bit(i, a, b) << _FIELD
-
-
 def _mask(rule: Rule, perm: Sequence[int]) -> int:
     """The OR of ``rule`` over the adjacent pairs of ``perm``."""
     return functools.reduce(operator.or_, map(rule, itertools.count(), perm, perm[1:]), 0)
@@ -276,8 +263,8 @@ def _pairs_mask(bits: list, start: int, seq: Sequence[int]) -> int:
     return mask
 
 
-def _brute_tables(rule: Rule, n: int, fields: int = 1) -> tuple[dict[tuple[int, ...], int], ...]:
-    # One scan, one table per field of _FIELD bits in the rule's masks.
+def _brute_table(rule: Rule, n: int) -> dict[tuple[int, ...], int]:
+    # One scan: the permutations of [n] counted by the mask of the rule.
     check_int("n", n, 1)
     check_cap("n", n, "enumeration", "DEFAULT_ENUMERATION_CAP", DEFAULT_ENUMERATION_CAP)
     bits = [
@@ -313,14 +300,7 @@ def _brute_tables(rule: Rule, n: int, fields: int = 1) -> tuple[dict[tuple[int, 
         for (last, head_mask), head_count in heads.items():
             for mask, count in joined[last].items():
                 totals[head_mask | mask] += head_count * count
-    low = (1 << _FIELD) - 1
-    tables = []
-    for j in range(fields):
-        split: Counter[int] = Counter()
-        for mask, count in totals.items():
-            split[mask >> j * _FIELD & low] += count
-        tables.append({_members(mask): split[mask] for mask in sorted(split)})
-    return tuple(tables)
+    return {_members(mask): totals[mask] for mask in sorted(totals)}
 
 
 def brute_cdes_table(n: int, *, workers: int = 1) -> dict[tuple[int, ...], int]:
@@ -335,7 +315,7 @@ def brute_cdes_table(n: int, *, workers: int = 1) -> dict[tuple[int, ...], int]:
     {(): 1, (2,): 1, (3,): 3, (2, 3): 1}
     """
     check_int("workers", workers, 1)
-    return _brute_tables(_descent_bit, n)[0]
+    return _brute_table(_descent_bit, n)
 
 
 def count_placements(allowed: Sequence[Sequence[int]]) -> int:
@@ -389,20 +369,19 @@ def brute_cdes_count(n: int, s: Iterable[int]) -> int:
 
 def brute_nwexb_table(n: int) -> dict[tuple[int, ...], int]:
     """Count permutations of [n] by non-weak-excedance position set."""
-    return _brute_tables(_nwexb_bit, n)[0]
+    return _brute_table(_nwexb_bit, n)
 
 
 def brute_cdes_nwexb_tables(
     n: int,
 ) -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
-    """:func:`brute_cdes_table` and :func:`brute_nwexb_table` of n, from
-    one scan that counts the n! permutations by head and tail classes:
-    each class's two masks are tallied side by side in one int.
+    """:func:`brute_cdes_table` and :func:`brute_nwexb_table` of n, one
+    scan for each statistic.
 
     >>> brute_cdes_nwexb_tables(3)
     ({(): 1, (2,): 1, (3,): 3, (2, 3): 1}, {(): 1, (2,): 1, (3,): 3, (2, 3): 1})
     """
-    return _brute_tables(_descent_nwexb_bits, n, 2)
+    return brute_cdes_table(n), brute_nwexb_table(n)
 
 
 def brute_nwexb_count(n: int, s: Iterable[int]) -> int:

@@ -76,27 +76,23 @@ def cdes_recursive(n: int, s: Iterable[int], cache: Cache | None = None) -> int:
     1
     """
     mask = as_value_mask(s, n=n)
-    if cache is None:
-        cache = {}
-    try:
-        return _count(mask, cache)
-    except RecursionError:
-        raise ValueError(
-            f"the recursion for max(S) = {mask.bit_length() - 1} exceeds the "
-            f"interpreter's depth limit {sys.getrecursionlimit()}"
-        ) from None
-
-
-def _count(mask: int, cache: Cache) -> int:
     if mask & (mask - 1) == 0:
         # The empty set, or the singleton {m} at bit m: 2^(m-1) - 1.
         return (1 << (mask.bit_length() - 2)) - 1 if mask else 1
     if mask & 2:
         return 0
+    if cache is None:
+        cache = {}
     value = cache.get(mask)
     if value is not None:
         return value
-    return _fill(mask, cache)
+    try:
+        return _fill(mask, cache)
+    except RecursionError:
+        raise ValueError(
+            f"the recursion for max(S) = {mask.bit_length() - 1} exceeds the "
+            f"interpreter's depth limit {sys.getrecursionlimit()}"
+        ) from None
 
 
 def _fill(mask: int, cache: Cache) -> int:

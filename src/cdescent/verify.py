@@ -8,11 +8,10 @@ prints one line per check; the test suite asserts the same results.
 ``run_all`` builds its reference tables once per run and hands them to
 every check that compares against them: ``cdes_formula`` on every
 S of [2, n] for n <= ``max_n``, and for n <= ``BRUTE_MAX_N`` the brute
-descent and NWEXB tables, both from one scan per n that counts the n!
-permutations by head and tail classes (``brute_cdes_nwexb_tables``, the
-tables of ``brute_cdes_table`` and ``brute_nwexb_table``);
-``nwexb-vs-cdes`` compares the two.  No route is
-compared with a table built by its own code.
+descent and NWEXB tables, ``brute_cdes_table`` and ``brute_nwexb_table``,
+each from its own scan that counts the n! permutations by head and tail
+classes; ``nwexb-vs-cdes`` compares the two.  No route is compared with
+a table built by its own code.
 
 The package has one closed form, ``cdes_formula``, which
 ``cdes_formula_typed`` and ``count_tableaux_type_sum`` return under the
@@ -53,7 +52,7 @@ from collections import namedtuple
 from . import perms  # as a module, so that every check_* name here is a check
 from .formula import cdes_formula, gap_vector, set_type
 from .genocchi import brute_genocchi_perm_count, evaluate, gandhi_poly, genocchi_number
-from .perms import brute_cdes_nwexb_tables, iter_value_sets
+from .perms import brute_cdes_table, brute_nwexb_table, iter_value_sets
 from .poly import Poly, descent_set_coefficient, gn, gnk, tau
 from .recursion import cdes_insertion_table, cdes_recursive
 from .tableaux import (
@@ -370,10 +369,9 @@ def run_all(
         n: {s: cdes_formula(n, s) for s in iter_value_sets(n)}
         for n in range(1, max_n + 1)
     }
-    brute: Table = {}
-    nwexb: Table = {}
-    for n in range(1, min(max_n, BRUTE_MAX_N) + 1):
-        brute[n], nwexb[n] = brute_cdes_nwexb_tables(n)
+    sizes = range(1, min(max_n, BRUTE_MAX_N) + 1)
+    brute: Table = {n: brute_cdes_table(n) for n in sizes}
+    nwexb: Table = {n: brute_nwexb_table(n) for n in sizes}
     return [
         check_brute_vs_formula(formula, brute),
         check_typed_vs_formula(max_n),

@@ -492,19 +492,22 @@ all 17 checks passed
 @pytest.mark.parametrize("max_n", [4, 8])
 def test_verify_passes(capsys, monkeypatch, max_n):
     scanned = []
-    scan = perms._brute_tables
+    scan = perms._brute_table
 
-    def counted(rule, n, fields=1):
-        scanned.append((n, fields))
-        return scan(rule, n, fields)
+    def counted(rule, n):
+        scanned.append((rule, n))
+        return scan(rule, n)
 
-    monkeypatch.setattr(perms, "_brute_tables", counted)
+    monkeypatch.setattr(perms, "_brute_table", counted)
     rc, out, err = run(capsys, "verify", "--max-n", str(max_n))
     assert rc == 0 and err == ""
     assert out == VERIFY_TEXT.format(n=max_n, n1=max_n + 1)
-    # One class-tally scan of the n! permutations per n, for both brute
-    # tables, each shared by every check that compares against it.
-    assert scanned == [(n, 2) for n in range(1, max_n + 1)]
+    # One class-tally scan of the n! permutations per n and rule, each
+    # table shared by every check that compares against it.
+    sizes = range(1, max_n + 1)
+    assert scanned == [(perms._descent_bit, n) for n in sizes] + [
+        (perms._nwexb_bit, n) for n in sizes
+    ]
 
 
 def test_verify_seed_flag_is_gone(capsys):

@@ -517,21 +517,13 @@ def test_tables_match_the_definitions(n):
     assert list(brute_nwexb_table(n).items()) == list(_naive_table(_nwexbs, n).items())
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_joint_scan_gives_the_two_single_tables(n):
-    # Same sets, same counts and the same key order as one scan per rule.
-    cdes, nwexb = brute_cdes_nwexb_tables(n)
-    assert list(cdes.items()) == list(brute_cdes_table(n).items())
-    assert list(nwexb.items()) == list(brute_nwexb_table(n).items())
-
-
 def test_tables_at_nine_are_the_insertion_table():
     # Past the splits that test_tables_do_not_depend_on_the_tail_length
     # forces: a head of five values and a tail of four.  Same sets, same
     # counts and the same key order.
     table = cdes_insertion_table(9)
     assert list(brute_cdes_table(9).items()) == list(table.items())
-    assert [list(t.items()) for t in brute_cdes_nwexb_tables(9)] == [list(table.items())] * 2
+    assert list(brute_nwexb_table(9).items()) == list(table.items())
 
 
 @pytest.mark.parametrize("tail", [1, 2, 3, 4, 5, 6, 7])
@@ -545,8 +537,6 @@ def test_tables_do_not_depend_on_the_tail_length(monkeypatch, tail):
         cdes, nwexb = expected[n]
         assert list(brute_cdes_table(n).items()) == list(cdes.items()), n
         assert list(brute_nwexb_table(n).items()) == list(nwexb.items()), n
-        joint = brute_cdes_nwexb_tables(n)
-        assert [list(t.items()) for t in joint] == [list(cdes.items()), list(nwexb.items())], n
 
 
 def test_enumeration_cap():
