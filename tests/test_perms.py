@@ -517,6 +517,28 @@ def test_tables_match_the_definitions(n):
     assert list(brute_nwexb_table(n).items()) == list(_naive_table(_nwexbs, n).items())
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_joint_scan_gives_the_two_single_tables(n):
+    # Same sets, same counts and the same key order as one scan per rule.
+    cdes, nwexb = brute_cdes_nwexb_tables(n)
+    assert list(cdes.items()) == list(brute_cdes_table(n).items())
+    assert list(nwexb.items()) == list(brute_nwexb_table(n).items())
+
+
+def test_joint_tables_scan_once_per_statistic(monkeypatch):
+    # Two class-tally scans, one per rule, and no third that packs both.
+    scanned = []
+    scan = perms_module._brute_table
+
+    def counted(rule, n):
+        scanned.append((rule, n))
+        return scan(rule, n)
+
+    monkeypatch.setattr(perms_module, "_brute_table", counted)
+    brute_cdes_nwexb_tables(6)
+    assert scanned == [(perms_module._descent_bit, 6), (perms_module._nwexb_bit, 6)]
+
+
 def test_tables_at_nine_are_the_insertion_table():
     # Past the splits that test_tables_do_not_depend_on_the_tail_length
     # forces: a head of five values and a tail of four.  Same sets, same
