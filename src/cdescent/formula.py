@@ -36,8 +36,9 @@ def gap_vector(s: Iterable[int]) -> tuple[int, ...]:
     For S = {s_1 > s_2 > ... > s_k} the result is
     (s_1 - s_2, ..., s_{k-1} - s_k, s_k - 1); the empty set gives ().
     Entries are >= 1 and sum to max(S) - 1.  S is checked by
-    ``perms.as_descent_set``, which refuses a set containing 1; the closed
-    forms call it only on sets without 1.
+    ``perms.as_descent_set``, which refuses a set containing 1.
+    :func:`cdes_formula` checks S once itself and builds the same vector
+    from the checked set.
 
     >>> gap_vector({2, 4})
     (2, 1)
@@ -46,7 +47,11 @@ def gap_vector(s: Iterable[int]) -> tuple[int, ...]:
     >>> gap_vector({2, 3, 4})
     (1, 1, 1)
     """
-    s = as_descent_set(s)
+    return _gaps(as_descent_set(s))
+
+
+def _gaps(s: tuple[int, ...]) -> tuple[int, ...]:
+    # The gap vector of a checked set: a sorted tuple without 1.
     if not s:
         return ()
     desc = s[::-1]
@@ -132,7 +137,7 @@ def cdes_formula(n: int, s: Iterable[int]) -> int:
     s = as_value_set(s, n=n)
     if s and s[0] == 1:
         return 0
-    return cube_sum(gap_vector(s))
+    return cube_sum(_gaps(s))
 
 
 def cdes_formula_typed(n: int, s: Iterable[int]) -> int:

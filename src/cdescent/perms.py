@@ -19,14 +19,16 @@ halves have about as many arrangements, and meets in the middle: for
 each set of tail values, every arrangement of the tail and every
 arrangement of the other values (the head) is built once and tallied by
 class (the tail by its first value and the mask of its own pairs, the
-head by its last value and its own mask).
-A permutation's complete mask is its head's mask, the bit of the pair
-where head meets tail, and its tail's mask ORed together, so the n!
-permutations are counted as products of class counts, one product per
-pair of classes, never one by one.  The tables are the ground truth
-against which every closed-form counting route is checked, so they
-share no code with those routes.  A fixed cap,
-``DEFAULT_ENUMERATION_CAP``, bounds the runtime.
+head by its last value and its own mask), each class counted in a plain
+dict keyed by mask.  A permutation's complete mask is its head's mask,
+the bit of the pair where head meets tail, and its tail's mask ORed
+together, so the n! permutations are counted as products of class
+counts, one product per pair of classes, never one by one.  The products
+add into one flat list of totals indexed by mask, 2^(n+1) of them, and
+the table is read off it in ascending mask order, zeros skipped.  The
+tables are the ground truth against which every closed-form counting
+route is checked, so they share no code with those routes.  A fixed
+cap, ``DEFAULT_ENUMERATION_CAP``, bounds the runtime.
 
 ``brute_cdes_count`` and ``brute_nwexb_count`` count one set without the
 table: each enumerates, in process, only the permutations whose set is
@@ -53,7 +55,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 # Input caps, fixed: no caller changes them.
@@ -79,8 +80,12 @@ def _tail_length(n: int) -> int:
     # values, the tail's and the head's arrangements are each built once
     # and tallied by class, and every pair of classes adds one product.
     # Half the values, rounded down (one for n = 1), balances the two
-    # halves' arrangements and was the fastest split timed for n = 6..10
-    # (at n = 8, tied with a tail of 3).
+    # halves' arrangements and is the fastest split for n = 6..10.  Best of
+    # 5-60 interleaved runs, descent / NWEXB scan, ms, tail n // 2 - 1,
+    # n // 2, n // 2 + 1: n = 6: 0.46 / 0.45, 0.45 / 0.44, 0.50 / 0.47;
+    # n = 7: 1.94 / 1.92, 1.31 / 1.25, 1.39 / 1.29; n = 8: 6.0 / 5.6,
+    # 4.5 / 3.8, 6.8 / 6.1; n = 9: 45 / 40, 18 / 15, 19 / 17; n = 10:
+    # 130 / 112, 73 / 58, 196 / 149.
     return max(1, n // 2)
 
 
@@ -254,53 +259,67 @@ def nwexb_set(perm: Sequence[int]) -> tuple[int, ...]:
     return _members(_mask(_nwexb_bit, check_permutation(perm)))
 
 
-def _pairs_mask(bits: list, start: int, seq: Sequence[int]) -> int:
-    # The rule's bits (from the table bits[i][a][b]) over the pairs of seq,
-    # its first pair at index start.
-    mask = 0
-    for i in range(len(seq) - 1):
-        mask |= bits[start + i][seq[i]][seq[i + 1]]
-    return mask
-
-
 def _brute_table(rule: Rule, n: int) -> dict[tuple[int, ...], int]:
     # One scan: the permutations of [n] counted by the mask of the rule.
     check_int("n", n, 1)
     check_cap("n", n, "enumeration", "DEFAULT_ENUMERATION_CAP", DEFAULT_ENUMERATION_CAP)
+    # The rule's bit of pair i with left value a and right value b.
     bits = [
         [[rule(i, a, b) for b in range(n + 1)] for a in range(n + 1)] for i in range(n - 1)
     ]
     size = _tail_length(n)
     start = n - size  # the tail's first position (from 0): the head's length
-    totals: Counter[int] = Counter()
+    # The rule over the tail's pairs from its first pair on, and over the
+    # head's pairs from its last pair back.
+    tail_rows = bits[start:]
+    head_rows = bits[: max(start - 1, 0)][::-1]
+    # One total for each mask: every bit of either rule lies in 1 .. 1 << n.
+    totals = [0] * (2 << n)
     for tail_values in itertools.combinations(range(1, n + 1), size):
-        # Each arrangement of the tail, then of the other values (the head),
-        # is built once and tallied by its end value next to the other half
-        # and the mask of its own pairs.
-        tails = Counter(
-            (tail[0], _pairs_mask(bits, start, tail)) for tail in itertools.permutations(tail_values)
-        )
+        # Each arrangement of the tail is built once, from its first value
+        # on, and tallied by class: tails[first][mask] counts them.
+        tails: dict[int, dict[int, int]] = {}
+        for first in tail_values:
+            tails[first] = masks = {}
+            for others in itertools.permutations([v for v in tail_values if v != first]):
+                mask, a = 0, first
+                for row, b in zip(tail_rows, others):
+                    mask |= row[a][b]
+                    a = b
+                masks[mask] = masks.get(mask, 0) + 1
         if not start:
-            for (_, tail_mask), count in tails.items():
-                totals[tail_mask] += count
+            for masks in tails.values():
+                for mask, count in masks.items():
+                    totals[mask] += count
             continue
         rest = [v for v in range(1, n + 1) if v not in tail_values]
-        heads = Counter(
-            (head[-1], _pairs_mask(bits, 0, head)) for head in itertools.permutations(rest)
-        )
-        # For each last value of a head, the tail classes with the bit of
-        # the pair where head meets tail ORed in, merged where they meet.
-        joined: dict[int, Counter[int]] = {}
         for last in rest:
+            # Each arrangement of the other values (the head) that ends in
+            # last, built once from last back (an order of the others read
+            # right to left) and tallied by its mask.
+            heads: dict[int, int] = {}
+            for others in itertools.permutations([v for v in rest if v != last]):
+                mask, b = 0, last
+                for row, a in zip(head_rows, others):
+                    mask |= row[a][b]
+                    b = a
+                heads[mask] = heads.get(mask, 0) + 1
+            # The tail classes with the bit of the pair where head meets
+            # tail ORed in, merged where they meet, as (mask, count) pairs.
             joint = bits[start - 1][last]
-            joined[last] = masks = Counter()
-            for (first, tail_mask), count in tails.items():
-                masks[joint[first] | tail_mask] += count
-        # The permutations of this split, counted by class products.
-        for (last, head_mask), head_count in heads.items():
-            for mask, count in joined[last].items():
-                totals[head_mask | mask] += head_count * count
-    return {_members(mask): totals[mask] for mask in sorted(totals)}
+            merged: dict[int, int] = {}
+            for first, masks in tails.items():
+                bit = joint[first]
+                for mask, count in masks.items():
+                    mask |= bit
+                    merged[mask] = merged.get(mask, 0) + count
+            joined = list(merged.items())
+            # The permutations of this split whose head ends in last,
+            # counted by class products.
+            for head_mask, head_count in heads.items():
+                for mask, count in joined:
+                    totals[head_mask | mask] += head_count * count
+    return {_members(mask): count for mask, count in enumerate(totals) if count}
 
 
 def brute_cdes_table(n: int, *, workers: int = 1) -> dict[tuple[int, ...], int]:

@@ -10,8 +10,10 @@ every check that compares against them: ``cdes_formula`` on every
 S of [2, n] for n <= ``max_n``, and for n <= ``BRUTE_MAX_N`` the brute
 descent and NWEXB tables, ``brute_cdes_table`` and ``brute_nwexb_table``,
 each from its own scan that counts the n! permutations by head and tail
-classes; ``nwexb-vs-cdes`` compares the two.  No route is compared with
-a table built by its own code.
+classes; ``nwexb-vs-cdes`` compares the two.  The closed form of each
+tableaux shape with rows + width <= ``BRUTE_MAX_N`` is computed once and
+handed to ``tableaux-three-routes`` and ``tableaux-mass-equals-factorial``.
+No route is compared with a table built by its own code.
 
 The package has one closed form, ``cdes_formula``, which
 ``cdes_formula_typed`` and ``count_tableaux_type_sum`` return under the
@@ -287,24 +289,25 @@ def _shapes(top: int):
     return (p for p in iter_shapes(top * top // 4, top - 1) if len(p) + p[0] <= top)
 
 
-def check_tableaux(brute: Table) -> CheckResult:
+def check_tableaux(brute: Table, closed: dict[tuple[int, ...], int]) -> CheckResult:
+    # ``closed``: every shape of _shapes(max(brute)), with its closed form.
     bad = []
-    top = max(brute)
-    for shape in _shapes(top):
-        want = count_tableaux_formula(shape)
+    for shape, want in closed.items():
         if count_tableaux_transfer(shape) != want:
             bad.append((shape, "transfer"))
         n, s = shape_to_descent_set(shape)
         if brute[n].get(s, 0) != want:
             bad.append((shape, "brute"))
-    return _result("tableaux-three-routes", bad, f"shapes of length <= {top}")
+    return _result("tableaux-three-routes", bad, f"shapes of length <= {max(brute)}")
 
 
-def check_tableaux_mass(max_n: int) -> CheckResult:
+def check_tableaux_mass(closed: dict[tuple[int, ...], int]) -> CheckResult:
+    # ``closed`` as in check_tableaux: the shapes of each n up to its top
+    # are those with rows + width <= n.
     bad = []
-    top = min(max_n, BRUTE_MAX_N)
+    top = max(len(shape) + shape[0] for shape in closed)
     for n in range(2, top + 1):
-        total = 1 + sum(count_tableaux_formula(shape) for shape in _shapes(n))
+        total = 1 + sum(c for shape, c in closed.items() if len(shape) + shape[0] <= n)
         if total != math.factorial(n):
             bad.append((n, total))
     return _result("tableaux-mass-equals-factorial", bad, f"n <= {top}")
@@ -369,9 +372,10 @@ def run_all(
         n: {s: cdes_formula(n, s) for s in iter_value_sets(n)}
         for n in range(1, max_n + 1)
     }
-    sizes = range(1, min(max_n, BRUTE_MAX_N) + 1)
-    brute: Table = {n: brute_cdes_table(n) for n in sizes}
-    nwexb: Table = {n: brute_nwexb_table(n) for n in sizes}
+    top = min(max_n, BRUTE_MAX_N)
+    brute: Table = {n: brute_cdes_table(n) for n in range(1, top + 1)}
+    nwexb: Table = {n: brute_nwexb_table(n) for n in range(1, top + 1)}
+    closed = {shape: count_tableaux_formula(shape) for shape in _shapes(top)}
     return [
         check_brute_vs_formula(formula, brute),
         check_typed_vs_formula(max_n),
@@ -385,8 +389,8 @@ def run_all(
         check_poly_vs_formula(formula),
         check_poly_slices(max_n),
         check_gap_tau_reversal(min(max_n + 1, 10)),
-        check_tableaux(brute),
-        check_tableaux_mass(max_n),
+        check_tableaux(brute, closed),
+        check_tableaux_mass(closed),
         check_theta_bijection(max_n),
         check_singleton_law(),
         check_genocchi(),

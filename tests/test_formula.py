@@ -16,7 +16,7 @@ from cdescent import (
     tau,
     tree_weight_sum,
 )
-from cdescent import formula
+from cdescent import formula, perms
 from cdescent.formula import cube_sum
 from cdescent.perms import SUM_CAP
 
@@ -232,3 +232,21 @@ def test_typed_and_tree_agree_with_formula(s):
     if s:
         assert tree_weight_sum(gap_vector(s)) == want
     assert want >= 0
+
+
+def test_formula_checks_the_set_once(monkeypatch):
+    # cdes_formula checks S with as_value_set and builds the gap vector
+    # from the checked tuple, without gap_vector's second check.
+    calls = []
+    check = perms.as_value_set
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(perms, "as_value_set", counted)
+    monkeypatch.setattr(formula, "as_value_set", counted)
+    assert formula.cdes_formula(8, (3, 5, 8)) == 327
+    assert len(calls) == 1
+    assert formula.gap_vector((3, 5, 8)) == (3, 2, 2)
+    assert len(calls) == 2

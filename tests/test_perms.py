@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -546,6 +547,20 @@ def test_tables_at_nine_are_the_insertion_table():
     table = cdes_insertion_table(9)
     assert list(brute_cdes_table(9).items()) == list(table.items())
     assert list(brute_nwexb_table(9).items()) == list(table.items())
+
+
+@pytest.mark.parametrize("scan", [brute_cdes_table, brute_nwexb_table], ids=["cdes", "nwexb"])
+def test_scan_at_nine_stays_small(scan):
+    # The class tallies, the joined pairs and the 2^10 totals, about
+    # 0.06 MB under tracemalloc; a prefix DP over (used values, last value)
+    # would hold over 1 MB.
+    tracemalloc.start()
+    try:
+        scan(9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 2**20
 
 
 @pytest.mark.parametrize("tail", [1, 2, 3, 4, 5, 6, 7])

@@ -185,10 +185,35 @@ def test_tableaux_check_visits_every_shape_up_to_its_top(monkeypatch):
 
     monkeypatch.setattr(verify, "count_tableaux_transfer", counted)
     brute = {n: perms.brute_cdes_table(n) for n in range(1, 9)}
-    assert verify.check_tableaux(brute).passed
+    closed = {shape: verify.count_tableaux_formula(shape) for shape in verify._shapes(8)}
+    assert verify.check_tableaux(brute, closed).passed
     assert len(seen) == len(set(seen)) == 127
     assert set(seen) == {p for p in verify.iter_shapes(16, 7) if len(p) + p[0] <= 8}
     assert {len(p) for p in seen} == set(range(1, 8))
+
+
+def test_run_all_computes_each_closed_form_of_a_shape_once(monkeypatch):
+    # The 127 shapes with rows + width <= 8, shared by tableaux-three-routes
+    # and tableaux-mass-equals-factorial.
+    seen = []
+    closed = verify.count_tableaux_formula
+
+    def counted(shape):
+        seen.append(shape)
+        return closed(shape)
+
+    monkeypatch.setattr(verify, "count_tableaux_formula", counted)
+    assert all(r.passed for r in verify.run_all(8))
+    assert len(seen) == len(set(seen)) == 127
+
+
+def test_tableaux_mass_reads_each_n_off_the_shared_closed_forms():
+    # One shape's closed form off by one shows at every n from its own up.
+    closed = {shape: verify.count_tableaux_formula(shape) for shape in verify._shapes(6)}
+    closed[(2, 1)] += 1
+    assert verify.check_tableaux_mass(closed) == verify.CheckResult(
+        "tableaux-mass-equals-factorial", False, "first mismatch: (4, 25)"
+    )
 
 
 @given(st.sets(st.integers(2, 200)).map(lambda s: tuple(sorted(s))))
