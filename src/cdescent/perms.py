@@ -214,6 +214,23 @@ def _members(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def _subsets(values: range) -> list[tuple[int, ...]]:
+    """Every subset of ``values`` as a sorted tuple, in ascending bitmask
+    order with ``values[i]`` at bit i: the subsets holding ``values[i]``
+    follow the 2^i before them, each with ``values[i]`` appended.
+
+    >>> _subsets(range(2, 4))
+    [(), (2,), (3,), (2, 3)]
+    """
+    out: list[tuple[int, ...]] = [()]
+    for v in values:
+        # The map reads ``out`` while ``+=`` appends to it, so only the
+        # bounded repeat stops it: unbounded, it would chase its own tail
+        # until memory ran out.
+        out += map(operator.add, out, itertools.repeat((v,), len(out)))
+    return out
+
+
 Rule = Callable[[int, int, int], int]
 
 

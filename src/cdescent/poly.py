@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Iterable, Mapping
 
 from .formula import cdes_formula
-from .perms import TABLE_MAX_N, as_descent_set, check_cap, check_distinct, check_int, check_ints
+from .perms import TABLE_MAX_N, _subsets, as_descent_set, check_cap, check_distinct, check_int, check_ints
 
 Monomial = tuple[tuple[int, ...], int]
 
@@ -184,53 +185,61 @@ def gn(n: int) -> Poly:
     from g_2 = 1 + x1*y, not by enumerating permutations.  As the
     y-degree of every term is its number of x-variables, g_m is held as
     a plain list of coefficients indexed by bitmask, x_i at bit i - 1.
-    The recursion is applied term by term, in one pass over the list per
-    step, scattering each term: a term c at mask X keeps its place, adds
-    (m - |X|) * c at X | x_m (the m*x_m*y and y^2 d/dy terms land there
-    together), and for each bit b of X adds c at X ^ b | x_m, the
-    monomial that swaps that x-variable for x_m.  The ``Monomial`` keys
-    are built once, by concatenation in ascending-bitmask order, before
-    the coefficients, and paired with them at the end.  n above
+    A step keeps the list, the 1 * g_m part, and appends a new half for
+    the masks holding x_m, in whole-slice passes: first the new entry of
+    each mask X is (m - |X|) times the coefficient of X (the m*x_m*y and
+    y^2 d/dy terms land there together); then, for each x-variable at bit
+    j, every coefficient of a mask holding bit j is added into the new
+    entry of the mask without it, the monomial that swaps that variable
+    for x_m.  The masks holding bit j come in runs of 2^j every 2^(j+1)
+    masks, so a pass takes either its runs or, where runs outnumber their
+    length, the columns of entries 2^(j+1) apart: min(2^j, 2^(m-j-2))
+    slice operations for each bit.  The ``Monomial`` keys are the subsets
+    of ``perms._subsets``, in the same ascending-bitmask order, listed
+    after the coefficients and paired with them.  n above
     ``perms.TABLE_MAX_N`` is refused.
 
     Read coefficient by coefficient this is the insertion recurrence of
     ``recursion.cdes_insertion_table``, but the two are kept as separate
     code on purpose: ``verify``'s ``poly-vs-formula`` and
     ``insertion-vs-formula`` are independent checks only while neither
-    route is derived from the other.  Here each term scatters into a
-    list; the insertion table gathers in whole-int passes over packed
-    fields.
+    route is derived from the other.  Here slices of a list are added;
+    the insertion table shifts and masks packed fields of one int.  The
+    two share only their keys' labels, which the checks read off the
+    formula table's own sets.
 
     >>> str(gn(3))
     '1 + x1*y + 3*x2*y + x1*x2*y^2'
     """
     check_int("n", n, 2)
     check_cap("n", n, "table", "TABLE_MAX_N", TABLE_MAX_N)
-    # The keys come first, so that the dict is at its final size before the
-    # coefficient list exists: the two never grow side by side.
-    keys: list[Monomial] = [((), 0)]
-    for i in range(1, n):
-        tail = (i,)
-        keys += [(xvars + tail, ydeg + 1) for xvars, ydeg in keys]
-    terms = dict.fromkeys(keys, 0)
-    del keys
     coeffs = [1, 1]  # g_2 = 1 + x1*y
     for m in range(2, n):
         top = 1 << (m - 1)  # the bit of x_m
-        # The masks below top hold the 1 * g_m part and are only read; the
-        # scatter writes only to the new masks, each holding x_m.
-        coeffs.extend(itertools.repeat(0, top))
-        for mask, c in zip(range(top), coeffs):
-            grown = mask | top
-            coeffs[grown] += (m - mask.bit_count()) * c
-            rest = mask
-            while rest:
-                bit = rest & -rest
-                coeffs[grown ^ bit] += c
-                rest ^= bit
-    for key, c in zip(terms, coeffs):
-        terms[key] = c
-    return _raw(terms)
+        # The range stops the map before it reads an entry it appended.
+        coeffs += map(
+            operator.mul,
+            map(operator.sub, itertools.repeat(m), map(int.bit_count, range(top))),
+            coeffs,
+        )
+        for j in range(m - 1):
+            run = 1 << j
+            period = run << 1
+            if top // period <= run:  # each run as one slice
+                for k in range(0, top, period):
+                    new = top + k
+                    coeffs[new : new + run] = map(
+                        operator.add, coeffs[new : new + run], coeffs[k + run : k + period]
+                    )
+            else:  # each column of entries a period apart as one slice
+                for k in range(run):
+                    coeffs[top + k :: period] = map(
+                        operator.add, coeffs[top + k :: period], coeffs[k + run : top : period]
+                    )
+    # The keys come last: the slice passes' temporaries never stand beside
+    # the dict, and each monomial tuple is made only as the dict takes it.
+    xvars = _subsets(range(1, n))
+    return _raw(dict(zip(zip(xvars, map(len, xvars)), coeffs)))
 
 
 def descent_set_coefficient(g: Poly, s: Iterable[int]) -> int:

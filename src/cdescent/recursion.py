@@ -23,7 +23,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterable
 
-from .perms import TABLE_MAX_N, as_value_mask, check_cap, check_int
+from .perms import TABLE_MAX_N, _subsets, as_value_mask, check_cap, check_int
 
 # Minimum-element recursion cache: bitmask of S (element v at bit v) -> count.
 Cache = dict[int, int]
@@ -160,10 +160,10 @@ def cdes_insertion_table(n: int) -> dict[tuple[int, ...], int]:
     of S, and a mask keeps the fields of the sets without i.  The grown
     fields go above the old ones, as the masks with bit m - 2 set.  Every
     field holds less than m! <= 20! < 2^63, so no field ever carries into
-    the next.  The fields are unpacked once at the end and paired with
-    the sorted-tuple keys, grown step by step in the same order: the table
-    is ordered by ascending bitmask.  n above ``perms.TABLE_MAX_N`` is
-    refused before anything is allocated.
+    the next.  The fields are read once at the end and paired with the
+    sorted-tuple keys of ``perms._subsets``, listed in the same order: the
+    table is ordered by ascending bitmask.  n above ``perms.TABLE_MAX_N``
+    is refused before anything is allocated.
 
     >>> cdes_insertion_table(3)
     {(): 1, (2,): 1, (3,): 3, (2, 3): 1}
@@ -171,16 +171,14 @@ def cdes_insertion_table(n: int) -> dict[tuple[int, ...], int]:
     check_int("n", n, 1)
     check_cap("n", n, "table", "TABLE_MAX_N", TABLE_MAX_N)
     counts = _insertion_counts(n)
-    keys: list[tuple[int, ...]] = [()]
-    for m in range(2, n + 1):
-        tail = (m,)
-        keys += [s + tail for s in keys]
-    return dict(zip(keys, counts))
+    return dict(zip(_subsets(range(2, n + 1)), counts))
 
 
-def _insertion_counts(n: int) -> list[int]:
-    # The counts of cdes_insertion_table(n) by ascending bitmask; every
-    # packed int is freed on return, before the table's dict is built.
+def _insertion_counts(n: int) -> memoryview:
+    # The counts of cdes_insertion_table(n) by ascending bitmask, as a view
+    # of native 64-bit fields: each becomes an int only as the table's dict
+    # takes it, so no list of them stands beside the dict while it grows.
+    # Every packed int is freed on return, before the dict is built.
     packed = 1  # the table of n = 1: the empty set, once
     for m in range(2, n + 1):
         size = _FIELD_BITS << (m - 2)  # the bits of the fields of [2, m-1]
@@ -196,8 +194,6 @@ def _insertion_counts(n: int) -> list[int]:
                 period <<= 1
             grown += (packed + (packed >> shift)) & lanes
         packed |= grown << size
-    fields = packed.to_bytes(_FIELD_BITS // 8 << (n - 1), sys.byteorder)
-    counts = memoryview(fields).cast("Q").tolist()
-    if sys.byteorder == "big":
-        counts.reverse()  # the int's high fields came first
-    return counts
+    fields = memoryview(packed.to_bytes(_FIELD_BITS // 8 << (n - 1), sys.byteorder)).cast("Q")
+    # Big-endian bytes put the int's high fields first.
+    return fields if sys.byteorder == "little" else fields[::-1]

@@ -6,14 +6,17 @@ bijections, reference coefficients).  The command-line ``verify`` command
 prints one line per check; the test suite asserts the same results.
 
 ``run_all`` builds its reference tables once per run and hands them to
-every check that compares against them: ``cdes_formula`` on every
-S of [2, n] for n <= ``max_n``, and for n <= ``BRUTE_MAX_N`` the brute
+every check that compares against them: ``cdes_formula`` once on every
+S of [2, ``max_n``], each smaller n's row read off those values (a count
+depends on S alone), and for n <= ``BRUTE_MAX_N`` the brute
 descent and NWEXB tables, ``brute_cdes_table`` and ``brute_nwexb_table``,
 each from its own scan that counts the n! permutations by head and tail
 classes; ``nwexb-vs-cdes`` compares the two.  The closed form of each
 tableaux shape with rows + width <= ``BRUTE_MAX_N`` is computed once and
-handed to ``tableaux-three-routes`` and ``tableaux-mass-equals-factorial``.
-No route is compared with a table built by its own code.
+handed to ``tableaux-three-routes`` and ``tableaux-mass-equals-factorial``,
+and ``gn(n)`` once for each n in [2, ``max_n``], handed to
+``poly-vs-formula`` and ``poly-slice-reassembly``.  No route is compared
+with a table built by its own code.
 
 The package has one closed form, ``cdes_formula``, which
 ``cdes_formula_typed`` and ``count_tableaux_type_sum`` return under the
@@ -28,11 +31,14 @@ transfer and with the brute table's entry for its border set.  The
 brute-force scans, the recursion, the insertion tables, ``gn``, the tree
 traversal and the column transfer stay independent of ``cube_sum``.  The
 insertion table works on packed fields indexed by bitmask and shares no
-code with the brute scan, the formula or ``gn``.  ``gn`` runs the same
-recurrence as separate code: it scatters each term of a list of
-coefficients indexed by bitmask into the entries it feeds, while the
+count code with the brute scan, the formula or ``gn``.  ``gn`` runs the same
+recurrence as separate code: it adds whole slices of a list of
+coefficients indexed by bitmask, one pass per x-variable, while the
 insertion table gathers every new field in whole-int passes over its
-packed int.  ``poly-slice-reassembly`` also checks each slice
+packed int.  The two share only the labels of their keys,
+``perms._subsets``, and every check reads its keys off the formula
+table, whose sets come from ``iter_value_sets``, so a wrong label
+cannot hide.  ``poly-slice-reassembly`` also checks each slice
 ``gnk(n, k)`` at x = 1 against the Eulerian number A(n, k), from its
 recurrence, which no route computes.  ``genocchi-cross-check`` compares
 the Genocchi value triangle with the expanded Gandhi polynomials and
@@ -222,8 +228,8 @@ def check_poly_reference_table() -> CheckResult:
     return _result("poly-reference-table", bad, "orders 2..5")
 
 
-def check_poly_vs_formula(formula: Table) -> CheckResult:
-    polys = {n: gn(n) for n in formula if n >= 2}
+def check_poly_vs_formula(formula: Table, polys: dict[int, Poly]) -> CheckResult:
+    # ``polys``: gn(n) for every n of the formula table from 2 up.
     bad = _mismatches(
         lambda n, s: descent_set_coefficient(polys[n], s),
         {n: formula[n] for n in polys},
@@ -251,20 +257,20 @@ def _eulerian_numbers(n: int) -> list[int]:
     return row
 
 
-def check_poly_slices(max_n: int) -> CheckResult:
-    # The slices reassemble gn, and slice k at x = 1 counts the
-    # permutations with k descents: the Eulerian number A(n, k).
+def check_poly_slices(polys: dict[int, Poly]) -> CheckResult:
+    # The slices reassemble each gn(n) of ``polys``, and slice k at x = 1
+    # counts the permutations with k descents: the Eulerian number A(n, k).
     bad = []
-    for n in range(2, max_n + 1):
+    for n, g in polys.items():
         total = Poly()
         for k, eulerian in enumerate(_eulerian_numbers(n)):
             piece = gnk(n, k)
             if piece.evaluate(1) != eulerian:
                 bad.append((n, k, "eulerian"))
             total = total + piece * Poly.y(k)
-        if total != gn(n):
+        if total != g:
             bad.append(n)
-    return _result("poly-slice-reassembly", bad, f"n <= {max_n}")
+    return _result("poly-slice-reassembly", bad, f"n <= {max(polys)}")
 
 
 def check_gap_tau_reversal(max_total: int) -> CheckResult:
@@ -368,10 +374,13 @@ def run_all(
     perms.check_int("max_n", max_n, 2)
     perms.check_cap("max_n", max_n, "verify", "VERIFY_MAX_N", perms.VERIFY_MAX_N)
     perms.check_int("workers", workers, 1)
+    # cdes_n(S) depends on S alone, so one call per set of [2, max_n] fills
+    # every row, each in the order of its own iter_value_sets.
+    top_row = {s: cdes_formula(max_n, s) for s in iter_value_sets(max_n)}
     formula = {
-        n: {s: cdes_formula(n, s) for s in iter_value_sets(n)}
-        for n in range(1, max_n + 1)
+        n: {s: top_row[s] for s in iter_value_sets(n)} for n in range(1, max_n + 1)
     }
+    polys = {n: gn(n) for n in range(2, max_n + 1)}
     top = min(max_n, BRUTE_MAX_N)
     brute: Table = {n: brute_cdes_table(n) for n in range(1, top + 1)}
     nwexb: Table = {n: brute_nwexb_table(n) for n in range(1, top + 1)}
@@ -386,8 +395,8 @@ def run_all(
         check_table_mass(formula),
         check_nwexb_vs_cdes(brute, nwexb),
         check_poly_reference_table(),
-        check_poly_vs_formula(formula),
-        check_poly_slices(max_n),
+        check_poly_vs_formula(formula, polys),
+        check_poly_slices(polys),
         check_gap_tau_reversal(min(max_n + 1, 10)),
         check_tableaux(brute, closed),
         check_tableaux_mass(closed),

@@ -268,6 +268,15 @@ def test_as_value_mask_is_as_value_set_as_a_mask(drawn, n):
         assert mask == expected
 
 
+@pytest.mark.parametrize("values", [range(1, 1), range(2, 3), range(1, 9), range(5, 12)])
+def test_subsets_ascend_by_bitmask(values):
+    # values[i] at bit i: entry k is the set of the bits of k.
+    expected = [
+        tuple(values[i] for i in perms_module._members(mask)) for mask in range(2 ** len(values))
+    ]
+    assert perms_module._subsets(values) == expected
+
+
 bounds = st.none() | st.integers(-3, 3)
 
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -94,6 +96,58 @@ def test_gn_coefficients_are_counts():
         g = gn(n)
         for s in iter_value_sets(n):
             assert descent_set_coefficient(g, s) == cdes_formula(n, s), (n, s)
+
+
+def _scatter_gn(n):
+    # The per-term scatter gn ran before its whole-slice passes, kept as
+    # written then: the reference for the terms, their key order and the
+    # peak memory.
+    # The keys come first, so that the dict is at its final size before the
+    # coefficient list exists: the two never grow side by side.
+    keys = [((), 0)]
+    for i in range(1, n):
+        tail = (i,)
+        keys += [(xvars + tail, ydeg + 1) for xvars, ydeg in keys]
+    terms = dict.fromkeys(keys, 0)
+    del keys
+    coeffs = [1, 1]  # g_2 = 1 + x1*y
+    for m in range(2, n):
+        top = 1 << (m - 1)  # the bit of x_m
+        # The masks below top hold the 1 * g_m part and are only read; the
+        # scatter writes only to the new masks, each holding x_m.
+        coeffs.extend(itertools.repeat(0, top))
+        for mask, c in zip(range(top), coeffs):
+            grown = mask | top
+            coeffs[grown] += (m - mask.bit_count()) * c
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                coeffs[grown ^ bit] += c
+                rest ^= bit
+    for key, c in zip(terms, coeffs):
+        terms[key] = c
+    return terms
+
+
+def test_gn_matches_the_scatter_key_order_included():
+    for n in range(2, 13):
+        assert list(gn(n).terms().items()) == list(_scatter_gn(n).items()), n
+
+
+def _peak_bytes(build, n):
+    build(n)  # a first call settles the allocator's free lists
+    tracemalloc.start()
+    try:
+        build(n)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gn_peak_memory_stays_within_a_tenth_of_the_scatter():
+    # The keys are listed after the slice passes, so the passes'
+    # temporaries never stand beside the dict.
+    assert _peak_bytes(gn, 16) <= 1.1 * _peak_bytes(_scatter_gn, 16)
 
 
 def test_gn_table_cap():

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from cdescent import (
     iter_value_sets,
 )
 from cdescent.perms import TABLE_MAX_N, _members
-from cdescent.recursion import _FIELD_BITS
+from cdescent.recursion import _FIELD_BITS, _insertion_counts
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -281,3 +282,34 @@ def test_insertion_keys_ascend_by_bitmask():
 def test_insertion_table_cap():
     with pytest.raises(ValueError, match=f"TABLE_MAX_N = {TABLE_MAX_N}"):
         cdes_insertion_table(TABLE_MAX_N + 1)
+
+
+def _listed_insertion_table(n):
+    # The table with its counts first unpacked into a list and its keys
+    # grown by list comprehension, as it was once built: the reference
+    # for the peak memory below.
+    view = _insertion_counts(n)
+    counts = view.tolist()
+    del view
+    keys = [()]
+    for m in range(2, n + 1):
+        tail = (m,)
+        keys += [s + tail for s in keys]
+    return dict(zip(keys, counts))
+
+
+def _peak_bytes(build, n):
+    build(n)  # a first call settles the allocator's free lists
+    tracemalloc.start()
+    try:
+        build(n)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_insertion_table_peaks_no_higher_than_a_listed_build():
+    # The counts are read off the packed fields only as the dict takes
+    # them, so no list of 2^16 counts stands beside the growing dict.
+    assert _listed_insertion_table(12) == cdes_insertion_table(12)
+    assert _peak_bytes(cdes_insertion_table, 17) <= _peak_bytes(_listed_insertion_table, 17)

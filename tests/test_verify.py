@@ -247,17 +247,41 @@ def test_eulerian_numbers():
 def test_eulerian_leg_catches_slices_that_still_reassemble(monkeypatch):
     # Doubling gn and every slice alike keeps the reassembly exact; only the
     # slice masses against the Eulerian numbers can see it.
-    gn, gnk = verify.gn, verify.gnk
-    monkeypatch.setattr(verify, "gn", lambda n: gn(n) * 2)
+    gnk = verify.gnk
     monkeypatch.setattr(verify, "gnk", lambda n, k: gnk(n, k) * 2)
-    result = verify.check_poly_slices(5)
+    result = verify.check_poly_slices({n: verify.gn(n) * 2 for n in range(2, 6)})
     assert result == verify.CheckResult(
         "poly-slice-reassembly", False, "first mismatch: (2, 0, 'eulerian')"
     )
 
 
 def test_eulerian_leg_uses_the_recurrence(monkeypatch):
-    assert verify.check_poly_slices(6) == verify.CheckResult("poly-slice-reassembly", True, "n <= 6")
+    polys = {n: verify.gn(n) for n in range(2, 7)}
+    assert verify.check_poly_slices(polys) == verify.CheckResult("poly-slice-reassembly", True, "n <= 6")
     eulerian = verify._eulerian_numbers
     monkeypatch.setattr(verify, "_eulerian_numbers", lambda n: [*eulerian(n)[:-1], 2])
-    assert not verify.check_poly_slices(6).passed
+    assert not verify.check_poly_slices(polys).passed
+
+
+def test_run_all_builds_each_reference_once(monkeypatch):
+    # One cdes_formula call per set of [2, 8] fills every row of the formula
+    # table (singleton-law makes its own 63), and one gn(n) per n serves
+    # poly-vs-formula and poly-slice-reassembly (poly-reference-table builds
+    # its own orders 2..5).
+    formula_calls, gn_calls = [], []
+    formula, gn = verify.cdes_formula, verify.gn
+
+    def counted_formula(n, s):
+        formula_calls.append((n, s))
+        return formula(n, s)
+
+    def counted_gn(n):
+        gn_calls.append(n)
+        return gn(n)
+
+    monkeypatch.setattr(verify, "cdes_formula", counted_formula)
+    monkeypatch.setattr(verify, "gn", counted_gn)
+    assert all(r.passed for r in verify.run_all(8))
+    singletons = [(n, (n,)) for n in range(2, verify.SINGLETON_MAX_N + 1)]
+    assert sorted(formula_calls) == sorted([*((8, s) for s in verify.iter_value_sets(8)), *singletons])
+    assert sorted(gn_calls) == sorted([*range(2, 9), *range(2, 6)])
