@@ -16,14 +16,21 @@ functions each run one scan of their own statistic, in process
 of [n] splits each permutation into a head followed by a tail of n // 2
 values (the one value for n = 1; ``_tail_length``), so that the two
 halves have about as many arrangements, and meets in the middle: for
-each set of tail values, every arrangement of the tail and every
-arrangement of the other values (the head) is built once and tallied by
-class (the tail by its first value and the mask of its own pairs, the
-head by its last value and its own mask), each class counted in a plain
-dict keyed by mask.  A permutation's complete mask is its head's mask,
-the bit of the pair where head meets tail, and its tail's mask ORed
-together, so the n! permutations are counted as products of class
-counts, one product per pair of classes, never one by one.  The products
+each set of tail values, the arrangements of the tail and of the other
+values (the head) are tallied by class (the tail by its first value and
+the mask of its own pairs, the head by its last value and its own
+mask), each class counted in a plain dict keyed by mask.  The classes
+come from a DP over value sets (Held and Karp, J. SIAM 1962), not from
+the arrangements one by one: those of a set of j values that end in v
+are the classes of the set without v, each with v put next to its end x
+and the bit of the pair of v and x ORed in.  Each half grows one value
+at a time, a head at its right end and a tail at its left, and each
+level of sets is built once from the level below; the full-size classes
+are built one value set at a time, where they are joined.  A
+permutation's complete mask is its head's mask, the bit of the pair
+where head meets tail, and its tail's mask ORed together, so the n!
+permutations are counted as products of class counts, one product per
+pair of classes, never one by one.  The products
 add into one flat list of totals indexed by mask, 2^(n+1) of them, and
 the table is read off it in ascending mask order, zeros skipped.  The
 tables are the ground truth against which every closed-form counting
@@ -77,15 +84,17 @@ VERIFY_MAX_N = 12  # max_n of the verify suite, whose time doubles per step
 
 def _tail_length(n: int) -> int:
     # Values in the tail of a brute scan of [n]: for each set of tail
-    # values, the tail's and the head's arrangements are each built once
-    # and tallied by class, and every pair of classes adds one product.
-    # Half the values, rounded down (one for n = 1), balances the two
-    # halves' arrangements and is the fastest split for n = 6..10.  Best of
-    # 5-60 interleaved runs, descent / NWEXB scan, ms, tail n // 2 - 1,
-    # n // 2, n // 2 + 1: n = 6: 0.46 / 0.45, 0.45 / 0.44, 0.50 / 0.47;
-    # n = 7: 1.94 / 1.92, 1.31 / 1.25, 1.39 / 1.29; n = 8: 6.0 / 5.6,
-    # 4.5 / 3.8, 6.8 / 6.1; n = 9: 45 / 40, 18 / 15, 19 / 17; n = 10:
-    # 130 / 112, 73 / 58, 196 / 149.
+    # values, the tail's and the head's classes are built by the DP over
+    # value sets, and every pair of classes adds one product.  Half the
+    # values, rounded down (one for n = 1).  Best of 25 interleaved runs,
+    # descent / NWEXB scan, ms, tail n // 2 - 1, n // 2, n // 2 + 1:
+    # n = 6: 0.61 / 0.60, 0.66 / 0.62, 0.68 / 0.67; n = 7: 0.93 / 0.87,
+    # 1.01 / 0.91, 1.12 / 0.99; n = 8: 2.85 / 2.36, 3.16 / 2.57, 3.75 /
+    # 3.09; n = 9: 8.6 / 6.4, 9.4 / 6.7, 11.1 / 7.7; n = 10: 29.8 / 18.7,
+    # 33.7 / 19.7, 39.4 / 25.5.  n // 2 - 1 is 4-12% faster from n = 6 on,
+    # but its longer head holds larger DP levels: under tracemalloc the
+    # descent scan peaks at 0.44 MB at n = 9 and 0.85 MB at n = 10, against
+    # 0.31 and 0.72 MB for n // 2 and guards of 0.5 and 1 MB.
     return max(1, n // 2)
 
 
@@ -276,6 +285,43 @@ def nwexb_set(perm: Sequence[int]) -> tuple[int, ...]:
     return _members(_mask(_nwexb_bit, check_permutation(perm)))
 
 
+Classes = dict[int, dict[int, int]]  # end value -> own-pair mask -> count
+
+
+def _classes(below: dict[int, Classes], row: Sequence[Sequence[int]], values: Sequence[int]) -> Classes:
+    # The arrangements of ``values`` by class: out[v][mask] counts those
+    # that end in v (a head's last value, a tail's first) and whose own
+    # pairs give mask.  Each is an arrangement of the other values, a
+    # class of ``below`` (keyed by value set, then by end value x), with v
+    # put next to x, gaining the bit row[x][v].
+    key = sum(1 << v for v in values)
+    out = {}
+    for v in values:
+        merged: dict[int, int] = {}
+        get = merged.get
+        for x, masks in below[key ^ 1 << v].items():
+            bit = row[x][v]
+            for mask, count in masks.items():
+                mask |= bit
+                merged[mask] = get(mask, 0) + count
+        out[v] = merged
+    return out
+
+
+def _level(rows: Sequence[Sequence[Sequence[int]]], n: int) -> dict[int, Classes]:
+    # The classes of every set of len(rows) values of [n], keyed by its
+    # bitmask, grown one value at a time: rows[j - 1] gives the bits of
+    # growing a set to j values.  Only the level being built and the one
+    # below it are held.
+    level: dict[int, Classes] = {0: {0: {0: 1}}}  # the empty arrangement, end 0
+    for size, row in enumerate(rows, 1):
+        level = {
+            sum(1 << v for v in values): _classes(level, row, values)
+            for values in itertools.combinations(range(1, n + 1), size)
+        }
+    return level
+
+
 def _brute_table(rule: Rule, n: int) -> dict[tuple[int, ...], int]:
     # One scan: the permutations of [n] counted by the mask of the rule.
     check_int("n", n, 1)
@@ -286,41 +332,31 @@ def _brute_table(rule: Rule, n: int) -> dict[tuple[int, ...], int]:
     ]
     size = _tail_length(n)
     start = n - size  # the tail's first position (from 0): the head's length
-    # The rule over the tail's pairs from its first pair on, and over the
-    # head's pairs from its last pair back.
-    tail_rows = bits[start:]
-    head_rows = bits[: max(start - 1, 0)][::-1]
+    # The bits of growing a half to j values: none for its first value
+    # (put after end 0 of the empty arrangement), then pair j - 2 for a
+    # head, whose new last value v follows its end x, bits[j - 2][x][v],
+    # and pair n - j for a tail, whose new first value v precedes its end
+    # x, bits[n - j][v][x].
+    blank = [[0] * (n + 1)]
+    head_rows = [blank, *bits]
+    tail_rows = [blank, *(list(zip(*row)) for row in reversed(bits[start:]))]
+    heads_below = _level(head_rows[: start - 1], n) if start else {}
+    tails_below = _level(tail_rows[: size - 1], n)
     # One total for each mask: every bit of either rule lies in 1 .. 1 << n.
     totals = [0] * (2 << n)
     for tail_values in itertools.combinations(range(1, n + 1), size):
-        # Each arrangement of the tail is built once, from its first value
-        # on, and tallied by class: tails[first][mask] counts them.
-        tails: dict[int, dict[int, int]] = {}
-        for first in tail_values:
-            tails[first] = masks = {}
-            for others in itertools.permutations([v for v in tail_values if v != first]):
-                mask, a = 0, first
-                for row, b in zip(tail_rows, others):
-                    mask |= row[a][b]
-                    a = b
-                masks[mask] = masks.get(mask, 0) + 1
+        # The tail's arrangements by class: tails[first][mask] counts them.
+        tails = _classes(tails_below, tail_rows[size - 1], tail_values)
         if not start:
             for masks in tails.values():
                 for mask, count in masks.items():
                     totals[mask] += count
             continue
-        rest = [v for v in range(1, n + 1) if v not in tail_values]
-        for last in rest:
-            # Each arrangement of the other values (the head) that ends in
-            # last, built once from last back (an order of the others read
-            # right to left) and tallied by its mask.
-            heads: dict[int, int] = {}
-            for others in itertools.permutations([v for v in rest if v != last]):
-                mask, b = 0, last
-                for row, a in zip(head_rows, others):
-                    mask |= row[a][b]
-                    b = a
-                heads[mask] = heads.get(mask, 0) + 1
+        # The head's arrangements, of the other values, by class:
+        # heads[last][mask] counts them.
+        rest = tuple(v for v in range(1, n + 1) if v not in tail_values)
+        heads = _classes(heads_below, head_rows[start - 1], rest)
+        for last, head_masks in heads.items():
             # The tail classes with the bit of the pair where head meets
             # tail ORed in, merged where they meet, as (mask, count) pairs.
             joint = bits[start - 1][last]
@@ -333,7 +369,7 @@ def _brute_table(rule: Rule, n: int) -> dict[tuple[int, ...], int]:
             joined = list(merged.items())
             # The permutations of this split whose head ends in last,
             # counted by class products.
-            for head_mask, head_count in heads.items():
+            for head_mask, head_count in head_masks.items():
                 for mask, count in joined:
                     totals[head_mask | mask] += head_count * count
     return {_members(mask): count for mask, count in enumerate(totals) if count}
@@ -341,7 +377,8 @@ def _brute_table(rule: Rule, n: int) -> dict[tuple[int, ...], int]:
 
 def brute_cdes_table(n: int, *, workers: int = 1) -> dict[tuple[int, ...], int]:
     """Count permutations of [n] by descent-value set, in one scan that
-    counts the n! permutations by head and tail classes (module docstring).
+    counts the n! permutations as products of head and tail class counts,
+    the classes built by a DP over value sets (module docstring).
 
     Every subset of [2, n] is attained, keyed in the ascending bitmask
     order of ``cdes_insertion_table(n)``; the values sum to n!.

@@ -10,8 +10,9 @@ every check that compares against them: ``cdes_formula`` once on every
 S of [2, ``max_n``], each smaller n's row read off those values (a count
 depends on S alone), and for n <= ``BRUTE_MAX_N`` the brute
 descent and NWEXB tables, ``brute_cdes_table`` and ``brute_nwexb_table``,
-each from its own scan that counts the n! permutations by head and tail
-classes; ``nwexb-vs-cdes`` compares the two.  The closed form of each
+each from its own scan that counts the n! permutations as products of
+head and tail class counts, the classes built by a DP over value sets;
+``nwexb-vs-cdes`` compares the two.  The closed form of each
 tableaux shape with rows + width <= ``BRUTE_MAX_N`` is computed once and
 handed to ``tableaux-three-routes`` and ``tableaux-mass-equals-factorial``,
 and ``gn(n)`` once for each n in [2, ``max_n``], handed to

@@ -549,6 +549,19 @@ def test_joint_tables_scan_once_per_statistic(monkeypatch):
     assert scanned == [(perms_module._descent_bit, 6), (perms_module._nwexb_bit, 6)]
 
 
+def test_tables_build_their_classes_without_enumerating_arrangements(monkeypatch):
+    # The half arrangements are tallied by a DP over value sets, grown one
+    # value at a time, and never walked one by one.
+    expected = brute_cdes_table(8), brute_nwexb_table(8)
+
+    def refused(*args):
+        raise AssertionError("the scan enumerates arrangements")
+
+    monkeypatch.setattr(itertools, "permutations", refused)
+    assert list(brute_cdes_table(8).items()) == list(expected[0].items())
+    assert list(brute_nwexb_table(8).items()) == list(expected[1].items())
+
+
 def test_tables_at_nine_are_the_insertion_table():
     # Past the splits that test_tables_do_not_depend_on_the_tail_length
     # forces: a head of five values and a tail of four.  Same sets, same
@@ -560,9 +573,10 @@ def test_tables_at_nine_are_the_insertion_table():
 
 @pytest.mark.parametrize("scan", [brute_cdes_table, brute_nwexb_table], ids=["cdes", "nwexb"])
 def test_scan_at_nine_stays_small(scan):
-    # The class tallies, the joined pairs and the 2^10 totals, about
-    # 0.06 MB under tracemalloc; a prefix DP over (used values, last value)
-    # would hold over 1 MB.
+    # Two levels of each half's classes, one value set's full-size classes,
+    # the joined pairs and the 2^10 totals, about 0.29-0.31 MB under
+    # tracemalloc; a prefix DP over (used values, last value) would hold
+    # over 1 MB.
     tracemalloc.start()
     try:
         scan(9)
@@ -572,14 +586,15 @@ def test_scan_at_nine_stays_small(scan):
     assert peak < 0.5 * 2**20
 
 
-@pytest.mark.parametrize("tail", [1, 2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("tail", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_tables_do_not_depend_on_the_tail_length(monkeypatch, tail):
-    # Every head/tail split of n <= 7, against the default split of each n:
-    # tail 7 leaves the head empty for every n <= 7; tail 1 puts one value
-    # in the tail and all the others in the head.
-    expected = {n: (brute_cdes_table(n), brute_nwexb_table(n)) for n in range(1, 8)}
+    # Every head/tail split of n <= 8, against the default split of each n:
+    # tail 8 leaves the head empty for every n <= 8; tail 1 puts one value
+    # in the tail and all the others in the head, whose deepest DP levels
+    # hold several classes per (value set, end value).
+    expected = {n: (brute_cdes_table(n), brute_nwexb_table(n)) for n in range(1, 9)}
     monkeypatch.setattr(perms_module, "_tail_length", lambda n: min(tail, n))
-    for n in range(1, 8):
+    for n in range(1, 9):
         cdes, nwexb = expected[n]
         assert list(brute_cdes_table(n).items()) == list(cdes.items()), n
         assert list(brute_nwexb_table(n).items()) == list(nwexb.items()), n
