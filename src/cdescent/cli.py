@@ -30,7 +30,7 @@ import os
 import sys
 from collections.abc import Sequence
 
-from .perms import DEFAULT_ENUMERATION_CAP, _show, check_int
+from .perms import DEFAULT_ENUMERATION_CAP, _show, check_int, iter_value_sets
 
 COUNT_METHODS = ("formula", "typed", "recursion", "tree", "brute")
 
@@ -143,7 +143,9 @@ def cmd_count(args) -> int:
         methods = [
             m for m in COUNT_METHODS if m != "brute" or args.n <= DEFAULT_ENUMERATION_CAP
         ]
-        values = {m: _count_one(m, args.n, s) for m in methods}
+        values: dict[str, int] = {}
+        for m in methods:  # typed and tree restate formula's closed form
+            values[m] = values["formula"] if m in ("typed", "tree") else _count_one(m, args.n, s)
         return _cross_check(args, {**query, "methods": methods}, values)
     value = _count_one(args.method, args.n, s)
     _emit(args, {**query, "method": args.method}, str(value))
@@ -154,7 +156,7 @@ def cmd_table(args) -> int:
     from .recursion import cdes_insertion_table
 
     table = cdes_insertion_table(args.n)
-    ordered = sorted(table.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    ordered = [(s, table[s]) for s in iter_value_sets(args.n)]
     rows = [{"set": format_set(s), "count": str(c)} for s, c in ordered]
     result = [{"set": list(s), "count": str(c)} for s, c in ordered]
     _emit(args, {"command": "table", "n": args.n}, result, rows)

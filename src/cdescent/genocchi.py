@@ -7,12 +7,12 @@ The order-k family starts from the constant 1 and iterates
 the 2n-th generalized Genocchi number of order k is A_{n-1} evaluated
 at 1.  ``genocchi_number`` never expands a polynomial: it steps a row of
 values A_m(1), ..., A_m(n - m) down a triangle, one row per m, with
-O(n^2) big-integer products.  ``gandhi_poly`` expands the same recursion
-in exact integer coefficients and shares no code with the triangle, so
-evaluating it at 1 is the cross-check.  A second, independent check
-counts, by a search over partial permutations, the permutations of [k*n]
-in which position i holds a value >= i exactly when that value is
-divisible by k; their number is the (2n+2)-nd Genocchi number of order k.
+O(n^2) big-integer products.  ``gandhi_poly`` expands each step in one
+pass over exact coefficients, sharing no code with the triangle, so its
+value at 1 is the cross-check.  A second, independent check counts, by a
+search over partial permutations, the permutations of [k*n] in which
+position i holds a value >= i exactly when that value is divisible by
+k; their number is the (2n+2)-nd Genocchi number of order k.
 """
 
 from __future__ import annotations
@@ -23,39 +23,11 @@ from math import comb
 from .perms import DEFAULT_ENUMERATION_CAP, GANDHI_MAX_SIZE, GENOCCHI_MAX_SIZE, check_cap, check_int, count_placements
 
 
-def _shift_x_plus_one(coeffs: tuple[int, ...] | list[int]) -> list[int]:
-    # A(X+1) by binomial expansion of each power.
-    out = [0] * len(coeffs)
-    for i, c in enumerate(coeffs):
-        if c:
-            for j in range(i + 1):
-                out[j] += c * comb(i, j)
-    return out
-
-
-def _mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
-
-
-def _trimmed_difference(a: list[int], b: list[int]) -> tuple[int, ...]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 def gandhi_poly(k: int, n: int) -> tuple[int, ...]:
-    """Dense ascending coefficients of the n-th polynomial of order k.
-    k*n above ``perms.GANDHI_MAX_SIZE`` is refused.
+    """Dense ascending coefficients of the n-th polynomial of order k,
+    one pass over A_m's coefficients per step, the binomials of (X + 1)^i
+    stepped down Pascal's triangle as i grows.  k*n above
+    ``perms.GANDHI_MAX_SIZE`` is refused.
 
     >>> gandhi_poly(2, 0)
     (1,)
@@ -67,13 +39,21 @@ def gandhi_poly(k: int, n: int) -> tuple[int, ...]:
     check_int("k", k, 1)
     check_int("n", n, 0)
     check_cap("k*n", k * n, "Gandhi", "GANDHI_MAX_SIZE", GANDHI_MAX_SIZE)
-    coeffs: tuple[int, ...] = (1,)
     x_minus_one_k = [(-1) ** (k - j) * comb(k, j) for j in range(k + 1)]
+    coeffs = [1]
     for _ in range(n):
-        shifted = [0] * k + _shift_x_plus_one(coeffs)
-        straight = _mul(x_minus_one_k, list(coeffs))
-        coeffs = _trimmed_difference(shifted, straight)
-    return coeffs
+        out = [0] * (len(coeffs) + k)
+        binomials = [1]  # C(i, 0), ..., C(i, i)
+        for i, c in enumerate(coeffs):
+            for j, b in enumerate(binomials, k):  # c * X^k * (X + 1)^i
+                out[j] += c * b
+            for j, b in enumerate(x_minus_one_k, i):  # c * (X - 1)^k * X^i
+                out[j] -= c * b
+            binomials = [1, *(a + b for a, b in itertools.pairwise(binomials)), 1]
+        while out and out[-1] == 0:
+            out.pop()
+        coeffs = out
+    return tuple(coeffs)
 
 
 def evaluate(coeffs: tuple[int, ...], x: int) -> int:

@@ -278,7 +278,9 @@ def gnk(n: int, k: int) -> Poly:
     check_int("n", n, 1)
     check_cap("n", n, "table", "TABLE_MAX_N", TABLE_MAX_N)
     check_int("k", k, 0, n - 1)
-    return Poly(
+    # One sorted squarefree monomial per subset, and every subset is
+    # attained, so the terms are normalized and zero-free.
+    return _raw(
         {
             (tuple(v - 1 for v in s), 0): cdes_formula(n, s)
             for s in itertools.combinations(range(2, n + 1), k)

@@ -74,6 +74,19 @@ def test_count_all_methods_disagreement_exits_2(capsys, monkeypatch):
     assert err == "error: methods disagree\n"
 
 
+def test_count_all_methods_sums_the_closed_form_once(capsys, monkeypatch):
+    # formula, typed and tree print one closed form: one cube_sum per call.
+    calls = []
+    real = formula.cube_sum
+    monkeypatch.setattr(formula, "cube_sum", lambda e: calls.append(e) or real(e))
+    for argv in (("--n", "5", "--set", "3,5"), ("--n", "12", "--set", "12")):
+        calls.clear()
+        rc, out, _ = run(capsys, "count", *argv, "--all-methods")
+        assert rc == 0
+        assert len(set(line.split()[1] for line in out.strip().splitlines())) == 1
+        assert len(calls) == 1, argv
+
+
 def test_count_all_methods_skips_brute_over_cap(capsys):
     rc, out, _ = run(
         capsys, "count", "--n", "12", "--set", "12", "--all-methods"

@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -19,6 +20,54 @@ from cdescent.genocchi import evaluate
 )
 def test_gandhi_poly(k, n, expected):
     assert gandhi_poly(k, n) == expected
+
+
+def _shift_x_plus_one(coeffs: tuple[int, ...] | list[int]) -> list[int]:
+    # A(X+1) by binomial expansion of each power.
+    out = [0] * len(coeffs)
+    for i, c in enumerate(coeffs):
+        if c:
+            for j in range(i + 1):
+                out[j] += c * comb(i, j)
+    return out
+
+
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
+
+
+def _trimmed_difference(a: list[int], b: list[int]) -> tuple[int, ...]:
+    out = [0] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] -= c
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _helper_gandhi_poly(k: int, n: int) -> tuple[int, ...]:
+    # Gandhi's recursion as three separate products: a reference that
+    # shares no loop with gandhi_poly.
+    coeffs: tuple[int, ...] = (1,)
+    x_minus_one_k = [(-1) ** (k - j) * comb(k, j) for j in range(k + 1)]
+    for _ in range(n):
+        shifted = [0] * k + _shift_x_plus_one(coeffs)
+        straight = _mul(x_minus_one_k, list(coeffs))
+        coeffs = _trimmed_difference(shifted, straight)
+    return coeffs
+
+
+def test_gandhi_poly_matches_helper_oracle():
+    pairs = [(k, n) for k in range(1, 61) for n in range(60 // k + 1)] + [(10, 30)]
+    for k, n in pairs:
+        assert gandhi_poly(k, n) == _helper_gandhi_poly(k, n), (k, n)
 
 
 def test_gandhi_poly_degree():
