@@ -70,6 +70,9 @@ DEFAULT_ENUMERATION_CAP = 10
 # Work of the alternating sum, 2^length * (exponent total + 16): each term
 # costs about 16 units before its exponents count.  About a second.
 SUM_CAP = 40_000_000
+# Work of the minimum-element recursion, W(S) * (max(S) + 16): W(S)
+# multiply-adds of counts of up to ~max(S) bits.  About a second.
+RECURSION_CAP = 400_000_000
 BUILD_CAP = 17  # height of a materialized tree, 2^(height+1) - 1 nodes
 BOX_CAP = 20  # boxes of a shape whose fillings are searched one by one
 TRANSFER_CAP = 2_000_000  # steps of the column transfer: 4^height summed over columns
@@ -125,7 +128,7 @@ def as_value_set(elements: Iterable[int], *, n: int | None = None) -> tuple[int,
     return s
 
 
-def as_value_mask(elements: Iterable[int], *, n: int) -> int:
+def as_value_mask(elements: Iterable[int], n: int) -> int:
     """The set :func:`as_value_set` accepts, as one int with element v at
     bit v (the convention of ``_descent_bit``; :func:`_members` decodes it).
 

@@ -3,11 +3,12 @@
 Two independent recursions reproduce the closed-form counts:
 
 * the minimum-element recursion, which splits the permutations with
-  descent-value set S by the relative placement of min(S) and min(S) - 1
-  and is driven top-down with memoization, each set held as one int
-  bitmask (element v at bit v) and each child resolved in its parent's
-  frame when it is a base case or already cached, so that a call is made
-  only for a state still to be computed;
+  descent-value set S by the relative placement of min(S) and min(S) - 1,
+  its branch that lowers min(S) summed in closed form, so that each
+  child drops min(S) and shifts the rest down: it is driven top-down
+  with memoization, |S| - 1 frames deep, each set held as one int
+  bitmask (element v at bit v), a call made only for a child still to be
+  computed, and its work bounded by ``perms.RECURSION_CAP``;
 * the insertion recursion, which extends a full count table for [2, n-1]
   to one for [2, n] by inserting the new largest value n into shorter
   permutations, and is driven bottom-up, the whole table held as 64-bit
@@ -20,10 +21,12 @@ agreement between the three is a meaningful cross-check.
 
 from __future__ import annotations
 
+import itertools
+import math
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
-from .perms import TABLE_MAX_N, _subsets, as_value_mask, check_cap, check_int
+from .perms import RECURSION_CAP, TABLE_MAX_N, _subsets, as_value_mask, check_cap, check_int
 
 # Minimum-element recursion cache: bitmask of S (element v at bit v) -> count.
 Cache = dict[int, int]
@@ -35,34 +38,45 @@ _FIELD_BITS = 64
 
 def cdes_recursive(n: int, s: Iterable[int], cache: Cache | None = None) -> int:
     """Count permutations of [n] with descent-value set S by the
-    minimum-element recursion
+    minimum-element recursion, its first branch summed.
+
+    The paper's recursion splits by the relative placement of min(S) and
+    min(S) - 1:
 
         count(S) = count(S with min replaced by min-1)
                  + count(delta(S))
                  + count(delta(S) without its minimum)
 
     where delta(S) shifts every element of S down by one, with base
-    cases: 1 in S -> 0, empty S -> 1, singleton {m} -> 2^(m-1)-1.  Every
-    subproblem is independent of n (only max(S) matters), so cache
-    keys are the sets themselves, each as one int with element v at bit v
-    (the convention of ``perms._descent_bit``; ``perms._members`` decodes
-    a key).  S is checked straight into that int by ``perms.as_value_mask``,
-    without a sort, so a call whose set is cached costs the check and one
-    lookup.  Every step is then a few shifts and xors of that int: with
-    ``low`` the lowest set bit, the three branches are
-    ``mask ^ low ^ (low >> 1)``, ``mask >> 1`` and
-    ``(mask >> 1) ^ (low >> 1)``, each O(max(S)) bit operations.  When
-    min(S) = 2 the first two branches vanish and a single-step shortcut is
-    taken.  A set missing from the cache is computed by ``_fill``, which
-    resolves each child in its own frame: a singleton (the first two
-    branches keep |S|, so only the last child can be one) by its base
-    case, a cached set by one lookup, and only a composite set still
-    missing by a call.  So each frame computes one state, each state is
-    computed and cached once, and the cache ends up holding exactly the
-    composite sets visited.  The recursion depth grows with the elements
-    of S; a set that needs more than the interpreter's recursion limit
-    raises ``ValueError``: from the top of a fresh interpreter, S = [33, 64]
-    fits and [41, 80] does not.
+    cases: 1 in S -> 0, empty S -> 1, singleton {m} -> 2^(m-1)-1.
+    Unrolled along its first branch, which lowers only the minimum until
+    it reaches 1, it reads, for S = {a} + U with a = min(S),
+
+        count(S) = sum over j in [1, a-1] of C(a-1, j) * count(U - j)
+
+    where U - j shifts every element of U down by j (by induction on a:
+    a = 2 leaves the one term count(U - 1), and U empty gives the base
+    case 2^(a-1) - 1).  Every term is positive, and every child is one
+    element smaller than its parent, so the recursion is |S| - 1 frames
+    deep.  Every subproblem is independent of n (only max(S) matters), so
+    cache keys are the sets themselves, each as one int with element v at
+    bit v (the convention of ``perms._descent_bit``; ``perms._members``
+    decodes a key), and U - j is that int shifted down by j.  S is
+    checked straight into that int by ``perms.as_value_mask``, without a
+    sort, so a call whose set is cached costs the check and one lookup.
+
+    A set missing from the cache is computed by ``_fill``.  A fresh
+    evaluation of S = {s_1 < ... < s_k} caches exactly S and the suffixes
+    {s_(d+1), ..., s_k} - t with t in [d, s_d - 1] for d <= k - 2, that is
+    1 + sum of (s_d - d) over d <= k - 2 sets, each computed once; the
+    singletons below them are closed forms, never cached.  A cached set
+    T takes min(T) - 1 multiply-adds, W(S) in all (``_work``), and W(S)
+    times (max(S) + 16) above ``perms.RECURSION_CAP`` is refused before
+    any state is computed: a child's work never exceeds its parent's, so
+    no cached set is one the cap refuses.  A set that needs more frames
+    than the interpreter's recursion limit raises ``ValueError``: from
+    the top of a fresh interpreter, the dense set [2, 995] fits and
+    [2, 1000] does not.
 
     A cache may be shared across calls and across threads: it only ever
     grows, and a key is published only once its value is complete, always
@@ -75,63 +89,120 @@ def cdes_recursive(n: int, s: Iterable[int], cache: Cache | None = None) -> int:
     >>> cdes_recursive(9, {2})
     1
     """
-    mask = as_value_mask(s, n=n)
-    if mask & (mask - 1) == 0:
-        # The empty set, or the singleton {m} at bit m: 2^(m-1) - 1.
-        return (1 << (mask.bit_length() - 2)) - 1 if mask else 1
-    if mask & 2:
-        return 0
+    mask = as_value_mask(s, n)
     if cache is None:
         cache = {}
     value = cache.get(mask)
     if value is not None:
         return value
+    if mask & (mask - 1) == 0:
+        # The empty set, or the singleton {m} at bit m: 2^(m-1) - 1.
+        return (1 << (mask.bit_length() - 2)) - 1 if mask else 1
+    if mask & 2:
+        return 0
+    if mask >> _CAP_FREE_BITS:
+        top = mask.bit_length() - 1
+        check_cap("work", _work(mask) * (top + 16), "recursion", "RECURSION_CAP", RECURSION_CAP)
     try:
         return _fill(mask, cache)
     except RecursionError:
         raise ValueError(
-            f"the recursion for max(S) = {mask.bit_length() - 1} exceeds the "
+            f"the recursion for |S| = {mask.bit_count()} exceeds the "
             f"interpreter's depth limit {sys.getrecursionlimit()}"
         ) from None
 
 
+def _work(mask: int) -> int:
+    # W(S), the multiply-adds of a fresh evaluation of the composite set
+    # S without 1 at ``mask``: min(T) - 1 for every set T it caches, S and
+    # the suffixes {s_(d+1), ..., s_k} - t, t in [d, s_d - 1], d <= k - 2.
+    low = mask & -mask
+    mask ^= low
+    work = low.bit_length() - 2
+    d = 1
+    while mask & (mask - 1):  # the next element is not the largest
+        s_d = low.bit_length() - 1
+        low = mask & -mask
+        mask ^= low
+        # the sum over t in [d, s_d - 1] of (s_(d+1) - t - 1)
+        work += (s_d - d) * (2 * low.bit_length() - s_d - d - 3) // 2
+        d += 1
+    return work
+
+
 def _fill(mask: int, cache: Cache) -> int:
     # The count of a composite set without 1 that is missing from the
-    # cache, its children resolved in this frame.  The first two children
-    # keep the size of S, so only the last can be a singleton, and no
-    # child is empty or holds 1.
+    # cache.  The children U - j of S = {a} + U are composite when U is
+    # and singletons when U is, and none is empty or holds 1, since
+    # min(U) - j > a - j >= 1.  A composite child is looked up, and
+    # computed by a call only when missing.
     low = mask & -mask
+    rest = mask ^ low
     if low == 4:
-        # Only the third branch survives: the 2 forces its companion 1
-        # immediately to its right, and deleting the pair reduces n by one.
-        child = (mask ^ 4) >> 1
+        # min(S) = 2: the one term count(U - 1).
+        child = rest >> 1
         if child & (child - 1) == 0:
             value = (1 << (child.bit_length() - 2)) - 1
         else:
             value = cache.get(child)
             if value is None:
                 value = _fill(child, cache)
-    else:
-        below = low >> 1  # the bit of min(S) - 1
-        shifted = mask >> 1
-        child = mask ^ low ^ below
+    elif rest & (rest - 1) == 0:
+        # U = {m}: the children are the singletons {m - j}, of counts
+        # 2^(m-j-1) - 1.  The powers of two are shifted in once, and the
+        # C(r, j) sum to 2^r - 1.
+        r = low.bit_length() - 2  # min(S) - 1
+        value = 0
+        shift = r
+        for c in _BINOMIAL_ROWS[r] if r < _BINOMIAL_ROW_COUNT else _binomials(r):
+            shift -= 1
+            value += c << shift
+        value = (value << (rest.bit_length() - 2 - r)) - (1 << r) + 1
+    elif low == 8:
+        # min(S) = 3: 2 * count(U - 1) + count(U - 2), the commonest step
+        # after min(S) = 2 in a sweep over all sets, written out: it saves
+        # the row and the loop, ~3% of a cold sweep over [2, 16].
+        child = rest >> 1
         value = cache.get(child)
         if value is None:
             value = _fill(child, cache)
-        part = cache.get(shifted)
+        child >>= 1
+        part = cache.get(child)
         if part is None:
-            part = _fill(shifted, cache)
-        value += part
-        child = shifted ^ below
-        if child & (child - 1) == 0:
-            value += (1 << (child.bit_length() - 2)) - 1
-        else:
-            part = cache.get(child)
+            part = _fill(child, cache)
+        value = 2 * value + part
+    else:
+        r = low.bit_length() - 2
+        value = 0
+        child = rest
+        get = cache.get
+        for c in _BINOMIAL_ROWS[r] if r < _BINOMIAL_ROW_COUNT else _binomials(r):
+            child >>= 1
+            part = get(child)
             if part is None:
                 part = _fill(child, cache)
-            value += part
+            value += c * part
     cache[mask] = value
     return value
+
+
+def _binomials(r: int) -> Iterator[int]:
+    # C(r, 1), ..., C(r, r) by the running product, for rows past the table.
+    c = 1
+    for j in range(1, r + 1):
+        c = c * (r - j + 1) // j
+        yield c
+
+
+# C(r, 1..r) for the rows r < 64 (~73 KB, built in ~0.2 ms), read by each
+# step of _fill with min(S) = r + 1: at the point-query sizes (n <= 48) the
+# running product makes a fresh query ~1.6 times slower, and the deep rows
+# it serves are too long to keep.
+_BINOMIAL_ROW_COUNT = 64
+_BINOMIAL_ROWS = [tuple(math.comb(r, j) for j in range(1, r + 1)) for r in range(_BINOMIAL_ROW_COUNT)]
+# Below bit _CAP_FREE_BITS no set reaches RECURSION_CAP: W(S) <= max(S)^3,
+# so max(S)^3 * (max(S) + 16) within the cap needs no count of W(S).
+_CAP_FREE_BITS = next(m for m in itertools.count(2) if m**3 * (m + 16) > RECURSION_CAP)
 
 
 def cdes_insertion_table(n: int) -> dict[tuple[int, ...], int]:

@@ -47,6 +47,16 @@ def test_count_methods_agree(capsys, method):
     assert out.strip() == "31"
 
 
+@pytest.mark.parametrize(
+    "n, elements",
+    [("3000", "1500,3000"), ("10000", "5000,10000"), ("100000", "900,100000")],
+)
+def test_deep_recursion_queries_match_the_formula(capsys, n, elements):
+    # Within the recursion's work cap and |S| frames deep.
+    answers = [run(capsys, "count", "--n", n, "--set", elements, "--method", m) for m in ("recursion", "formula")]
+    assert answers[0] == answers[1] and answers[0][0] == 0
+
+
 def test_count_set_containing_one(capsys):
     rc, out, _ = run(capsys, "count", "--n", "4", "--set", "1,3")
     assert rc == 0
@@ -121,7 +131,8 @@ def test_validation_errors_exit_1(capsys, argv):
     [
         ("count", "--n", "0", "--set", "", "--method", "tree"),
         ("tableaux", "--shape", "40"),
-        ("count", "--n", "3000", "--set", "1500,3000", "--method", "recursion"),
+        ("count", "--n", "4000", "--set", "1000,2000,3000,4000", "--method", "recursion"),
+        ("count", "--n", "1000", "--set", ",".join(map(str, range(2, 1001))), "--method", "recursion"),
         ("count", "--n", "5", "--set", "3", "--method", "brute", "--threads", "0"),
         ("count", "--n", "5", "--set", "3", "--method", "brute", "--threads", "-3"),
         ("count", "--n", "5", "--set", "3", "--threads", "0"),
@@ -161,8 +172,13 @@ def test_rejected_queries_print_one_error_line(capsys, argv):
         (("count", "--n", str(10**60), "--set", "2"), "n = an integer of 200 bits exceeds the count cap COUNT_MAX_N = 100000"),
         # A dense set deeper than the interpreter's depth limit.
         (
-            ("count", "--n", "96", "--set", ",".join(map(str, range(49, 97))), "--method", "recursion"),
-            f"the recursion for max(S) = 96 exceeds the interpreter's depth limit {sys.getrecursionlimit()}",
+            ("count", "--n", "1000", "--set", ",".join(map(str, range(2, 1001))), "--method", "recursion"),
+            f"the recursion for |S| = 999 exceeds the interpreter's depth limit {sys.getrecursionlimit()}",
+        ),
+        # W(S) * (max(S) + 16) multiply-adds' work past the recursion cap.
+        (
+            ("count", "--n", "100000", "--set", "300,600,100000", "--method", "recursion"),
+            "work = 13457152800 exceeds the recursion cap RECURSION_CAP = 400000000",
         ),
     ],
 )

@@ -1,8 +1,11 @@
 import math
 import os
+import random
 import subprocess
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -16,8 +19,8 @@ from cdescent import (
     cdes_recursive,
     iter_value_sets,
 )
-from cdescent.perms import TABLE_MAX_N, _members
-from cdescent.recursion import _FIELD_BITS, _insertion_counts
+from cdescent.perms import RECURSION_CAP, TABLE_MAX_N, _members, as_value_mask
+from cdescent.recursion import _CAP_FREE_BITS, _FIELD_BITS, _insertion_counts, _work
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -78,10 +81,12 @@ def test_too_deep_recursion_raises_value_error():
     cdes_recursive(12, (3, 5, 8), cache)
     filled = dict(cache)
     assert filled
+    # Every child is one element smaller, so |S| sets the depth: a dense
+    # set of 1000 elements needs more frames than the limit allows.
     with pytest.raises(ValueError) as refused:
-        cdes_recursive(3000, iter((3000, 1500)), cache)
+        cdes_recursive(1001, iter(range(1001, 1, -1)), cache)
     assert str(refused.value) == (
-        "the recursion for max(S) = 3000 exceeds the interpreter's depth limit "
+        "the recursion for |S| = 1000 exceeds the interpreter's depth limit "
         f"{sys.getrecursionlimit()}"
     )
     # Only completed values were published, so the cache stays usable.
@@ -90,17 +95,22 @@ def test_too_deep_recursion_raises_value_error():
     assert cdes_recursive(12, (3, 5, 8), cache) == cdes_formula(12, (3, 5, 8))
 
 
+def test_deep_sparse_sets_are_answered():
+    # Two elements take one frame, however far apart they are.
+    for n, s in ((3000, (1500, 3000)), (10000, (5000, 10000)), (100000, (900, 100000))):
+        assert cdes_recursive(n, s) == cdes_formula(n, s), (n, s)
+
+
 def test_depth_limit_landmarks():
-    # The recursion takes one frame per state it computes, so the depth
-    # limit decides which dense sets it accepts.  Called from the top of a
-    # fresh interpreter, under the default limit of 1000 frames: [33, 64]
-    # fits, [41, 80] and [49, 96] do not.
+    # The recursion takes one frame per element of S but the last, so the
+    # depth limit decides which dense sets it accepts.  Called from the
+    # top of a fresh interpreter, under the default limit of 1000 frames:
+    # [33, 64], [41, 80], [49, 96] and [2, 995] fit, [2, 1000] does not.
     code = """
 from cdescent import cdes_recursive
-print(cdes_recursive(64, range(33, 65)) > 0)
-for n, low in ((80, 41), (96, 49)):
+for n, low in ((64, 33), (80, 41), (96, 49), (995, 2), (1000, 2)):
     try:
-        cdes_recursive(n, range(low, n + 1))
+        print(cdes_recursive(n, range(low, n + 1)) > 0)
     except ValueError as refused:
         print(refused)
 """
@@ -115,17 +125,47 @@ for n, low in ((80, 41), (96, 49)):
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
         "True",
-        "the recursion for max(S) = 80 exceeds the interpreter's depth limit 1000",
-        "the recursion for max(S) = 96 exceeds the interpreter's depth limit 1000",
+        "True",
+        "True",
+        "True",
+        "the recursion for |S| = 999 exceeds the interpreter's depth limit 1000",
     ]
 
 
-def _visited(s):
-    # The composite sets the recursion computes from the sorted tuple s:
-    # s, then the children of each, by the three branches (min replaced by
-    # min - 1, delta(S), delta(S) without its minimum) or, when min = 2,
-    # the shortcut (delta(S) without its minimum, which is then 1).  Empty
-    # sets and singletons are base cases, never cached.
+def test_work_cap_refuses_before_any_state():
+    # W(S) * (max(S) + 16) above RECURSION_CAP is refused in one message,
+    # and nothing is cached.
+    for n, s, work in (
+        (4000, (1000, 2000, 3000, 4000), 22053876048),
+        (100000, (300, 600, 100000), 13457152800),
+        (400, range(201, 401), 1655680000),
+    ):
+        cache = {}
+        with pytest.raises(ValueError) as refused:
+            cdes_recursive(n, s, cache)
+        assert str(refused.value) == (
+            f"work = {work} exceeds the recursion cap RECURSION_CAP = {RECURSION_CAP}"
+        )
+        assert cache == {}
+
+
+def _mask(s):
+    return sum(1 << v for v in s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.integers(2, 400), min_size=2, max_size=40))
+def test_work_is_at_most_the_cube_of_the_maximum(s):
+    # Why sets below bit _CAP_FREE_BITS skip the count of W(S).
+    assert _work(_mask(s)) <= max(s) ** 3
+    m = _CAP_FREE_BITS
+    assert (m - 1) ** 3 * (m - 1 + 16) <= RECURSION_CAP < m**3 * (m + 16)
+
+
+def _reachable(s):
+    # The composite sets a fresh evaluation of the sorted tuple s caches:
+    # s, then from each set {a} + U its children U - j, j in [1, a - 1].
+    # Singletons are closed forms, never cached.
     seen = set()
     stack = [s]
     while stack:
@@ -133,11 +173,7 @@ def _visited(s):
         if len(t) < 2 or t in seen:
             continue
         seen.add(t)
-        shifted = tuple(v - 1 for v in t)
-        if t[0] == 2:
-            stack.append(shifted[1:])
-        else:
-            stack += [(t[0] - 1, *t[1:]), shifted, shifted[1:]]
+        stack += [tuple(v - j for v in t[1:]) for j in range(1, t[0])]
     return seen
 
 
@@ -152,18 +188,122 @@ class _WriteLog(dict):
         super().__setitem__(key, value)
 
 
-def test_fresh_cache_holds_exactly_the_visited_sets():
-    # The recursion's work: every visited set is computed and written once,
-    # no state is skipped and none is added; through a shared cache, no
-    # state is computed again.
+def test_fresh_cache_holds_exactly_the_reachable_sets():
+    # The recursion's work: a fresh cache holds exactly the sets reachable
+    # by U -> U - j, 1 + sum over d <= k - 2 of (s_d - d) of them, and
+    # their steps, min - 1 each, add up to W(S).  Every set is computed and
+    # written once; through a shared cache, no state is computed again.
     shared = _WriteLog()
     for s in iter_value_sets(10):
         cache = _WriteLog()
         cdes_recursive(10, s, cache)
         assert len(cache.writes) == len(cache), s
-        assert set(map(_members, cache)) == _visited(s), s
+        cached = set(map(_members, cache))
+        assert cached == _reachable(s), s
+        if len(s) >= 2:
+            assert len(cache) == 1 + sum(s[d - 1] - d for d in range(1, len(s) - 1)), s
+            assert sum(t[0] - 1 for t in cached) == _work(_mask(s)), s
+            # No child outworks its parent, so the cap never refuses a cached set.
+            assert max(map(_work, cache)) == _work(_mask(s)), s
+        else:
+            assert not cache, s
         cdes_recursive(10, s, shared)
     assert len(shared.writes) == len(shared)
+
+
+def _oracle_cdes_recursive(n, s, cache=None):
+    # The three-branch minimum-element recursion, as the package ran it
+    # before its first branch was summed, kept verbatim as an oracle.
+    mask = as_value_mask(s, n=n)
+    if mask & (mask - 1) == 0:
+        # The empty set, or the singleton {m} at bit m: 2^(m-1) - 1.
+        return (1 << (mask.bit_length() - 2)) - 1 if mask else 1
+    if mask & 2:
+        return 0
+    if cache is None:
+        cache = {}
+    value = cache.get(mask)
+    if value is not None:
+        return value
+    try:
+        return _oracle_fill(mask, cache)
+    except RecursionError:
+        raise ValueError(
+            f"the recursion for max(S) = {mask.bit_length() - 1} exceeds the "
+            f"interpreter's depth limit {sys.getrecursionlimit()}"
+        ) from None
+
+
+def _oracle_fill(mask, cache):
+    # The count of a composite set without 1 that is missing from the
+    # cache, its children resolved in this frame.  The first two children
+    # keep the size of S, so only the last can be a singleton, and no
+    # child is empty or holds 1.
+    low = mask & -mask
+    if low == 4:
+        # Only the third branch survives: the 2 forces its companion 1
+        # immediately to its right, and deleting the pair reduces n by one.
+        child = (mask ^ 4) >> 1
+        if child & (child - 1) == 0:
+            value = (1 << (child.bit_length() - 2)) - 1
+        else:
+            value = cache.get(child)
+            if value is None:
+                value = _oracle_fill(child, cache)
+    else:
+        below = low >> 1  # the bit of min(S) - 1
+        shifted = mask >> 1
+        child = mask ^ low ^ below
+        value = cache.get(child)
+        if value is None:
+            value = _oracle_fill(child, cache)
+        part = cache.get(shifted)
+        if part is None:
+            part = _oracle_fill(shifted, cache)
+        value += part
+        child = shifted ^ below
+        if child & (child - 1) == 0:
+            value += (1 << (child.bit_length() - 2)) - 1
+        else:
+            part = cache.get(child)
+            if part is None:
+                part = _oracle_fill(child, cache)
+            value += part
+    cache[mask] = value
+    return value
+
+
+def _in_deep_thread(call):
+    # call() in a worker thread with a 64 MB stack and a recursion limit of
+    # 20,000: the oracle takes one frame per state of its deepest chain,
+    # sum of (s_i - i), over 2,000 for [49, 96].  Both are restored after.
+    stack = threading.stack_size(64 << 20)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20_000)
+    try:
+        with ThreadPoolExecutor(1) as pool:
+            return pool.submit(call).result(timeout=120)
+    finally:
+        threading.stack_size(stack)
+        sys.setrecursionlimit(limit)
+
+
+def test_summed_recursion_matches_the_three_branch_oracle():
+    sets = list(iter_value_sets(12))
+    oracle_shared = {}
+    expected = {s: _oracle_cdes_recursive(12, s, oracle_shared) for s in sets}
+    shared = {}
+    for s in sets:
+        assert cdes_recursive(12, s) == expected[s], s
+        assert cdes_recursive(12, s, shared) == expected[s], s
+    assert shared.items() <= oracle_shared.items()
+    rng = random.Random(120)
+    deep = [(80, tuple(range(41, 81))), (96, tuple(range(49, 97)))]
+    for _ in range(50):
+        n = rng.randint(20, 120)
+        deep.append((n, tuple(sorted(rng.sample(range(2, n + 1), rng.randint(2, 8))))))
+    wanted = _in_deep_thread(lambda: [_oracle_cdes_recursive(n, s) for n, s in deep])
+    assert [cdes_recursive(n, s) for n, s in deep] == wanted
 
 
 def test_cache_keys_are_bitmasks_of_sets():
