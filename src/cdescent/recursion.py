@@ -74,9 +74,8 @@ def cdes_recursive(n: int, s: Iterable[int], cache: Cache | None = None) -> int:
     times (max(S) + 16) above ``perms.RECURSION_CAP`` is refused before
     any state is computed: a child's work never exceeds its parent's, so
     no cached set is one the cap refuses.  A set that needs more frames
-    than the interpreter's recursion limit raises ``ValueError``: from
-    the top of a fresh interpreter, the dense set [2, 995] fits and
-    [2, 1000] does not.
+    than the interpreter's recursion limit raises ``ValueError``: under
+    the default limit of 1000, that is a set of about 1,000 elements.
 
     A cache may be shared across calls and across threads: it only ever
     grows, and a key is published only once its value is complete, always
@@ -158,19 +157,6 @@ def _fill(mask: int, cache: Cache) -> int:
             shift -= 1
             value += c << shift
         value = (value << (rest.bit_length() - 2 - r)) - (1 << r) + 1
-    elif low == 8:
-        # min(S) = 3: 2 * count(U - 1) + count(U - 2), the commonest step
-        # after min(S) = 2 in a sweep over all sets, written out: it saves
-        # the row and the loop, ~3% of a cold sweep over [2, 16].
-        child = rest >> 1
-        value = cache.get(child)
-        if value is None:
-            value = _fill(child, cache)
-        child >>= 1
-        part = cache.get(child)
-        if part is None:
-            part = _fill(child, cache)
-        value = 2 * value + part
     else:
         r = low.bit_length() - 2
         value = 0

@@ -171,8 +171,8 @@ def test_rejected_queries_print_one_error_line(capsys, argv):
         (("count", "--n", str(10**60), "--set", "2"), "n = an integer of 200 bits exceeds the count cap COUNT_MAX_N = 100000"),
         # A dense set deeper than the interpreter's depth limit.
         (
-            ("count", "--n", "1000", "--set", ",".join(map(str, range(2, 1001))), "--method", "recursion"),
-            f"the recursion for |S| = 999 exceeds the interpreter's depth limit {sys.getrecursionlimit()}",
+            ("count", "--n", "1010", "--set", ",".join(map(str, range(2, 1011))), "--method", "recursion"),
+            f"the recursion for |S| = 1009 exceeds the interpreter's depth limit {sys.getrecursionlimit()}",
         ),
         # W(S) * (max(S) + 16) multiply-adds' work past the recursion cap.
         (

