@@ -18,7 +18,7 @@ import operator
 from collections.abc import Iterable, Mapping
 
 from .formula import cdes_formula
-from .perms import TABLE_MAX_N, _subsets, as_descent_set, check_cap, check_distinct, check_int, check_ints
+from .perms import TABLE_MAX_N, _monomial_keys, as_descent_set, check_cap, check_distinct, check_int, check_ints
 
 Monomial = tuple[tuple[int, ...], int]
 
@@ -194,9 +194,13 @@ def gn(n: int) -> Poly:
     for x_m.  The masks holding bit j come in runs of 2^j every 2^(j+1)
     masks, so a pass takes either its runs or, where runs outnumber their
     length, the columns of entries 2^(j+1) apart: min(2^j, 2^(m-j-2))
-    slice operations for each bit.  The ``Monomial`` keys are the subsets
-    of ``perms._subsets``, in the same ascending-bitmask order, listed
-    after the coefficients and paired with them.  n above
+    slice operations for each bit.  The ``Monomial`` keys come from the
+    shared key list ``perms._monomial_keys``, in the same ascending-bitmask
+    order, read after the coefficients and paired with them.  The list is
+    built once per process, grown to the largest n asked for, and every
+    smaller n reads a prefix of it: it holds the keys of that polynomial,
+    ~10.5 MB at n = 17 and ~91 MB at ``perms.TABLE_MAX_N``, which a
+    caller holding the polynomial holds anyway.  n above
     ``perms.TABLE_MAX_N`` is refused.
 
     Read coefficient by coefficient this is the insertion recurrence of
@@ -205,7 +209,8 @@ def gn(n: int) -> Poly:
     ``insertion-vs-formula`` are independent checks only while neither
     route is derived from the other.  Here slices of a list are added;
     the insertion table shifts and masks packed fields of one int.  The
-    two share only their keys' labels, which the checks read off the
+    two share only how their key lists are kept (``perms._KeyList``),
+    each family in its own list, and the checks read the keys off the
     formula table's own sets.
 
     >>> str(gn(3))
@@ -237,9 +242,8 @@ def gn(n: int) -> Poly:
                         operator.add, coeffs[top + k :: period], coeffs[k + run : top : period]
                     )
     # The keys come last: the slice passes' temporaries never stand beside
-    # the dict, and each monomial tuple is made only as the dict takes it.
-    xvars = _subsets(range(1, n))
-    return _raw(dict(zip(zip(xvars, map(len, xvars)), coeffs)))
+    # the dict, nor beside keys that a first call lists.
+    return _raw(dict(zip(_monomial_keys(n), coeffs)))
 
 
 def descent_set_coefficient(g: Poly, s: Iterable[int]) -> int:

@@ -26,7 +26,7 @@ import math
 import sys
 from collections.abc import Iterable, Iterator
 
-from .perms import RECURSION_CAP, TABLE_MAX_N, _subsets, as_value_mask, check_cap, check_int
+from .perms import RECURSION_CAP, TABLE_MAX_N, _value_set_keys, as_value_mask, check_cap, check_int
 
 # Minimum-element recursion cache: bitmask of S (element v at bit v) -> count.
 Cache = dict[int, int]
@@ -218,9 +218,13 @@ def cdes_insertion_table(n: int) -> dict[tuple[int, ...], int]:
     fields go above the old ones, as the masks with bit m - 2 set.  Every
     field holds less than m! <= 20! < 2^63, so no field ever carries into
     the next.  The fields are read once at the end and paired with the
-    sorted-tuple keys of ``perms._subsets``, listed in the same order: the
-    table is ordered by ascending bitmask.  n above ``perms.TABLE_MAX_N``
-    is refused before anything is allocated.
+    sorted-tuple keys of the shared key list ``perms._value_set_keys``,
+    listed in the same order: the table is ordered by ascending bitmask.
+    The list is built once per process, grown to the largest n asked
+    for, and every smaller table reads a prefix of it: it holds the keys
+    of that table, ~7 MB at n = 17 and ~63 MB at ``perms.TABLE_MAX_N``,
+    which a caller holding the table holds anyway.  n above
+    ``perms.TABLE_MAX_N`` is refused before anything is allocated.
 
     >>> cdes_insertion_table(3)
     {(): 1, (2,): 1, (3,): 3, (2, 3): 1}
@@ -228,7 +232,7 @@ def cdes_insertion_table(n: int) -> dict[tuple[int, ...], int]:
     check_int("n", n, 1)
     check_cap("n", n, "table", "TABLE_MAX_N", TABLE_MAX_N)
     counts = _insertion_counts(n)
-    return dict(zip(_subsets(range(2, n + 1)), counts))
+    return dict(zip(_value_set_keys(n), counts))
 
 
 def _insertion_counts(n: int) -> memoryview:

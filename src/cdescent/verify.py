@@ -36,12 +36,14 @@ count code with the brute scan, the formula or ``gn``.  ``gn`` runs the same
 recurrence as separate code: it adds whole slices of a list of
 coefficients indexed by bitmask, one pass per x-variable, while the
 insertion table gathers every new field in whole-int passes over its
-packed int.  The two share only the labels of their keys,
-``perms._subsets``, and every check reads its keys off the formula
-table, whose sets come from ``iter_value_sets``, so a wrong label
-cannot hide.  ``poly-slice-reassembly`` also checks each slice
-``gnk(n, k)`` at x = 1 against the Eulerian number A(n, k), from its
-recurrence, which no route computes.  ``genocchi-cross-check`` compares
+packed int.  The two share only how their keys are listed: each reads
+its own shared key list, built once per process
+(``perms._value_set_keys``, ``perms._monomial_keys``), and every check
+reads its keys off the formula table, whose sets come from
+``iter_value_sets``, so a wrong label cannot hide.
+``poly-slice-reassembly`` also checks each slice ``gnk(n, k)`` at x = 1
+against the Eulerian number A(n, k), from its recurrence, which no route
+computes.  ``genocchi-cross-check`` compares
 the Genocchi value triangle with the expanded Gandhi polynomials and
 with the brute permutation count; the three share no code.
 

@@ -1,7 +1,9 @@
 import itertools
 import math
+import sys
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,8 @@ from cdescent import (
 from cdescent.perms import as_descent_set
 from cdescent.poly import Poly
 from cdescent.verify import run_all
+from test_poly import _scatter_gn
+from test_recursion import _listed_insertion_table
 
 perms = st.integers(1, 7).flatmap(lambda n: st.permutations(list(range(1, n + 1))))
 
@@ -64,6 +68,17 @@ def test_circular_descent_set(perm, expected):
 )
 def test_nwexb_set(perm, expected):
     assert nwexb_set(perm) == expected
+
+
+def test_sets_of_a_long_permutation():
+    # The reversed permutation of [100000]: every value but 1 is a descent
+    # value, and position i holds 100001 - i, below i from 50001 on.  Its
+    # rotation (2, ..., 100000, 1) has one bottom, at the last position.
+    # Decoding such masks one shift per bit took ~0.3 s each.
+    reverse = tuple(range(100000, 0, -1))
+    assert circular_descent_set(reverse) == tuple(range(2, 100001))
+    assert nwexb_set(reverse) == tuple(range(50001, 100001))
+    assert nwexb_set((*range(2, 100001), 1)) == (100000,)
 
 
 @pytest.mark.parametrize("bad", [(1, 1), (2, 3), (0, 1), (1, 3)])
@@ -268,13 +283,67 @@ def test_as_value_mask_is_as_value_set_as_a_mask(drawn, n):
         assert mask == expected
 
 
-@pytest.mark.parametrize("values", [range(1, 1), range(2, 3), range(1, 9), range(5, 12)])
-def test_subsets_ascend_by_bitmask(values):
-    # values[i] at bit i: entry k is the set of the bits of k.
-    expected = [
-        tuple(values[i] for i in perms_module._members(mask)) for mask in range(2 ** len(values))
-    ]
-    assert perms_module._subsets(values) == expected
+@pytest.mark.parametrize("n", [1, 2, 9, 12])
+def test_shared_keys_ascend_by_bitmask(n):
+    # Entry k of either list is the set of the bits of k: values from 2
+    # for the table's keys, x-variables from 1 with their count for gn's.
+    sets = [tuple(v + 2 for v in perms_module._members(mask)) for mask in range(2 ** (n - 1))]
+    keys = list(perms_module._value_set_keys(n))
+    monomials = list(perms_module._monomial_keys(n))
+    assert keys[: len(sets)] == sets
+    assert monomials[: len(sets)] == [(tuple(v - 1 for v in s), len(s)) for s in sets]
+
+
+@pytest.fixture
+def fresh_keys(monkeypatch):
+    # Both shared key lists as a fresh process has them: the empty set alone.
+    monkeypatch.setattr(perms_module._value_set_keys, "_keys", [()])
+    monkeypatch.setattr(perms_module._monomial_keys, "_keys", [((), 0)])
+
+
+def _references(n):
+    return list(_listed_insertion_table(n).items()), list(_scatter_gn(n).items())
+
+
+def test_shared_keys_grow_in_any_call_order(fresh_keys):
+    # Each n reads a prefix of the list grown for the largest n before it.
+    for n in (14, 5, 16, 9):
+        table, terms = _references(n)
+        assert list(cdes_insertion_table(n).items()) == table, n
+        assert list(gn(n).terms().items()) == terms, n
+    assert len(perms_module._value_set_keys._keys) == len(perms_module._monomial_keys._keys) == 2**15
+
+
+def test_shared_keys_leave_each_result_independent(fresh_keys):
+    table, terms = _references(10)
+    first = cdes_insertion_table(10)
+    first[()] = -1
+    first[(2, 3)] = 0
+    del first[(10,)]
+    first_terms = gn(10).terms()
+    first_terms.clear()
+    assert list(cdes_insertion_table(10).items()) == table
+    assert list(gn(10).terms().items()) == terms
+
+
+def test_shared_keys_grow_safely_across_threads(fresh_keys):
+    # Four threads, more than the cores, build tables of mixed n from a
+    # fresh list and switch every few microseconds, so growths race with
+    # each other and with readers of shorter prefixes.
+    sizes = [n for _ in range(3) for n in (14, 3, 12, 8, 13, 11, 6, 10)]
+    expected = {n: _references(n) for n in set(sizes)}
+
+    def build(n):
+        return list(cdes_insertion_table(n).items()), list(gn(n).terms().items())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for n, built in zip(sizes, pool.map(build, sizes, timeout=120)):
+                assert built == expected[n], n
+    finally:
+        sys.setswitchinterval(interval)
 
 
 bounds = st.none() | st.integers(-3, 3)

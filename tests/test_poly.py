@@ -17,6 +17,7 @@ from cdescent import (
 )
 from cdescent.perms import TABLE_MAX_N
 from cdescent.verify import REFERENCE_COUNTS
+from test_recursion import _first_call_peak_bytes
 
 
 def test_constructor_normalizes():
@@ -146,8 +147,10 @@ def _peak_bytes(build, n):
 
 def test_gn_peak_memory_stays_within_a_tenth_of_the_scatter():
     # The keys are listed after the slice passes, so the passes'
-    # temporaries never stand beside the dict.
+    # temporaries never stand beside the dict, nor beside the keys that a
+    # first call lists.
     assert _peak_bytes(gn, 16) <= 1.1 * _peak_bytes(_scatter_gn, 16)
+    assert _first_call_peak_bytes(gn, 16) <= 1.1 * _first_call_peak_bytes(_scatter_gn, 16)
 
 
 def test_gn_table_cap():

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import random
@@ -444,8 +445,38 @@ def _peak_bytes(build, n):
         tracemalloc.stop()
 
 
+def _first_call_peak_bytes(build, n):
+    # The peak of build(n) as the first call of a fresh interpreter, where
+    # the shared key lists hold the empty key alone, so a library builder
+    # lists every key; a reference from the tests runs there from its source.
+    if build.__module__.startswith("cdescent."):
+        source = f"from {build.__module__} import {build.__name__}"
+    else:
+        source = inspect.getsource(build)
+    code = f"""
+import itertools, tracemalloc
+from cdescent.recursion import _insertion_counts
+{source}
+tracemalloc.start()
+{build.__name__}({n})
+print(tracemalloc.get_traced_memory()[1])
+"""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout)
+
+
 def test_insertion_table_peaks_no_higher_than_a_listed_build():
     # The counts are read off the packed fields only as the dict takes
-    # them, so no list of 2^16 counts stands beside the growing dict.
+    # them, so no list of 2^16 counts stands beside the growing dict.  A
+    # warm call finds its keys listed; a first call lists them.
     assert _listed_insertion_table(12) == cdes_insertion_table(12)
     assert _peak_bytes(cdes_insertion_table, 17) <= _peak_bytes(_listed_insertion_table, 17)
+    assert _first_call_peak_bytes(cdes_insertion_table, 17) <= _first_call_peak_bytes(_listed_insertion_table, 17)
