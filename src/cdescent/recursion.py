@@ -5,10 +5,13 @@ Two independent recursions reproduce the closed-form counts:
 * the minimum-element recursion, which splits the permutations with
   descent-value set S by the relative placement of min(S) and min(S) - 1,
   its branch that lowers min(S) summed in closed form, so that each
-  child drops min(S) and shifts the rest down: it is driven top-down
-  with memoization, |S| - 1 frames deep, each set held as one int
-  bitmask (element v at bit v), a call made only for a child still to be
-  computed, and its work bounded by ``perms.RECURSION_CAP``;
+  child drops min(S) and shifts the rest down; for {a, m} it sums the
+  singletons' 2^(m-j-1) - 1 by C(a-1, j), which the binomial theorem
+  for (2 + 1)^(a-1) closes to 2^(m-a) (3^(a-1) - 2^(a-1)) - 2^(a-1) + 1.
+  It is driven top-down with memoization, |S| - 1 frames deep, each set
+  held as one int bitmask (element v at bit v), a call made only for a
+  child still to be computed, and its work bounded by
+  ``perms.RECURSION_CAP``;
 * the insertion recursion, which extends a full count table for [2, n-1]
   to one for [2, n] by inserting the new largest value n into shorter
   permutations, and is driven bottom-up, the whole table held as 64-bit
@@ -69,11 +72,15 @@ def cdes_recursive(n: int, s: Iterable[int], cache: Cache | None = None) -> int:
     evaluation of S = {s_1 < ... < s_k} caches exactly S and the suffixes
     {s_(d+1), ..., s_k} - t with t in [d, s_d - 1] for d <= k - 2, that is
     1 + sum of (s_d - d) over d <= k - 2 sets, each computed once; the
-    singletons below them are closed forms, never cached.  A cached set
-    T takes min(T) - 1 multiply-adds, W(S) in all (``_work``), and W(S)
-    times (max(S) + 16) above ``perms.RECURSION_CAP`` is refused before
-    any state is computed: a child's work never exceeds its parent's, so
-    no cached set is one the cap refuses.  A set that needs more frames
+    singletons below them are closed forms, never cached; the pairs are
+    closed forms too (module docstring), yet cached like every composite
+    set, so the cache holds exactly the sets above.  A cached set
+    T is charged min(T) - 1 multiply-adds, W(S) in all (``_work``), a
+    bound rather than a count, since a pair takes one power of 3 and two
+    shifts.  W(S) times (max(S) + 16) above ``perms.RECURSION_CAP`` is
+    refused before any state is computed: a child's work never exceeds
+    its parent's, so no cached set is one the cap refuses.  A set that
+    needs more frames
     than the interpreter's recursion limit raises ``ValueError``: under
     the default limit of 1000, that is a set of about 1,000 elements.
 
@@ -112,9 +119,9 @@ def cdes_recursive(n: int, s: Iterable[int], cache: Cache | None = None) -> int:
 
 
 def _work(mask: int) -> int:
-    # W(S), the multiply-adds of a fresh evaluation of the composite set
-    # S without 1 at ``mask``: min(T) - 1 for every set T it caches, S and
-    # the suffixes {s_(d+1), ..., s_k} - t, t in [d, s_d - 1], d <= k - 2.
+    # W(S), a bound on the multiply-adds of a fresh evaluation of the
+    # composite S without 1 at ``mask``: min(T) - 1 for every set T it caches,
+    # S and the suffixes {s_(d+1), ..., s_k} - t, t in [d, s_d - 1], d <= k - 2.
     low = mask & -mask
     mask ^= low
     work = low.bit_length() - 2
@@ -131,34 +138,26 @@ def _work(mask: int) -> int:
 
 def _fill(mask: int, cache: Cache) -> int:
     # The count of a composite set without 1 that is missing from the
-    # cache.  The children U - j of S = {a} + U are composite when U is
-    # and singletons when U is, and none is empty or holds 1, since
-    # min(U) - j > a - j >= 1.  A composite child is looked up, and
-    # computed by a call only when missing.
+    # cache.  The children U - j of S = {a} + U are composite when U is,
+    # and none is empty or holds 1, since min(U) - j > a - j >= 1.  A
+    # composite child is looked up, and computed by a call only when
+    # missing.
     low = mask & -mask
     rest = mask ^ low
-    if low == 4:
-        # min(S) = 2: the one term count(U - 1).
-        child = rest >> 1
-        if child & (child - 1) == 0:
-            value = (1 << (child.bit_length() - 2)) - 1
-        else:
-            value = cache.get(child)
-            if value is None:
-                value = _fill(child, cache)
-    elif rest & (rest - 1) == 0:
+    r = low.bit_length() - 2  # min(S) - 1
+    if rest & (rest - 1) == 0:
         # U = {m}: the children are the singletons {m - j}, of counts
-        # 2^(m-j-1) - 1.  The powers of two are shifted in once, and the
-        # C(r, j) sum to 2^r - 1.
-        r = low.bit_length() - 2  # min(S) - 1
-        value = 0
-        shift = r
-        for c in _BINOMIAL_ROWS[r] if r < _BINOMIAL_ROW_COUNT else _binomials(r):
-            shift -= 1
-            value += c << shift
-        value = (value << (rest.bit_length() - 2 - r)) - (1 << r) + 1
+        # 2^(m-j-1) - 1, and the sum closes by the binomial theorem,
+        # sum over j in [1, r] of C(r, j) 2^(r-j) = 3^r - 2^r, to
+        # 2^(m-1-r) (3^r - 2^r) - 2^r + 1.
+        value = ((3**r - (1 << r)) << (rest.bit_length() - 2 - r)) - (1 << r) + 1
+    elif low == 4:
+        # min(S) = 2: the one term count(U - 1), U - 1 composite.
+        child = rest >> 1
+        value = cache.get(child)
+        if value is None:
+            value = _fill(child, cache)
     else:
-        r = low.bit_length() - 2
         value = 0
         child = rest
         get = cache.get
@@ -181,9 +180,9 @@ def _binomials(r: int) -> Iterator[int]:
 
 
 # C(r, 1..r) for the rows r < 64 (~73 KB, built in ~0.2 ms), read by each
-# step of _fill with min(S) = r + 1: at the point-query sizes (n <= 48) the
-# running product makes a fresh query ~1.6 times slower, and the deep rows
-# it serves are too long to keep.
+# step of _fill with min(S) = r + 1 > 2 and U composite: at the point-query
+# sizes (n <= 48) the running product makes a fresh query ~1.5 times
+# slower, and the deep rows it serves are too long to keep.
 _BINOMIAL_ROW_COUNT = 64
 _BINOMIAL_ROWS = [tuple(math.comb(r, j) for j in range(1, r + 1)) for r in range(_BINOMIAL_ROW_COUNT)]
 # Below bit _CAP_FREE_BITS no set reaches RECURSION_CAP: W(S) <= max(S)^3,

@@ -49,7 +49,13 @@ def test_count_methods_agree(capsys, method):
 
 @pytest.mark.parametrize(
     "n, elements",
-    [("3000", "1500,3000"), ("10000", "5000,10000"), ("100000", "900,100000")],
+    [
+        ("3000", "1500,3000"),
+        ("10000", "5000,10000"),
+        ("100000", "900,100000"),
+        # The r = 1 pair leaf at the count cap.
+        ("100000", "2,100000"),
+    ],
 )
 def test_deep_recursion_queries_match_the_formula(capsys, n, elements):
     # Within the recursion's work cap and |S| frames deep.

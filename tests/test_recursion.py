@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import math
 import os
 import random
@@ -20,7 +21,7 @@ from cdescent import (
     cdes_recursive,
     iter_value_sets,
 )
-from cdescent.perms import RECURSION_CAP, TABLE_MAX_N, _members, as_value_mask
+from cdescent.perms import COUNT_MAX_N, RECURSION_CAP, TABLE_MAX_N, _members, as_value_mask
 from cdescent.recursion import _CAP_FREE_BITS, _FIELD_BITS, _insertion_counts, _work
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -136,6 +137,8 @@ def test_work_cap_refuses_before_any_state():
         (4000, (1000, 2000, 3000, 4000), 22053876048),
         (100000, (300, 600, 100000), 13457152800),
         (400, range(201, 401), 1655680000),
+        # A pair is one closed form, but W(S) charges it min(S) - 1.
+        (100000, (50000, 100000), 5000699984),
     ):
         cache = {}
         with pytest.raises(ValueError) as refused:
@@ -188,7 +191,8 @@ class _WriteLog(dict):
 def test_fresh_cache_holds_exactly_the_reachable_sets():
     # The recursion's work: a fresh cache holds exactly the sets reachable
     # by U -> U - j, 1 + sum over d <= k - 2 of (s_d - d) of them, and
-    # their steps, min - 1 each, add up to W(S).  Every set is computed and
+    # charging each min - 1, pairs included, gives W(S), the bound on the
+    # multiply-adds that the cap reads.  Every set is computed and
     # written once; through a shared cache, no state is computed again.
     shared = _WriteLog()
     for s in iter_value_sets(10):
@@ -286,13 +290,17 @@ def _in_deep_thread(call):
 
 
 def test_summed_recursion_matches_the_three_branch_oracle():
-    sets = list(iter_value_sets(12))
+    # Every set of [2, 12], and every pair of [2, 60]: the pair leaf's
+    # closed form against the oracle's three branches, which stay under
+    # 120 frames deep for these pairs.
+    cases = [(12, s) for s in iter_value_sets(12)]
+    cases += [(60, pair) for pair in itertools.combinations(range(2, 61), 2)]
     oracle_shared = {}
-    expected = {s: _oracle_cdes_recursive(12, s, oracle_shared) for s in sets}
+    expected = {case: _oracle_cdes_recursive(*case, oracle_shared) for case in cases}
     shared = {}
-    for s in sets:
-        assert cdes_recursive(12, s) == expected[s], s
-        assert cdes_recursive(12, s, shared) == expected[s], s
+    for (n, s), count in expected.items():
+        assert cdes_recursive(n, s) == count, s
+        assert cdes_recursive(n, s, shared) == count, s
     assert shared.items() <= oracle_shared.items()
     rng = random.Random(120)
     deep = [(80, tuple(range(41, 81))), (96, tuple(range(49, 97)))]
@@ -301,6 +309,23 @@ def test_summed_recursion_matches_the_three_branch_oracle():
         deep.append((n, tuple(sorted(rng.sample(range(2, n + 1), rng.randint(2, 8))))))
     wanted = _in_deep_thread(lambda: [_oracle_cdes_recursive(n, s) for n, s in deep])
     assert [cdes_recursive(n, s) for n, s in deep] == wanted
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(3, COUNT_MAX_N).flatmap(
+        lambda m: st.tuples(st.integers(2, min(m - 1, RECURSION_CAP // (m + 16) + 1)), st.just(m))
+    )
+)
+def test_deep_pairs_close_in_one_formula(pair):
+    # Pairs up to the count cap that the work cap lets through: each is
+    # one closed form, and the fresh cache holds that pair alone.
+    m = pair[1]
+    assert _work(_mask(pair)) * (m + 16) <= RECURSION_CAP
+    cache = {}
+    count = cdes_recursive(m, pair, cache)
+    assert count == cdes_formula(m, pair)
+    assert cache == {_mask(pair): count}
 
 
 def test_cache_keys_are_bitmasks_of_sets():
