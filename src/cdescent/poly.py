@@ -17,7 +17,6 @@ import math
 import operator
 from collections.abc import Iterable, Mapping
 
-from .formula import cdes_formula
 from .perms import TABLE_MAX_N, _monomial_keys, as_descent_set, check_cap, check_distinct, check_int, check_ints
 
 Monomial = tuple[tuple[int, ...], int]
@@ -273,8 +272,9 @@ def tau(parts: Iterable[int]) -> tuple[int, ...]:
 
 def gnk(n: int, k: int) -> Poly:
     """The y-degree-k slice of :func:`gn` with the y-power dropped: one
-    term per size-k subset S of [2, n], whose coefficient is the closed
-    form ``formula.cdes_formula`` of S.
+    term per size-k subset S of [2, n], whose coefficient is cdes_n(S).
+    It is read off ``gn(n)``, so every slice costs one ``gn(n)``; n = 1,
+    below ``gn``'s domain, has the one slice 1, read off ``gn(2)``.
 
     >>> str(gnk(4, 2))
     'x1*x2 + 3*x1*x3 + 7*x2*x3'
@@ -282,11 +282,4 @@ def gnk(n: int, k: int) -> Poly:
     check_int("n", n, 1)
     check_cap("n", n, "table", "TABLE_MAX_N", TABLE_MAX_N)
     check_int("k", k, 0, n - 1)
-    # One sorted squarefree monomial per subset, and every subset is
-    # attained, so the terms are normalized and zero-free.
-    return _raw(
-        {
-            (tuple(v - 1 for v in s), 0): cdes_formula(n, s)
-            for s in itertools.combinations(range(2, n + 1), k)
-        }
-    )
+    return _raw({(xv, 0): c for (xv, ydeg), c in gn(max(n, 2))._terms.items() if ydeg == k})

@@ -17,7 +17,10 @@ tableaux shape with rows + width <= ``BRUTE_MAX_N`` is computed once and
 handed to ``tableaux-three-routes`` and ``tableaux-mass-equals-factorial``,
 and ``gn(n)`` once for each n in [2, ``max_n``], handed to
 ``poly-vs-formula`` and ``poly-slice-reassembly``.  No route is compared
-with a table built by its own code.
+with a table built by its own code.  Tables are compared whole, by one
+rule (``_differences``): ``==`` first, and only when they differ, each
+key that one table lacks or holds another value; ``gn``'s terms are
+compared with the formula's row keyed by their monomials.
 
 The package has one closed form, ``cdes_formula``, which
 ``cdes_formula_typed`` and ``count_tableaux_type_sum`` return under the
@@ -41,16 +44,22 @@ its own shared key list, built once per process
 (``perms._value_set_keys``, ``perms._monomial_keys``), and every check
 reads its keys off the formula table, whose sets come from
 ``iter_value_sets``, so a wrong label cannot hide.
-``poly-slice-reassembly`` also checks each slice ``gnk(n, k)`` at x = 1
-against the Eulerian number A(n, k), from its recurrence, which no route
-computes.  ``genocchi-cross-check`` compares
-the Genocchi value triangle with the expanded Gandhi polynomials and
-with the brute permutation count; the three share no code.
+``gnk`` reads its slices off ``gn``, so ``poly-slice-reassembly``
+compares the slices with no independent route: it checks ``gn``'s own
+slices, that Poly's ``+``, ``*`` and ``==`` reassemble ``gn(n)``
+and that slice k at x = 1 is the Eulerian number A(n, k), from its
+recurrence, which no route computes.  ``poly-vs-formula`` stays the
+independent comparison of ``gn`` with the formula.
+``genocchi-cross-check`` compares the Genocchi value triangle with the
+expanded Gandhi polynomials and with the brute permutation count; the
+three share no code.
 
-Brute-force sweeps, tree walks and tableaux shapes (rows + width) stop
-at ``BRUTE_MAX_N`` and ``singleton-law`` at ``SINGLETON_MAX_N``, whatever
-``max_n``.  The suite runs in one process: ``workers`` (``verify
---threads``) is validated and has no effect, kept only for callers.
+Brute-force sweeps, ``tree-sum-vs-formula``'s tree walks and tableaux
+shapes (rows + width) stop at ``BRUTE_MAX_N`` and ``singleton-law`` at
+``SINGLETON_MAX_N``, whatever ``max_n``; ``theta-round-trip`` walks the
+leaves of every tree height up to ``max_n``.  The suite runs in one
+process: ``workers`` (``verify --threads``) is validated and has no
+effect, kept only for callers.
 """
 
 from __future__ import annotations
@@ -64,7 +73,7 @@ from . import perms  # as a module, so that every check_* name here is a check
 from .formula import cdes_formula, gap_vector, set_type
 from .genocchi import brute_genocchi_perm_count, evaluate, gandhi_poly, genocchi_number
 from .perms import brute_cdes_table, brute_nwexb_table, iter_value_sets
-from .poly import Poly, descent_set_coefficient, gn, gnk, tau
+from .poly import Poly, gn, gnk, tau
 from .recursion import cdes_insertion_table, cdes_recursive
 from .tableaux import (
     count_tableaux_formula,
@@ -81,7 +90,7 @@ from .tree import (
     tree_weight_traversal,
 )
 
-BRUTE_MAX_N = 8  # n of the brute scans, tree walks and tableaux shapes, whatever max_n
+BRUTE_MAX_N = 8  # n of the brute scans, tree-sum walks and tableaux shapes, whatever max_n
 SINGLETON_MAX_N = 64  # n of the singleton law, in exact big integers
 DEFAULT_SEED = 987131
 
@@ -139,15 +148,21 @@ def _result(name: str, mismatches: list, detail: str) -> CheckResult:
     return CheckResult(name, True, detail)
 
 
-def _mismatches(route, table: Table) -> list:
-    """Every (n, S) of ``table`` on which ``route(n, S)`` differs from it."""
-    return [
-        (n, s) for n, row in table.items() for s, want in row.items() if route(n, s) != want
-    ]
+def _differences(want: dict, got: dict) -> list:
+    """The keys on which two tables differ, ``want``'s first: none when
+    they are equal, else each key that one lacks or holds another value."""
+    if want == got:
+        return []
+    return [key for key in want if got.get(key) != want[key]] + [key for key in got if key not in want]
+
+
+def _monomials(row: dict[tuple[int, ...], int]) -> dict:
+    # The row keyed by gn's monomials: x_{s-1} for each s of S, and y^|S|.
+    return {(tuple(v - 1 for v in s), len(s)): count for s, count in row.items()}
 
 
 def check_brute_vs_formula(formula: Table, brute: Table) -> CheckResult:
-    bad = _mismatches(lambda n, s: brute[n].get(s, 0), {n: formula[n] for n in brute})
+    bad = [(n, s) for n, row in brute.items() for s in _differences(formula[n], row)]
     return _result("brute-vs-formula", bad, f"all sets, n <= {max(brute)}")
 
 
@@ -170,7 +185,7 @@ def check_typed_vs_formula(max_n: int) -> CheckResult:
 
 def check_recursion_vs_formula(formula: Table) -> CheckResult:
     cache: dict = {}
-    bad = _mismatches(lambda n, s: cdes_recursive(n, s, cache), formula)
+    bad = [(n, s) for n, row in formula.items() for s in row if cdes_recursive(n, s, cache) != row[s]]
     return _result("recursion-vs-formula", bad, f"all sets, n <= {max(formula)}")
 
 
@@ -199,9 +214,7 @@ def check_traversal_vs_sum(seed: int) -> CheckResult:
 
 def check_insertion_vs_formula(formula: Table) -> CheckResult:
     top = max(formula)
-    table = cdes_insertion_table(top)
-    bad = [] if len(table) == 2 ** (top - 1) else [("size", len(table))]
-    bad += _mismatches(lambda n, s: table.get(s), {top: formula[top]})
+    bad = _differences(formula[top], cdes_insertion_table(top))
     return _result("insertion-vs-formula", bad, f"entrywise at n = {top}")
 
 
@@ -215,33 +228,21 @@ def check_table_mass(formula: Table) -> CheckResult:
 
 
 def check_nwexb_vs_cdes(brute: Table, nwexb: Table) -> CheckResult:
-    bad = [n for n, row in brute.items() if nwexb[n] != row]
+    bad = [(n, s) for n, row in brute.items() for s in _differences(row, nwexb[n])]
     return _result("nwexb-vs-cdes", bad, f"full tables, n <= {max(brute)}")
 
 
 def check_poly_reference_table() -> CheckResult:
-    bad = []
-    for n, expected in REFERENCE_COUNTS.items():
-        g = gn(n)
-        want = {
-            (tuple(v - 1 for v in s), len(s)): coeff for s, coeff in expected.items()
-        }
-        if g.terms() != want:
-            bad.append(n)
+    bad = [
+        (n, key) for n, row in REFERENCE_COUNTS.items() for key in _differences(_monomials(row), gn(n).terms())
+    ]
     return _result("poly-reference-table", bad, "orders 2..5")
 
 
 def check_poly_vs_formula(formula: Table, polys: dict[int, Poly]) -> CheckResult:
     # ``polys``: gn(n) for every n of the formula table from 2 up.
-    bad = _mismatches(
-        lambda n, s: descent_set_coefficient(polys[n], s),
-        {n: formula[n] for n in polys},
-    )
-    for n, g in polys.items():
-        if any(len(xv) != ydeg for (xv, ydeg) in g.terms()):
-            bad.append((n, "ydeg"))
-        if g.evaluate(1, 1) != math.factorial(n):
-            bad.append((n, "mass"))
+    bad = [(n, key) for n, g in polys.items() for key in _differences(_monomials(formula[n]), g.terms())]
+    bad += [(n, "mass") for n, g in polys.items() if g.evaluate(1, 1) != math.factorial(n)]
     return _result("poly-vs-formula", bad, f"n <= {max(formula)}")
 
 

@@ -232,6 +232,19 @@ def test_gnk_composition_order_regression():
     assert g.coefficient((2, 3), 0) == 7
 
 
+def test_gnk_coefficients_are_the_formula():
+    # gnk is read off gn, so the closed form checks every slice on its
+    # own: one term per size-k subset S of [2, n], no other term.
+    for n in range(1, 11):
+        for k in range(n):
+            want = {
+                (tuple(v - 1 for v in s), 0): cdes_formula(n, s)
+                for s in itertools.combinations(range(2, n + 1), k)
+            }
+            assert gnk(n, k).terms() == want, (n, k)
+    assert gnk(1, 0) == Poly.constant(1)
+
+
 def test_gnk_reassembles_gn():
     for n in range(2, 9):
         total = Poly()

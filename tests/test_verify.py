@@ -55,10 +55,21 @@ def _bump_shape(route):
     return lambda shape: route(shape) + (tuple(shape) == (2, 1))
 
 
-def _fault(name, fault, failing):
+def _stray_term(build):
+    """``build`` plus the term x1, whose y-degree 0 is not its number of
+    x-variables."""
+    return lambda n: build(n) + verify.Poly({((1,), 0): 1})
+
+
+def _extra_key(build):
+    """``build`` with one more key, (1,), which is no set of [2, n]."""
+    return lambda n, *args, **kwargs: {**build(n, *args, **kwargs), (1,): 1}
+
+
+def _fault(name, fault, failing, id=None):
     """The name faulted in the verify module, the fault, and every check
     that must then fail."""
-    return pytest.param(name, fault, failing, id=name)
+    return pytest.param(name, fault, failing, id=id or name)
 
 
 FAULTS = [
@@ -68,6 +79,8 @@ FAULTS = [
     _fault("tree_weight_traversal", _bump_walk, {"tree-sum-vs-formula"}),
     _fault("tree_weight_sum", _off_by_one, {"tree-traversal-vs-closed-sum"}),
     _fault("cdes_insertion_table", _bump_table, {"insertion-vs-formula"}),
+    _fault("cdes_insertion_table", _extra_key, {"insertion-vs-formula"}, id="cdes_insertion_table-extra-key"),
+    _fault("gn", _stray_term, {"poly-reference-table", "poly-vs-formula", "poly-slice-reassembly"}),
     _fault("brute_nwexb_table", _bump_table, {"nwexb-vs-cdes"}),
     _fault(
         "brute_cdes_table",
