@@ -26,9 +26,10 @@ are the classes of the set without v, each with v put next to its end x
 and the bit of the pair of v and x ORed in.  Each half grows one value
 at a time, a head at its right end and a tail at its left, and each
 level of sets is built once from the level below; the full-size classes
-are built one value set at a time, where they are joined.  A
-permutation's complete mask is its head's mask, the bit of the pair
-where head meets tail, and its tail's mask ORed together, so the n!
+are built one value set at a time, where they are joined by the same
+step (``_extend``) once more: the head's last value is put before the
+tail, adding the bit of the pair where they meet.  A permutation's
+complete mask is its head's mask ORed with that joined mask, so the n!
 permutations are counted as products of class counts, one product per
 pair of classes, never one by one.  The products
 add into one flat list of totals indexed by mask, 2^(n+1) of them, and
@@ -100,13 +101,13 @@ def _tail_length(n: int) -> int:
     # value sets, and every pair of classes adds one product.  Half the
     # values, rounded down (one for n = 1).  Best of 25 interleaved runs,
     # descent / NWEXB scan, ms, tail n // 2 - 1, n // 2, n // 2 + 1:
-    # n = 6: 0.61 / 0.60, 0.66 / 0.62, 0.68 / 0.67; n = 7: 0.93 / 0.87,
-    # 1.01 / 0.91, 1.12 / 0.99; n = 8: 2.85 / 2.36, 3.16 / 2.57, 3.75 /
-    # 3.09; n = 9: 8.6 / 6.4, 9.4 / 6.7, 11.1 / 7.7; n = 10: 29.8 / 18.7,
-    # 33.7 / 19.7, 39.4 / 25.5.  n // 2 - 1 is 4-12% faster from n = 6 on,
-    # but its longer head holds larger DP levels: under tracemalloc the
-    # descent scan peaks at 0.44 MB at n = 9 and 0.85 MB at n = 10, against
-    # 0.31 and 0.72 MB for n // 2 and guards of 0.5 and 1 MB.
+    # n = 6: 0.37 / 0.32, 0.35 / 0.33, 0.35 / 0.33; n = 7: 0.79 / 0.81,
+    # 0.90 / 0.81, 1.00 / 0.93; n = 8: 2.63 / 2.15, 2.80 / 2.39, 3.28 /
+    # 2.69; n = 9: 7.61 / 5.66, 8.21 / 5.85, 9.65 / 6.92; n = 10: 25.8 /
+    # 16.3, 30.4 / 18.1, 36.1 / 22.9.  n // 2 - 1 is up to 15% faster from
+    # n = 7 on, but its longer head holds larger DP levels: under
+    # tracemalloc the descent scan peaks at 0.44 MB at n = 9 and 0.85 MB at
+    # n = 10, against 0.31 and 0.72 MB for n // 2 and guards of 0.5 and 1 MB.
     return max(1, n // 2)
 
 
@@ -348,31 +349,35 @@ def nwexb_set(perm: Sequence[int]) -> tuple[int, ...]:
 Classes = dict[int, dict[int, int]]  # end value -> own-pair mask -> count
 
 
+def _extend(classes: Classes, bits: Sequence[int]) -> dict[int, int]:
+    # The arrangements of ``classes`` with one more value put next to
+    # their end x, each gaining the bit bits[x], merged by mask: the one
+    # step of the DP over value sets.
+    merged: dict[int, int] = {}
+    get = merged.get
+    for x, masks in classes.items():
+        bit = bits[x]
+        for mask, count in masks.items():
+            mask |= bit
+            merged[mask] = get(mask, 0) + count
+    return merged
+
+
 def _classes(below: dict[int, Classes], row: Sequence[Sequence[int]], values: Sequence[int]) -> Classes:
     # The arrangements of ``values`` by class: out[v][mask] counts those
     # that end in v (a head's last value, a tail's first) and whose own
     # pairs give mask.  Each is an arrangement of the other values, a
     # class of ``below`` (keyed by value set, then by end value x), with v
-    # put next to x, gaining the bit row[x][v].
+    # put next to x, gaining the bit row[v][x].
     key = sum(1 << v for v in values)
-    out = {}
-    for v in values:
-        merged: dict[int, int] = {}
-        get = merged.get
-        for x, masks in below[key ^ 1 << v].items():
-            bit = row[x][v]
-            for mask, count in masks.items():
-                mask |= bit
-                merged[mask] = get(mask, 0) + count
-        out[v] = merged
-    return out
+    return {v: _extend(below[key ^ 1 << v], row[v]) for v in values}
 
 
 def _level(rows: Sequence[Sequence[Sequence[int]]], n: int) -> dict[int, Classes]:
     # The classes of every set of len(rows) values of [n], keyed by its
-    # bitmask, grown one value at a time: rows[j - 1] gives the bits of
-    # growing a set to j values.  Only the level being built and the one
-    # below it are held.
+    # bitmask, grown one value at a time: rows[j - 1][v][x] is the bit of
+    # growing a set to j values by a value v next to end x.  Only the
+    # level being built and the one below it are held.
     level: dict[int, Classes] = {0: {0: {0: 1}}}  # the empty arrangement, end 0
     for size, row in enumerate(rows, 1):
         level = {
@@ -386,20 +391,24 @@ def _brute_table(rule: Rule, n: int) -> dict[tuple[int, ...], int]:
     # One scan: the permutations of [n] counted by the mask of the rule.
     check_int("n", n, 1)
     check_cap("n", n, "enumeration", "DEFAULT_ENUMERATION_CAP", DEFAULT_ENUMERATION_CAP)
-    # The rule's bit of pair i with left value a and right value b.
-    bits = [
-        [[rule(i, a, b) for b in range(n + 1)] for a in range(n + 1)] for i in range(n - 1)
-    ]
     size = _tail_length(n)
     start = n - size  # the tail's first position (from 0): the head's length
+
+    def bits(i: int, follows: bool) -> list[list[int]]:
+        # The rule's bit of pair i between a value v put next to the end x
+        # of a half, as bits[v][x]: v follows x in a head, precedes it in a tail.
+        return [[rule(i, x, v) if follows else rule(i, v, x) for x in range(n + 1)] for v in range(n + 1)]
+
     # The bits of growing a half to j values: none for its first value
     # (put after end 0 of the empty arrangement), then pair j - 2 for a
-    # head, whose new last value v follows its end x, bits[j - 2][x][v],
-    # and pair n - j for a tail, whose new first value v precedes its end
-    # x, bits[n - j][v][x].
-    blank = [[0] * (n + 1)]
-    head_rows = [blank, *bits]
-    tail_rows = [blank, *(list(zip(*row)) for row in reversed(bits[start:]))]
+    # head, whose new last value follows its end, and pair n - j for a
+    # tail, whose new first value precedes its end.
+    blank = [[0] * (n + 1)] * (n + 1)
+    head_rows = [blank, *(bits(j - 2, True) for j in range(2, start + 1))]
+    tail_rows = [blank, *(bits(n - j, False) for j in range(2, size + 1))]
+    # The pair where head meets tail, pair start - 1, as one more step of
+    # the tail: the head's last value put before the tail's first.
+    joint = bits(start - 1, False) if start else blank
     heads_below = _level(head_rows[: start - 1], n) if start else {}
     tails_below = _level(tail_rows[: size - 1], n)
     # One total for each mask: every bit of either rule lies in 1 .. 1 << n.
@@ -417,16 +426,10 @@ def _brute_table(rule: Rule, n: int) -> dict[tuple[int, ...], int]:
         rest = tuple(v for v in range(1, n + 1) if v not in tail_values)
         heads = _classes(heads_below, head_rows[start - 1], rest)
         for last, head_masks in heads.items():
-            # The tail classes with the bit of the pair where head meets
-            # tail ORed in, merged where they meet, as (mask, count) pairs.
-            joint = bits[start - 1][last]
-            merged: dict[int, int] = {}
-            for first, masks in tails.items():
-                bit = joint[first]
-                for mask, count in masks.items():
-                    mask |= bit
-                    merged[mask] = merged.get(mask, 0) + count
-            joined = list(merged.items())
+            # The tail grown by one more step, the head's last value put
+            # before its first: the bit of the pair where head meets tail
+            # ORed in, merged by mask, as (mask, count) pairs.
+            joined = list(_extend(tails, joint[last]).items())
             # The permutations of this split whose head ends in last,
             # counted by class products.
             for head_mask, head_count in head_masks.items():

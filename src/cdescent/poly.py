@@ -181,7 +181,7 @@ def gn(n: int) -> Poly:
                   + x_m * sum_i d(g_m)/d(x_i)
                   - x_m * y^2 * d(g_m)/dy
 
-    from g_2 = 1 + x1*y, not by enumerating permutations.  As the
+    from g_1 = 1, not by enumerating permutations.  As the
     y-degree of every term is its number of x-variables, g_m is held as
     a plain list of coefficients indexed by bitmask, x_i at bit i - 1.
     A step keeps the list, the 1 * g_m part, and appends a new half for
@@ -215,10 +215,10 @@ def gn(n: int) -> Poly:
     >>> str(gn(3))
     '1 + x1*y + 3*x2*y + x1*x2*y^2'
     """
-    check_int("n", n, 2)
+    check_int("n", n, 1)
     check_cap("n", n, "table", "TABLE_MAX_N", TABLE_MAX_N)
-    coeffs = [1, 1]  # g_2 = 1 + x1*y
-    for m in range(2, n):
+    coeffs = [1]  # g_1 = 1
+    for m in range(1, n):
         top = 1 << (m - 1)  # the bit of x_m
         # The range stops the map before it reads an entry it appended.
         coeffs += map(
@@ -273,8 +273,7 @@ def tau(parts: Iterable[int]) -> tuple[int, ...]:
 def gnk(n: int, k: int) -> Poly:
     """The y-degree-k slice of :func:`gn` with the y-power dropped: one
     term per size-k subset S of [2, n], whose coefficient is cdes_n(S).
-    It is read off ``gn(n)``, so every slice costs one ``gn(n)``; n = 1,
-    below ``gn``'s domain, has the one slice 1, read off ``gn(2)``.
+    It is read off ``gn(n)``, so every slice costs one ``gn(n)``.
 
     >>> str(gnk(4, 2))
     'x1*x2 + 3*x1*x3 + 7*x2*x3'
@@ -282,4 +281,4 @@ def gnk(n: int, k: int) -> Poly:
     check_int("n", n, 1)
     check_cap("n", n, "table", "TABLE_MAX_N", TABLE_MAX_N)
     check_int("k", k, 0, n - 1)
-    return _raw({(xv, 0): c for (xv, ydeg), c in gn(max(n, 2))._terms.items() if ydeg == k})
+    return _raw({(xv, 0): c for (xv, ydeg), c in gn(n)._terms.items() if ydeg == k})

@@ -169,7 +169,7 @@ def test_rejected_queries_print_one_error_line(capsys, argv):
         # 2^99999 * (99999 + 16): a work of 100016 bits, named by its size.
         (("tableaux", "--shape", "99999"), "work = an integer of 100016 bits exceeds the summation cap SUM_CAP = 40000000"),
         (("table", "--n", "0"), "n must be at least 1: 0"),
-        (("poly", "--n", "1"), "n must be at least 2: 1"),
+        (("poly", "--n", "0"), "n must be at least 1: 0"),
         (("genocchi", "--k", "0", "--n", "3"), "k must be at least 1: 0"),
         (("verify", "--max-n", "1"), "max_n must be at least 2: 1"),
         (("count", "--n", "5", "--set", "3", "--threads", "0"), "--threads must be at least 1: 0"),

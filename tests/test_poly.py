@@ -67,9 +67,13 @@ def test_str_canonical():
 
 
 def test_gn_small():
+    assert gn(1) == 1
+    assert gn(1).terms() == {
+        (tuple(v - 1 for v in s), len(s)): count for s, count in cdes_insertion_table(1).items()
+    }
     assert str(gn(2)) == "1 + x1*y"
     with pytest.raises(ValueError):
-        gn(1)
+        gn(0)
 
 
 def test_gn_matches_reference_table():

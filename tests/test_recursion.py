@@ -22,6 +22,7 @@ from cdescent import (
     iter_value_sets,
 )
 from cdescent.perms import COUNT_MAX_N, RECURSION_CAP, TABLE_MAX_N, _members, as_value_mask
+from cdescent import recursion
 from cdescent.recursion import _CAP_FREE_BITS, _FIELD_BITS, _insertion_counts, _work
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -160,6 +161,34 @@ def test_work_is_at_most_the_cube_of_the_maximum(s):
     assert _work(_mask(s)) <= max(s) ** 3
     m = _CAP_FREE_BITS
     assert (m - 1) ** 3 * (m - 1 + 16) <= RECURSION_CAP < m**3 * (m + 16)
+
+
+class _CountedRow(tuple):
+    # A binomial row that counts the terms read from it: one multiply-add
+    # of _fill's summed loop each.
+    reads = 0
+
+    def __iter__(self):
+        for c in super().__iter__():
+            _CountedRow.reads += 1
+            yield c
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.integers(2, 64), min_size=2))
+def test_summed_loop_stays_within_the_charged_work(s):
+    # RECURSION_CAP reads W(S) as a bound on the multiply-adds of a fresh
+    # evaluation: every step of _fill with U composite, min(S) = 2
+    # included, runs the summed loop over a binomial row, and all of them
+    # together never read more terms than W(S).
+    expected = cdes_recursive(max(s), s)
+    rows = [_CountedRow(row) for row in recursion._BINOMIAL_ROWS]
+    _CountedRow.reads = 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recursion, "_BINOMIAL_ROWS", rows)
+        assert cdes_recursive(max(s), s, {}) == expected
+    # A set of three or more elements reads at least its own row.
+    assert 0 < _CountedRow.reads <= _work(_mask(s)) or len(s) == 2
 
 
 def _reachable(s):
