@@ -204,17 +204,20 @@ def cmd_tableaux(args) -> int:
 
 
 def cmd_genocchi(args) -> int:
-    from .genocchi import brute_genocchi_perm_count, genocchi_number
+    from .genocchi import _check_brute, _check_number, brute_genocchi_perm_count, genocchi_number
 
-    value = genocchi_number(args.k, args.n)
     query = {"command": "genocchi", "k": args.k, "n": args.n}
-    if args.brute:
-        if args.n < 2:
-            raise ValueError("--brute needs n >= 2 (it recounts the previous index)")
-        brute = brute_genocchi_perm_count(args.k, args.n - 1)
-        return _cross_check(args, {**query, "brute": True}, {"recursion": value, "brute": brute})
-    _emit(args, query, str(value))
-    return 0
+    # Both routes' arguments are checked before either computes.
+    _check_number(args.k, args.n)
+    if not args.brute:
+        _emit(args, query, str(genocchi_number(args.k, args.n)))
+        return 0
+    if args.n < 2:
+        raise ValueError("--brute needs n >= 2 (it recounts the previous index)")
+    _check_brute(args.k, args.n - 1)
+    value = genocchi_number(args.k, args.n)
+    brute = brute_genocchi_perm_count(args.k, args.n - 1)
+    return _cross_check(args, {**query, "brute": True}, {"recursion": value, "brute": brute})
 
 
 def cmd_verify(args) -> int:

@@ -79,15 +79,27 @@ def genocchi_number(k: int, n: int) -> int:
     >>> genocchi_number(1, 5)
     1
     """
-    check_int("n", n, 1)
-    check_int("k", k, 1)
-    check_cap("k*n", k * n, "Genocchi", "GENOCCHI_MAX_SIZE", GENOCCHI_MAX_SIZE)
+    _check_number(k, n)
     powers = [x**k for x in range(n)]
     values = [1] * n
     for _ in range(n - 1):
         weighted = [p * v for p, v in zip(powers, values)]
         values = [b - a for a, b in itertools.pairwise(weighted)]
     return values[0]
+
+
+def _check_number(k: int, n: int) -> None:
+    # The refusals of genocchi_number, in their order.
+    check_int("n", n, 1)
+    check_int("k", k, 1)
+    check_cap("k*n", k * n, "Genocchi", "GENOCCHI_MAX_SIZE", GENOCCHI_MAX_SIZE)
+
+
+def _check_brute(k: int, n: int) -> None:
+    # The refusals of brute_genocchi_perm_count, in their order.
+    check_int("k", k, 1)
+    check_int("n", n, 1)
+    check_cap("k*n", k * n, "enumeration", "DEFAULT_ENUMERATION_CAP", DEFAULT_ENUMERATION_CAP)
 
 
 def brute_genocchi_perm_count(k: int, n: int) -> int:
@@ -101,9 +113,7 @@ def brute_genocchi_perm_count(k: int, n: int) -> int:
     >>> brute_genocchi_perm_count(2, 2)
     3
     """
-    check_int("k", k, 1)
-    check_int("n", n, 1)
-    check_cap("k*n", k * n, "enumeration", "DEFAULT_ENUMERATION_CAP", DEFAULT_ENUMERATION_CAP)
+    _check_brute(k, n)
     m = k * n
     # The rule at position i does not depend on the value before it.
     rows = []

@@ -83,7 +83,7 @@ SUM_CAP = 40_000_000
 # Work of the minimum-element recursion, W(S) * (max(S) + 16): W(S)
 # multiply-adds of counts of up to ~max(S) bits.  About a second.
 RECURSION_CAP = 400_000_000
-BUILD_CAP = 17  # height of a materialized tree, 2^(height+1) - 1 nodes
+BUILD_CAP = 17  # height of a materialized tree, which bounds the 2^height paths every walk follows
 BOX_CAP = 20  # boxes of a shape whose fillings are searched one by one
 TRANSFER_CAP = 2_000_000  # steps of the column transfer: 4^height summed over columns
 TABLE_MAX_N = 20  # n of a full table over [2, n], 2^(n-1) entries
@@ -464,8 +464,12 @@ def count_placements(allowed: Sequence[Sequence[int]]) -> int:
 
     >>> count_placements([[0b1110] * 4] * 3)  # no rule: all 3! orders
     6
+    >>> count_placements([])  # the one empty arrangement
+    1
     """
     m = len(allowed)
+    if m == 0:
+        return 1
     count = 0
     stack = [(0, 0, (1 << (m + 1)) - 2)]  # (position, prev, unused values)
     while stack:

@@ -61,8 +61,10 @@ def cdes_recursive(n: int, s: Iterable[int], cache: Cache | None = None) -> int:
     a = 2 leaves the one term count(U - 1), and U empty gives the base
     case 2^(a-1) - 1).  Every term is positive, and every child is one
     element smaller than its parent, so the recursion is |S| - 1 frames
-    deep.  Every subproblem is independent of n (only max(S) matters), so
-    cache keys are the sets themselves, each as one int with element v at
+    deep.  For a = 2 the step is one lookup of U - 1, and the set's cache
+    entry is its child's own int object, not an equal copy.  Every
+    subproblem is independent of n (only max(S) matters), so cache keys
+    are the sets themselves, each as one int with element v at
     bit v (the convention of ``perms._descent_bit``; ``perms._members``
     decodes a key), and U - j is that int shifted down by j.  S is
     checked straight into that int by ``perms.as_value_mask``, without a
@@ -77,8 +79,9 @@ def cdes_recursive(n: int, s: Iterable[int], cache: Cache | None = None) -> int:
     set, so the cache holds exactly the sets above.  A cached set
     T is charged min(T) - 1 multiply-adds, W(S) in all (``_work``), a
     bound rather than a count, since a pair takes one power of 3 and two
-    shifts.  W(S) times (max(S) + 16) above ``perms.RECURSION_CAP`` is
-    refused before any state is computed: a child's work never exceeds
+    shifts, and a set with min(T) = 2 one lookup.  W(S) times
+    (max(S) + 16) above ``perms.RECURSION_CAP`` is refused before any
+    state is computed: a child's work never exceeds
     its parent's, so no cached set is one the cap refuses.  A set that
     needs more frames
     than the interpreter's recursion limit raises ``ValueError``: under
@@ -141,7 +144,9 @@ def _fill(mask: int, cache: Cache) -> int:
     # cache.  The children U - j of S = {a} + U are composite when U is,
     # and none is empty or holds 1, since min(U) - j > a - j >= 1.  A
     # composite child is looked up, and computed by a call only when
-    # missing.
+    # missing.  Three cases: a pair is one closed form, min(S) = 2 is one
+    # lookup whose int the set then shares, and every other set is the
+    # summed step over the binomial row of r = min(S) - 1.
     low = mask & -mask
     rest = mask ^ low
     r = low.bit_length() - 2  # min(S) - 1
@@ -151,6 +156,12 @@ def _fill(mask: int, cache: Cache) -> int:
         # sum over j in [1, r] of C(r, j) 2^(r-j) = 3^r - 2^r, to
         # 2^(m-1-r) (3^r - 2^r) - 2^r + 1.
         value = ((3**r - (1 << r)) << (rest.bit_length() - 2 - r)) - (1 << r) + 1
+    elif r == 1:
+        # min(S) = 2: the one term count(U - 1), U - 1 composite.
+        child = rest >> 1
+        value = cache.get(child)
+        if value is None:
+            value = _fill(child, cache)
     else:
         value = 0
         child = rest
@@ -173,11 +184,11 @@ def _binomials(r: int) -> Iterator[int]:
         yield c
 
 
-# C(r, 1..r) for the rows r < 64 (~73 KB, built in ~0.2 ms), read by every
-# step of _fill with U composite, min(S) = r + 1 >= 2: at the point-query
-# sizes (n <= 48) the running product makes a fresh query ~1.5 times
-# slower (1.54 in the median of 30 interleaved runs of 1,500 queries),
-# and the deep rows it serves are too long to keep.
+# C(r, 1..r) for the rows r < 64 (~73 KB, built in ~0.2 ms), read only by
+# the summed step of _fill, U composite and min(S) = r + 1 >= 3: at the
+# point-query sizes (n <= 48) the running product makes a fresh query ~1.5
+# times slower (1.53 in the median of 30 interleaved runs of 1,500
+# queries), and the deep rows it serves are too long to keep.
 _BINOMIAL_ROW_COUNT = 64
 _BINOMIAL_ROWS = [tuple(math.comb(r, j) for j in range(1, r + 1)) for r in range(_BINOMIAL_ROW_COUNT)]
 # Below bit _CAP_FREE_BITS no set reaches RECURSION_CAP: W(S) <= max(S)^3,

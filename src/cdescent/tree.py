@@ -43,25 +43,31 @@ class TreeNode(namedtuple("TreeNode", "label height children", defaults=((),))):
 
 
 def build_tree(k: int) -> TreeNode:
-    """Materialize the full tree of height k (2^(k+1) - 1 nodes).
+    """Materialize the full tree of height k, its 2^k root-to-leaf paths
+    held by (k + 1)(k + 2)/2 nodes.
 
-    Children are ordered repeating label first, then incremented label.
+    The subtree under a node depends only on its height and label, so the
+    tree is built bottom-up with one node per (height, label), which
+    every parent with a child there shares.  Children are ordered
+    repeating label first, then incremented label.
 
     >>> root = build_tree(1)
     >>> [(c.height, c.label) for c in root.children]
     [(1, 1), (1, 2)]
+    >>> root = build_tree(2)
+    >>> root.children[0].children[1] is root.children[1].children[0]
+    True
     """
     check_int("k", k, 0)
     check_cap("height", k, "materialization", "BUILD_CAP", BUILD_CAP)
-
-    def grow(label: int, height: int) -> TreeNode:
-        if height == k:
-            return TreeNode(label, height)
-        return TreeNode(
-            label, height, (grow(label, height + 1), grow(label + 1, height + 1))
-        )
-
-    return grow(1, 0)
+    level = [TreeNode(label, k) for label in range(1, k + 2)]
+    for height in range(k - 1, -1, -1):
+        # level[label - 1] is the node (label, height + 1)
+        level = [
+            TreeNode(label, height, (level[label - 1], level[label]))
+            for label in range(1, height + 2)
+        ]
+    return level[0]
 
 
 def iter_leaf_paths(root: TreeNode) -> Iterator[tuple[int, ...]]:
@@ -85,11 +91,12 @@ def _check_weights(d: Iterable[int]) -> tuple[int, ...]:
 
 def tree_weight_traversal(d: Sequence[int]) -> int:
     """Total signed path weight of the height-len(d) tree, by one
-    depth-first walk of the materialized tree: each node's signed path
-    product is its parent's times its own weight, one power per node, and
-    the leaves' products are summed.  The work that :func:`tree_weight_sum`
-    refuses is refused first (the walk has 2^len(d) leaves), then a height
-    above ``perms.BUILD_CAP`` (:func:`build_tree`), before any node is built.
+    depth-first walk of every root-to-leaf path of the materialized tree:
+    each visited node's signed path product is its parent's times its own
+    weight, one power per visit, and the leaves' products are summed.
+    The work that :func:`tree_weight_sum` refuses is refused first (the
+    walk has 2^len(d) leaves), then a height above ``perms.BUILD_CAP``
+    (:func:`build_tree`), before any node is built.
 
     >>> tree_weight_traversal((2, 1))
     3

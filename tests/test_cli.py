@@ -449,6 +449,18 @@ def test_brute_cap_flag_is_gone(capsys, argv):
     assert "unrecognized arguments: --brute-cap 5" in err
 
 
+def test_genocchi_brute_refuses_before_the_triangle(capsys, monkeypatch):
+    # Both routes' arguments are checked before either computes: the
+    # enumeration cap refuses k*n = 2 * 999 without the value triangle.
+    def triangle(k, n):
+        raise AssertionError("the value triangle ran")
+
+    monkeypatch.setattr(genocchi, "genocchi_number", triangle)
+    assert run(capsys, "genocchi", "--k", "2", "--n", "1000", "--brute") == (
+        1, "", "error: k*n = 1998 exceeds the enumeration cap DEFAULT_ENUMERATION_CAP = 10\n"
+    )
+
+
 def test_genocchi_brute_mismatch_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(genocchi, "genocchi_number", lambda k, n: 999)
     rc, _, err = run(capsys, "genocchi", "--k", "2", "--n", "3", "--brute")

@@ -178,17 +178,18 @@ class _CountedRow(tuple):
 @given(st.sets(st.integers(2, 64), min_size=2))
 def test_summed_loop_stays_within_the_charged_work(s):
     # RECURSION_CAP reads W(S) as a bound on the multiply-adds of a fresh
-    # evaluation: every step of _fill with U composite, min(S) = 2
-    # included, runs the summed loop over a binomial row, and all of them
-    # together never read more terms than W(S).
+    # evaluation: every step of _fill with U composite and min(S) >= 3
+    # runs the summed loop over a binomial row, a min(S) = 2 step reads
+    # none, and all of them together never read more terms than W(S).
     expected = cdes_recursive(max(s), s)
     rows = [_CountedRow(row) for row in recursion._BINOMIAL_ROWS]
     _CountedRow.reads = 0
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(recursion, "_BINOMIAL_ROWS", rows)
         assert cdes_recursive(max(s), s, {}) == expected
-    # A set of three or more elements reads at least its own row.
-    assert 0 < _CountedRow.reads <= _work(_mask(s)) or len(s) == 2
+    assert _CountedRow.reads <= _work(_mask(s))
+    # A set of three or more elements with min(S) >= 3 reads at least its own row.
+    assert _CountedRow.reads > 0 or len(s) == 2 or min(s) == 2
 
 
 def _reachable(s):
@@ -377,6 +378,17 @@ def test_shared_cache_sweep_matches_the_insertion_table():
     for _ in range(2):
         assert {s: cdes_recursive(12, s, cache) for s in table} == table
         assert len(cache) == 2**11 - 12
+
+
+def test_min_two_sets_share_their_childs_int():
+    # After a cold sweep of [2, 12] through one cache, a cached set
+    # {2} + U, U composite, holds its child U - 1's own int object.
+    cache = {}
+    for s in iter_value_sets(12):
+        cdes_recursive(12, s, cache)
+    shared = [m for m in cache if m & 4 and (m ^ 4) & ((m ^ 4) - 1)]
+    assert len(shared) == 2**10 - 11
+    assert all(cache[m] is cache[(m ^ 4) >> 1] for m in shared)
 
 
 @settings(max_examples=100, deadline=None)

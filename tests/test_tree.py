@@ -38,6 +38,24 @@ def test_build_tree_small():
     assert sorted(leaves) == [1, 2, 2, 3]
 
 
+def test_build_tree_holds_one_node_per_height_and_label():
+    # T_k is shared bottom-up, (k + 1)(k + 2)/2 nodes, yet every one of its
+    # 2^k root-to-leaf paths is still walked.
+    for k in range(11):
+        root = build_tree(k)
+        nodes, stack = {}, [root]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node.children)
+        assert len(nodes) == (k + 1) * (k + 2) // 2
+        assert {(v.height, v.label) for v in nodes.values()} == {
+            (h, label) for h in range(k + 1) for label in range(1, h + 2)
+        }
+        assert sum(1 for _ in iter_leaf_paths(root)) == 2**k
+
+
 def test_build_tree_rejects():
     with pytest.raises(ValueError):
         build_tree(-1)
