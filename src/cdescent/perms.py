@@ -221,14 +221,14 @@ def _show(value: int) -> str:
 
 def iter_value_sets(n: int) -> Iterator[tuple[int, ...]]:
     """All subsets of [2, n] as sorted tuples, by size then lexicographically.
+    ``n`` is checked at the call, before the iterator is made.
 
     >>> list(iter_value_sets(3))
     [(), (2,), (3,), (2, 3)]
     """
     check_int("n", n, 1)
     values = range(2, n + 1)
-    for size in range(len(values) + 1):
-        yield from itertools.combinations(values, size)
+    return itertools.chain.from_iterable(itertools.combinations(values, size) for size in range(n))
 
 
 def _members(mask: int) -> tuple[int, ...]:

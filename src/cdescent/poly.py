@@ -125,9 +125,13 @@ class Poly:
         return _raw({key: -coeff for key, coeff in self._terms.items()})
 
     def __sub__(self, other: "Poly | int") -> "Poly":
+        if not isinstance(other, (int, Poly)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other: int) -> "Poly":
+        if not isinstance(other, int):
+            return NotImplemented
         return Poly.constant(other) + (-self)
 
     def __mul__(self, other: "Poly | int") -> "Poly":

@@ -79,13 +79,15 @@ def cdes_recursive(n: int, s: Iterable[int], cache: Cache | None = None) -> int:
     set, so the cache holds exactly the sets above.  A cached set
     T is charged min(T) - 1 multiply-adds, W(S) in all (``_work``), a
     bound rather than a count, since a pair takes one power of 3 and two
-    shifts, and a set with min(T) = 2 one lookup.  W(S) times
-    (max(S) + 16) above ``perms.RECURSION_CAP`` is refused before any
-    state is computed: a child's work never exceeds
-    its parent's, so no cached set is one the cap refuses.  A set that
-    needs more frames
-    than the interpreter's recursion limit raises ``ValueError``: under
-    the default limit of 1000, that is a set of about 1,000 elements.
+    shifts, and a set with min(T) = 2 one lookup.  A set of three or
+    more elements whose W(S) times (max(S) + 16) is above
+    ``perms.RECURSION_CAP`` is refused before any state is computed.  A
+    two-element set is never refused: it is that one closed form, so
+    {99999, 100000} is answered at once although W(S) charges it 99,998.
+    A child's work never exceeds its parent's, so no cached set is one
+    the cap refuses.  A set that needs more frames than the
+    interpreter's recursion limit raises ``ValueError``: under the
+    default limit of 1000, that is a set of about 1,000 elements.
 
     A cache may be shared across calls and across threads: it only ever
     grows, and a key is published only once its value is complete, always
@@ -109,7 +111,7 @@ def cdes_recursive(n: int, s: Iterable[int], cache: Cache | None = None) -> int:
         return (1 << (mask.bit_length() - 2)) - 1 if mask else 1
     if mask & 2:
         return 0
-    if mask >> _CAP_FREE_BITS:
+    if mask >> _CAP_FREE_BITS and mask.bit_count() > 2:  # a pair is one closed form
         top = mask.bit_length() - 1
         check_cap("work", _work(mask) * (top + 16), "recursion", "RECURSION_CAP", RECURSION_CAP)
     try:

@@ -19,7 +19,11 @@ exponents it builds are the gap vector of the border set, so
 :func:`count_tableaux_type_sum` is the closed form under that name.  The
 column transfer shares no code with the closed form or with the search;
 it is exponential in rows only, so it reaches shapes too wide for the
-sum.  The search, exponential in boxes, stays the naive oracle.
+sum.  The search, exponential in boxes, stays the naive oracle: it
+enumerates the fillings one by one, column by column, on the transfer's
+row bitmask, and states the transfer's column rule as the same one mask
+test.  Since the two routes share that rule, the per-box check
+:func:`is_valid_tableau` is the search's independent judge in the tests.
 ``verify``'s ``tableaux-three-routes`` compares the closed form with the
 transfer and with the brute permutation scan's count of the border set.
 """
@@ -197,11 +201,17 @@ def format_filling(parts: Iterable[int], bits: Sequence[int]) -> str:
 
 
 def brute_count_tableaux(parts: Iterable[int]) -> int:
-    """Count valid fillings by depth-first search, column by column.
+    """Count valid fillings by depth-first search, column by column,
+    visiting every valid filling one at a time.
 
-    A column pattern with no 1 is pruned immediately; the pattern rule is
-    checked as each column is placed, since it only looks up within the
-    column and left along rows already filled.
+    The search carries the column transfer's state: the bitmask of the
+    rows (bit 0 the top row) that already hold a 1, cut to the next
+    column's height.  A nonempty pattern P is placed exactly when no row
+    below its topmost 1 holds a 0 and a 1 to its left, the one mask test
+    ``not rows & ~P & -((P & -P) << 1)``.  The transfer states the same
+    rule in its own loop and shares no code with the search, and
+    :func:`is_valid_tableau`, which checks every box, is the search's
+    independent judge in the tests.
 
     >>> brute_count_tableaux((2, 1))
     3
@@ -211,40 +221,34 @@ def brute_count_tableaux(parts: Iterable[int]) -> int:
     p = check_shape(parts)
     check_cap("boxes", sum(p), "filling search", "BOX_CAP", BOX_CAP)
     heights = _column_heights(p)
+    columns = [(h, (1 << h_next) - 1) for h, h_next in zip(heights, [*heights[1:], 0])]
 
-    def extend(col: int, row_has_one: tuple[bool, ...]) -> int:
-        if col == len(heights):
+    def extend(col: int, rows: int) -> int:
+        if col == len(columns):
             return 1
-        h = heights[col]
+        h, keep = columns[col]
         count = 0
         for pattern in range(1, 1 << h):
-            flags = list(row_has_one)
-            one_above = False
-            ok = True
-            for r in range(h):
-                if pattern >> r & 1:
-                    flags[r] = True
-                    one_above = True
-                elif one_above and row_has_one[r]:
-                    ok = False
-                    break
-            if ok:
-                count += extend(col + 1, tuple(flags))
+            if not rows & ~pattern & -((pattern & -pattern) << 1):
+                count += extend(col + 1, (rows | pattern) & keep)
         return count
 
-    return extend(0, (False,) * len(p))
+    return extend(0, 0)
 
 
 def iter_shapes(max_boxes: int, max_rows: int) -> Iterator[tuple[int, ...]]:
-    """Every shape with at most ``max_boxes`` boxes and ``max_rows`` rows."""
+    """Every shape with at most ``max_boxes`` boxes and ``max_rows`` rows.
+
+    The arguments are checked at the call, before the iterator is made.
+    """
     check_int("max_boxes", max_boxes, 0)
     check_int("max_rows", max_rows, 0)
 
-    def grow(prefix: tuple[int, ...], remaining: int, max_part: int):
+    def grow(prefix: tuple[int, ...], remaining: int, max_part: int) -> Iterator[tuple[int, ...]]:
         for part in range(1, min(max_part, remaining) + 1):
             shape = (*prefix, part)
             yield shape
             if len(shape) < max_rows:
                 yield from grow(shape, remaining - part, part)
 
-    yield from grow((), max_boxes, max_boxes)
+    return grow((), max_boxes, max_boxes)

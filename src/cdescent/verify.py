@@ -97,37 +97,32 @@ DEFAULT_SEED = 987131
 # Reference coefficient tables for the generating polynomials of order
 # 2..5, keyed by descent-value set.  Frozen from independent brute-force
 # enumeration; the coefficient of x_{s1-1}*...*x_{sk-1}*y^k must match.
+# Only the order-5 row is written: it is in ascending bitmask order and a
+# count depends on S alone, so the row of order n is its first 2^(n-1)
+# entries.
 REFERENCE_COUNTS: dict[int, dict[tuple[int, ...], int]] = {
-    2: {(): 1, (2,): 1},
-    3: {(): 1, (2,): 1, (3,): 3, (2, 3): 1},
-    4: {
-        (): 1,
-        (2,): 1,
-        (3,): 3,
-        (2, 3): 1,
-        (4,): 7,
-        (2, 4): 3,
-        (3, 4): 7,
-        (2, 3, 4): 1,
-    },
-    5: {
-        (): 1,
-        (2,): 1,
-        (3,): 3,
-        (2, 3): 1,
-        (4,): 7,
-        (2, 4): 3,
-        (3, 4): 7,
-        (2, 3, 4): 1,
-        (5,): 15,
-        (2, 5): 7,
-        (3, 5): 17,
-        (2, 3, 5): 3,
-        (4, 5): 31,
-        (2, 4, 5): 7,
-        (3, 4, 5): 15,
-        (2, 3, 4, 5): 1,
-    },
+    n: dict(itertools.islice(order_5.items(), 2 ** (n - 1)))
+    for order_5 in [
+        {
+            (): 1,
+            (2,): 1,
+            (3,): 3,
+            (2, 3): 1,
+            (4,): 7,
+            (2, 4): 3,
+            (3, 4): 7,
+            (2, 3, 4): 1,
+            (5,): 15,
+            (2, 5): 7,
+            (3, 5): 17,
+            (2, 3, 5): 3,
+            (4, 5): 31,
+            (2, 4, 5): 7,
+            (3, 4, 5): 15,
+            (2, 3, 4, 5): 1,
+        }
+    ]
+    for n in range(2, 6)
 }
 
 GENOCCHI_ORDER2 = (1, 1, 3, 17, 155, 2073)

@@ -426,6 +426,20 @@ def test_iter_value_sets():
 
 
 @pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: iter_value_sets(0), "n must be at least 1: 0"),
+        (lambda: iter_shapes(-1, 2), "max_boxes must be at least 0: -1"),
+        (lambda: iter_shapes(3, -1), "max_rows must be at least 0: -1"),
+    ],
+)
+def test_iterators_refuse_bad_arguments_at_the_call(call, message):
+    # Refused before any iterator exists, not at its first next().
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize(
     "n, s, expected",
     [
         (4, (2, 4), 3),

@@ -40,6 +40,28 @@ def test_arithmetic_identities():
     assert (p * Poly.x(2)) * 3 == 3 * (Poly.x(2) * p)
 
 
+def test_subtraction():
+    p = Poly({((1,), 1): 1, ((), 0): 1})  # 1 + x1*y
+    q = Poly({((2,), 0): 2, ((), 0): 1})  # 1 + 2*x2
+    assert (p - 1).terms() == {((1,), 1): 1}
+    assert (1 - p).terms() == {((1,), 1): -1}
+    assert (p - q).terms() == {((1,), 1): 1, ((2,), 0): -2}
+
+
+@pytest.mark.parametrize(
+    "subtract, left, right",
+    [
+        (lambda p: p - "a", "Poly", "str"),
+        (lambda p: p - 1.5, "Poly", "float"),
+        (lambda p: 1.5 - p, "float", "Poly"),
+        (lambda p: None - p, "NoneType", "Poly"),
+    ],
+)
+def test_subtraction_of_a_foreign_operand_is_unsupported(subtract, left, right):
+    with pytest.raises(TypeError, match=rf"^unsupported operand type\(s\) for -: '{left}' and '{right}'$"):
+        subtract(Poly.x(1))
+
+
 def test_squarefree_multiplication_guard():
     with pytest.raises(ValueError, match=r"^monomials are squarefree in x: 1 is repeated$"):
         Poly.x(1) * Poly.x(1)

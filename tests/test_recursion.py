@@ -138,8 +138,6 @@ def test_work_cap_refuses_before_any_state():
         (4000, (1000, 2000, 3000, 4000), 22053876048),
         (100000, (300, 600, 100000), 13457152800),
         (400, range(201, 401), 1655680000),
-        # A pair is one closed form, but W(S) charges it min(S) - 1.
-        (100000, (50000, 100000), 5000699984),
     ):
         cache = {}
         with pytest.raises(ValueError) as refused:
@@ -148,6 +146,17 @@ def test_work_cap_refuses_before_any_state():
             f"work = {work} exceeds the recursion cap RECURSION_CAP = {RECURSION_CAP}"
         )
         assert cache == {}
+
+
+@pytest.mark.parametrize("pair", [(50000, 100000), (70000, 99000), (99999, 100000)])
+def test_work_cap_never_refuses_a_pair(pair):
+    # W(S) charges a pair min(S) - 1 and puts these far past the cap, yet
+    # a pair is one closed form: answered, and the fresh cache holds it alone.
+    assert _work(_mask(pair)) * (pair[1] + 16) > RECURSION_CAP
+    cache = {}
+    count = cdes_recursive(100000, pair, cache)
+    assert count == cdes_formula(100000, pair)
+    assert cache == {_mask(pair): count}
 
 
 def _mask(s):
