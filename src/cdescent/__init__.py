@@ -18,6 +18,8 @@ the routes it uses.
 
 # Each public name and the submodule that defines it; ``__all__`` is its keys.
 _EXPORTS = {
+    "as_value_set": "contract",
+    "iter_value_sets": "contract",
     "cdes_formula": "formula",
     "cdes_formula_typed": "formula",
     "gap_vector": "formula",
@@ -25,14 +27,12 @@ _EXPORTS = {
     "brute_genocchi_perm_count": "genocchi",
     "gandhi_poly": "genocchi",
     "genocchi_number": "genocchi",
-    "as_value_set": "perms",
     "brute_cdes_count": "perms",
     "brute_cdes_nwexb_tables": "perms",
     "brute_cdes_table": "perms",
     "brute_nwexb_count": "perms",
     "brute_nwexb_table": "perms",
     "circular_descent_set": "perms",
-    "iter_value_sets": "perms",
     "nwexb_set": "perms",
     "Poly": "poly",
     "descent_set_coefficient": "poly",

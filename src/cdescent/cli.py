@@ -4,7 +4,7 @@ Commands: count, table, poly, tree, tableaux, genocchi, verify.  All take
 ``--format text|json|csv``.  count and verify run in one process; both
 accept ``--threads N`` (N >= 1) and ignore it, kept only for callers
 that pass it.  Brute counts refuse permutations longer than
-``perms.DEFAULT_ENUMERATION_CAP``.  Exit codes: 0 success, 1 validation
+``contract.DEFAULT_ENUMERATION_CAP``.  Exit codes: 0 success, 1 validation
 error or stdout closed early by its reader, 2 cross-method mismatch (a
 failed ``verify`` check, or ``error: methods disagree`` from the one
 cross-check report of ``count --all-methods`` and ``genocchi --brute``).
@@ -20,7 +20,10 @@ edges, ``-`` on label-repeating ones, and ``+`` for the root.
 
 Each command imports only the modules it runs, inside its ``cmd_*``
 function (``json`` and ``csv`` only for those formats), so a call pays
-start-up for its own routes and not for the whole package.
+start-up for its own routes and not for the whole package.  The caps and
+checks come from ``contract``, so only ``count --method brute``,
+``count --all-methods`` and ``verify`` load the permutation scans of
+``perms``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import os
 import sys
 from collections.abc import Sequence
 
-from .perms import DEFAULT_ENUMERATION_CAP, _show, check_int, iter_value_sets
+from .contract import DEFAULT_ENUMERATION_CAP, _show, check_int, iter_value_sets
 
 COUNT_METHODS = ("formula", "typed", "recursion", "tree", "brute")
 
@@ -51,7 +54,7 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
 
 def parse_set(text: str) -> tuple[int, ...]:
     """Comma-separated strictly ascending integers; '' is empty.  The
-    count routes refuse elements below 1 (``perms.as_value_set``).
+    count routes refuse elements below 1 (``contract.as_value_set``).
 
     Descending or duplicated input is rejected rather than sorted, to
     surface caller bugs; the refusal names the first pair out of order.
@@ -248,20 +251,24 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cdescent",
         description="Exact enumeration of permutations by circular descent set.",
     )
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text",
-        help="output format (default text)",
-    )
-    threads = argparse.ArgumentParser(add_help=False)
-    threads.add_argument(
-        "--threads", type=int, default=1,
-        help="accepted and ignored, kept for callers that pass it: every command"
-        " runs in one process (default 1)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("count", parents=[fmt, threads], help="count permutations with a given descent-value set")
+    def command(name: str, summary: str, *, threads: bool = False) -> argparse.ArgumentParser:
+        # One command's parser, its shared flags first.
+        p = sub.add_parser(name, help=summary)
+        p.add_argument(
+            "--format", choices=("text", "json", "csv"), default="text",
+            help="output format (default text)",
+        )
+        if threads:
+            p.add_argument(
+                "--threads", type=int, default=1,
+                help="accepted and ignored, kept for callers that pass it: every command"
+                " runs in one process (default 1)",
+            )
+        return p
+
+    p = command("count", "count permutations with a given descent-value set", threads=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--set", default="", help="comma-separated ascending values, empty for the empty set")
     p.add_argument(
@@ -272,20 +279,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-methods", action="store_true", help="run every applicable method; exit 2 on disagreement")
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("table", parents=[fmt], help="full count table for subsets of [2, n]")
+    p = command("table", "full count table for subsets of [2, n]")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("poly", parents=[fmt], help="generating polynomial of order n")
+    p = command("poly", "generating polynomial of order n")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_poly)
 
-    p = sub.add_parser("tree", parents=[fmt], help="signed weight of the generating tree for a gap sequence")
+    p = command("tree", "signed weight of the generating tree for a gap sequence")
     p.add_argument("--gaps", required=True, help="comma-separated nonnegative exponents")
     p.add_argument("--show", action="store_true", help="dump the tree (text format only)")
     p.set_defaults(func=cmd_tree)
 
-    p = sub.add_parser("tableaux", parents=[fmt], help="count valid 0/1 fillings of a shape")
+    p = command("tableaux", "count valid 0/1 fillings of a shape")
     p.add_argument("--shape", required=True, help="comma-separated weakly decreasing row lengths")
     p.add_argument(
         "--method", choices=("formula", "transfer", "brute"), default="formula",
@@ -295,13 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_tableaux)
 
-    p = sub.add_parser("genocchi", parents=[fmt], help="generalized Genocchi number of order k")
+    p = command("genocchi", "generalized Genocchi number of order k")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--brute", action="store_true", help="cross-check by permutation enumeration; exit 2 on mismatch")
     p.set_defaults(func=cmd_genocchi)
 
-    p = sub.add_parser("verify", parents=[fmt, threads], help="run the cross-method verification suite")
+    p = command("verify", "run the cross-method verification suite", threads=True)
     p.add_argument("--max-n", type=int, default=6)
     p.set_defaults(func=cmd_verify)
 

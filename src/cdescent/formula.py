@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable
 
-from .perms import SUM_CAP, as_descent_set, as_value_set, check_cap
+from .contract import SUM_CAP, as_descent_set, as_value_set, check_cap
 
 
 def gap_vector(s: Iterable[int]) -> tuple[int, ...]:
@@ -36,7 +36,7 @@ def gap_vector(s: Iterable[int]) -> tuple[int, ...]:
     For S = {s_1 > s_2 > ... > s_k} the result is
     (s_1 - s_2, ..., s_{k-1} - s_k, s_k - 1); the empty set gives ().
     Entries are >= 1 and sum to max(S) - 1.  S is checked by
-    ``perms.as_descent_set``, which refuses a set containing 1.
+    ``contract.as_descent_set``, which refuses a set containing 1.
     :func:`cdes_formula` checks S once itself and builds the same vector
     from the checked set.
 
@@ -85,7 +85,7 @@ def set_type(s: Iterable[int]) -> tuple[tuple[int, int], ...]:
 
 def check_sum_work(exponents: tuple[int, ...]) -> None:
     """Refuse ``exponents`` whose sum over {0,1}^k, 2^k terms, is work
-    2^k * (exponent total + 16) above ``perms.SUM_CAP``.  The shift is
+    2^k * (exponent total + 16) above ``contract.SUM_CAP``.  The shift is
     cheap at any length, and a work past 30 digits is named by its size,
     so a long input is refused in one short line."""
     check_cap("work", (sum(exponents) + 16) << len(exponents), "summation", "SUM_CAP", SUM_CAP)
@@ -94,7 +94,7 @@ def check_sum_work(exponents: tuple[int, ...]) -> None:
 def cube_sum(exponents: tuple[int, ...]) -> int:
     """The alternating sum over {0,1}^k of the module docstring, with the
     k nonnegative integer ``exponents`` in place of the gap vector.
-    Callers validate the exponents; work above ``perms.SUM_CAP`` is
+    Callers validate the exponents; work above ``contract.SUM_CAP`` is
     refused (:func:`check_sum_work`).
 
     >>> cube_sum((2, 1))

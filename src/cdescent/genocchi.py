@@ -20,14 +20,14 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from .perms import DEFAULT_ENUMERATION_CAP, GANDHI_MAX_SIZE, GENOCCHI_MAX_SIZE, check_cap, check_int, count_placements
+from .contract import DEFAULT_ENUMERATION_CAP, GANDHI_MAX_SIZE, GENOCCHI_MAX_SIZE, check_cap, check_int, count_placements
 
 
 def gandhi_poly(k: int, n: int) -> tuple[int, ...]:
     """Dense ascending coefficients of the n-th polynomial of order k,
     one pass over A_m's coefficients per step, the binomials of (X + 1)^i
     stepped down Pascal's triangle as i grows.  k*n above
-    ``perms.GANDHI_MAX_SIZE`` is refused.
+    ``contract.GANDHI_MAX_SIZE`` is refused.
 
     >>> gandhi_poly(2, 0)
     (1,)
@@ -72,7 +72,7 @@ def genocchi_number(k: int, n: int) -> int:
     recursion reads A_{m+1}(x) = w(x + 1) - w(x), so each row is the
     forward difference of the previous one weighted by the precomputed
     powers (x - 1)^k.  ``evaluate(gandhi_poly(k, n - 1), 1)`` is the
-    cross-check.  k*n above ``perms.GENOCCHI_MAX_SIZE`` is refused.
+    cross-check.  k*n above ``contract.GENOCCHI_MAX_SIZE`` is refused.
 
     >>> [genocchi_number(2, m) for m in range(1, 7)]
     [1, 1, 3, 17, 155, 2073]
@@ -108,7 +108,7 @@ def brute_genocchi_perm_count(k: int, n: int) -> int:
 
     Places values left to right and drops a value at position i as soon
     as ``(v >= i) != (v % k == 0)``, so only those permutations and their
-    prefixes are visited (``perms.count_placements``).
+    prefixes are visited (``contract.count_placements``).
 
     >>> brute_genocchi_perm_count(2, 2)
     3

@@ -17,7 +17,7 @@ import math
 import operator
 from collections.abc import Iterable, Mapping
 
-from .perms import TABLE_MAX_N, _monomial_keys, as_descent_set, check_cap, check_distinct, check_int, check_ints
+from .contract import TABLE_MAX_N, _monomial_keys, as_descent_set, check_cap, check_distinct, check_int, check_ints
 
 Monomial = tuple[tuple[int, ...], int]
 
@@ -198,13 +198,13 @@ def gn(n: int) -> Poly:
     masks, so a pass takes either its runs or, where runs outnumber their
     length, the columns of entries 2^(j+1) apart: min(2^j, 2^(m-j-2))
     slice operations for each bit.  The ``Monomial`` keys come from the
-    shared key list ``perms._monomial_keys``, in the same ascending-bitmask
+    shared key list ``contract._monomial_keys``, in the same ascending-bitmask
     order, read after the coefficients and paired with them.  The list is
     built once per process, grown to the largest n asked for, and every
     smaller n reads a prefix of it: it holds the keys of that polynomial,
-    ~10.5 MB at n = 17 and ~91 MB at ``perms.TABLE_MAX_N``, which a
+    ~10.5 MB at n = 17 and ~91 MB at ``contract.TABLE_MAX_N``, which a
     caller holding the polynomial holds anyway.  n above
-    ``perms.TABLE_MAX_N`` is refused.
+    ``contract.TABLE_MAX_N`` is refused.
 
     Read coefficient by coefficient this is the insertion recurrence of
     ``recursion.cdes_insertion_table``, but the two are kept as separate
@@ -212,7 +212,7 @@ def gn(n: int) -> Poly:
     ``insertion-vs-formula`` are independent checks only while neither
     route is derived from the other.  Here slices of a list are added;
     the insertion table shifts and masks packed fields of one int.  The
-    two share only how their key lists are kept (``perms._KeyList``),
+    two share only how their key lists are kept (``contract._KeyList``),
     each family in its own list, and the checks read the keys off the
     formula table's own sets.
 

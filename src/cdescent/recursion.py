@@ -11,7 +11,7 @@ Two independent recursions reproduce the closed-form counts:
   It is driven top-down with memoization, |S| - 1 frames deep, each set
   held as one int bitmask (element v at bit v), a call made only for a
   child still to be computed, and its work bounded by
-  ``perms.RECURSION_CAP``;
+  ``contract.RECURSION_CAP`` and its depth by ``contract.RECURSION_MAX_SIZE``;
 * the insertion recursion, which extends a full count table for [2, n-1]
   to one for [2, n] by inserting the new largest value n into shorter
   permutations, and is driven bottom-up, the whole table held as 64-bit
@@ -29,7 +29,7 @@ import math
 import sys
 from collections.abc import Iterable, Iterator
 
-from .perms import RECURSION_CAP, TABLE_MAX_N, _value_set_keys, as_value_mask, check_cap, check_int
+from .contract import RECURSION_CAP, RECURSION_MAX_SIZE, TABLE_MAX_N, _value_set_keys, as_value_mask, check_cap, check_int
 
 # Minimum-element recursion cache: bitmask of S (element v at bit v) -> count.
 Cache = dict[int, int]
@@ -67,7 +67,7 @@ def cdes_recursive(n: int, s: Iterable[int], cache: Cache | None = None) -> int:
     are the sets themselves, each as one int with element v at
     bit v (the convention of ``perms._descent_bit``; ``perms._members``
     decodes a key), and U - j is that int shifted down by j.  S is
-    checked straight into that int by ``perms.as_value_mask``, without a
+    checked straight into that int by ``contract.as_value_mask``, without a
     sort, so a call whose set is cached costs the check and one lookup.
 
     A set missing from the cache is computed by ``_fill``.  A fresh
@@ -81,13 +81,16 @@ def cdes_recursive(n: int, s: Iterable[int], cache: Cache | None = None) -> int:
     bound rather than a count, since a pair takes one power of 3 and two
     shifts, and a set with min(T) = 2 one lookup.  A set of three or
     more elements whose W(S) times (max(S) + 16) is above
-    ``perms.RECURSION_CAP`` is refused before any state is computed.  A
+    ``contract.RECURSION_CAP`` is refused before any state is computed.  A
     two-element set is never refused: it is that one closed form, so
     {99999, 100000} is answered at once although W(S) charges it 99,998.
     A child's work never exceeds its parent's, so no cached set is one
-    the cap refuses.  A set that needs more frames than the
-    interpreter's recursion limit raises ``ValueError``: under the
-    default limit of 1000, that is a set of about 1,000 elements.
+    the cap refuses.  A set of more than ``contract.RECURSION_MAX_SIZE``
+    elements is refused first, before any state is computed, and every
+    smaller one fits the default depth limit of 1000 frames with room
+    for its caller's frames, so the set alone decides; a caller already
+    deep in its own stack can still run out of frames, which raises
+    ``ValueError`` naming the interpreter's depth limit.
 
     A cache may be shared across calls and across threads: it only ever
     grows, and a key is published only once its value is complete, always
@@ -112,6 +115,7 @@ def cdes_recursive(n: int, s: Iterable[int], cache: Cache | None = None) -> int:
     if mask & 2:
         return 0
     if mask >> _CAP_FREE_BITS and mask.bit_count() > 2:  # a pair is one closed form
+        check_cap("|S|", mask.bit_count(), "recursion", "RECURSION_MAX_SIZE", RECURSION_MAX_SIZE)
         top = mask.bit_length() - 1
         check_cap("work", _work(mask) * (top + 16), "recursion", "RECURSION_CAP", RECURSION_CAP)
     try:
@@ -194,7 +198,8 @@ def _binomials(r: int) -> Iterator[int]:
 _BINOMIAL_ROW_COUNT = 64
 _BINOMIAL_ROWS = [tuple(math.comb(r, j) for j in range(1, r + 1)) for r in range(_BINOMIAL_ROW_COUNT)]
 # Below bit _CAP_FREE_BITS no set reaches RECURSION_CAP: W(S) <= max(S)^3,
-# so max(S)^3 * (max(S) + 16) within the cap needs no count of W(S).
+# so max(S)^3 * (max(S) + 16) within the cap needs no count of W(S).  Nor
+# does any reach RECURSION_MAX_SIZE: it holds fewer than max(S) elements.
 _CAP_FREE_BITS = next(m for m in itertools.count(2) if m**3 * (m + 16) > RECURSION_CAP)
 
 
@@ -225,13 +230,13 @@ def cdes_insertion_table(n: int) -> dict[tuple[int, ...], int]:
     fields go above the old ones, as the masks with bit m - 2 set.  Every
     field holds less than m! <= 20! < 2^63, so no field ever carries into
     the next.  The fields are read once at the end and paired with the
-    sorted-tuple keys of the shared key list ``perms._value_set_keys``,
+    sorted-tuple keys of the shared key list ``contract._value_set_keys``,
     listed in the same order: the table is ordered by ascending bitmask.
     The list is built once per process, grown to the largest n asked
     for, and every smaller table reads a prefix of it: it holds the keys
-    of that table, ~7 MB at n = 17 and ~63 MB at ``perms.TABLE_MAX_N``,
+    of that table, ~7 MB at n = 17 and ~63 MB at ``contract.TABLE_MAX_N``,
     which a caller holding the table holds anyway.  n above
-    ``perms.TABLE_MAX_N`` is refused before anything is allocated.
+    ``contract.TABLE_MAX_N`` is refused before anything is allocated.
 
     >>> cdes_insertion_table(3)
     {(): 1, (2,): 1, (3,): 3, (2, 3): 1}

@@ -32,8 +32,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 
+from .contract import BOX_CAP, COUNT_MAX_N, TRANSFER_CAP, check_cap, check_int, check_ints
 from .formula import cdes_formula
-from .perms import BOX_CAP, COUNT_MAX_N, TRANSFER_CAP, check_cap, check_int, check_ints
 
 
 def check_shape(parts: Iterable[int]) -> tuple[int, ...]:

@@ -27,8 +27,8 @@ import itertools
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 
+from .contract import BUILD_CAP, COUNT_MAX_N, check_cap, check_int, check_ints
 from .formula import check_sum_work, cube_sum
-from .perms import BUILD_CAP, COUNT_MAX_N, check_cap, check_int, check_ints
 
 
 class TreeNode(namedtuple("TreeNode", "label height children", defaults=((),))):
@@ -95,7 +95,7 @@ def tree_weight_traversal(d: Sequence[int]) -> int:
     each visited node's signed path product is its parent's times its own
     weight, one power per visit, and the leaves' products are summed.
     The work that :func:`tree_weight_sum` refuses is refused first (the
-    walk has 2^len(d) leaves), then a height above ``perms.BUILD_CAP``
+    walk has 2^len(d) leaves), then a height above ``contract.BUILD_CAP``
     (:func:`build_tree`), before any node is built.
 
     >>> tree_weight_traversal((2, 1))
@@ -122,7 +122,7 @@ def tree_weight_traversal(d: Sequence[int]) -> int:
 def tree_weight_sum(d: Sequence[int]) -> int:
     """Closed form of :func:`tree_weight_traversal`: ``formula.cube_sum``
     with d as the exponents, no tree materialized.  Work above
-    ``perms.SUM_CAP`` is refused.
+    ``contract.SUM_CAP`` is refused.
 
     >>> tree_weight_sum((4,))
     15

@@ -41,7 +41,7 @@ coefficients indexed by bitmask, one pass per x-variable, while the
 insertion table gathers every new field in whole-int passes over its
 packed int.  The two share only how their keys are listed: each reads
 its own shared key list, built once per process
-(``perms._value_set_keys``, ``perms._monomial_keys``), and every check
+(``contract._value_set_keys``, ``contract._monomial_keys``), and every check
 reads its keys off the formula table, whose sets come from
 ``iter_value_sets``, so a wrong label cannot hide.
 ``gnk`` reads its slices off ``gn``, so ``poly-slice-reassembly``
@@ -69,10 +69,11 @@ import math
 import random
 from collections import namedtuple
 
-from . import perms  # as a module, so that every check_* name here is a check
+from . import contract  # as a module, so that every check_* name here is a check
+from .contract import iter_value_sets
 from .formula import cdes_formula, gap_vector, set_type
 from .genocchi import brute_genocchi_perm_count, evaluate, gandhi_poly, genocchi_number
-from .perms import brute_cdes_table, brute_nwexb_table, iter_value_sets
+from .perms import brute_cdes_table, brute_nwexb_table
 from .poly import Poly, gn, gnk, tau
 from .recursion import cdes_insertion_table, cdes_recursive
 from .tableaux import (
@@ -366,13 +367,13 @@ def run_all(
     max_n: int = 6, *, workers: int = 1, seed: int = DEFAULT_SEED
 ) -> list[CheckResult]:
     """Run every cross-method check, bounded by ``max_n`` where a bound
-    applies; ``max_n`` above ``perms.VERIFY_MAX_N`` is refused.
+    applies; ``max_n`` above ``contract.VERIFY_MAX_N`` is refused.
     Deterministic for a fixed seed.  Every table is built and every check
     run in this process; ``workers`` is validated and has no effect, kept
     only for callers that pass it."""
-    perms.check_int("max_n", max_n, 2)
-    perms.check_cap("max_n", max_n, "verify", "VERIFY_MAX_N", perms.VERIFY_MAX_N)
-    perms.check_int("workers", workers, 1)
+    contract.check_int("max_n", max_n, 2)
+    contract.check_cap("max_n", max_n, "verify", "VERIFY_MAX_N", contract.VERIFY_MAX_N)
+    contract.check_int("workers", workers, 1)
     # cdes_n(S) depends on S alone, so one call per set of [2, max_n] fills
     # every row, each in the order of its own iter_value_sets.
     top_row = {s: cdes_formula(max_n, s) for s in iter_value_sets(max_n)}

@@ -2,6 +2,7 @@ import doctest
 
 import pytest
 
+import cdescent.contract
 import cdescent.formula
 import cdescent.genocchi
 import cdescent.perms
@@ -15,6 +16,7 @@ import cdescent.verify
 @pytest.mark.parametrize(
     "module",
     [
+        cdescent.contract,
         cdescent.perms,
         cdescent.formula,
         cdescent.recursion,

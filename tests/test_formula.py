@@ -16,9 +16,9 @@ from cdescent import (
     tau,
     tree_weight_sum,
 )
-from cdescent import formula, perms
+from cdescent import contract, formula
 from cdescent.formula import cube_sum
-from cdescent.perms import SUM_CAP
+from cdescent.contract import SUM_CAP
 
 value_sets = st.sets(st.integers(2, 14), max_size=7).map(lambda s: tuple(sorted(s)))
 
@@ -238,13 +238,13 @@ def test_formula_checks_the_set_once(monkeypatch):
     # cdes_formula checks S with as_value_set and builds the gap vector
     # from the checked tuple, without gap_vector's second check.
     calls = []
-    check = perms.as_value_set
+    check = contract.as_value_set
 
     def counted(*args, **kwargs):
         calls.append(args)
         return check(*args, **kwargs)
 
-    monkeypatch.setattr(perms, "as_value_set", counted)
+    monkeypatch.setattr(contract, "as_value_set", counted)
     monkeypatch.setattr(formula, "as_value_set", counted)
     assert formula.cdes_formula(8, (3, 5, 8)) == 327
     assert len(calls) == 1

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cdescent
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -43,8 +45,45 @@ def test_text_count_loads_only_its_route():
     unwanted = {
         "dataclasses", "json", "csv",
         "cdescent.verify", "cdescent.poly", "cdescent.tableaux", "cdescent.genocchi",
+        "cdescent.perms",
     }
     assert unwanted.isdisjoint(loaded)
+
+
+@pytest.mark.parametrize(
+    "argv, scans",
+    [
+        *((["count", "--n", "5", "--set", "3,5", "--method", m], False) for m in ("formula", "typed", "tree", "recursion")),
+        (["tree", "--gaps", "2,1"], False),
+        (["tableaux", "--shape", "3,2,1"], False),
+        (["genocchi", "--k", "2", "--n", "4", "--brute"], False),
+        (["table", "--n", "4"], False),
+        (["poly", "--n", "3"], False),
+        (["count", "--n", "5", "--set", "3,5", "--method", "brute"], True),
+        (["count", "--n", "5", "--set", "3,5", "--all-methods"], True),
+        (["verify", "--max-n", "2"], True),
+    ],
+    ids=lambda argv: " ".join(argv) if isinstance(argv, list) else None,
+)
+def test_only_brute_counts_and_verify_load_the_scans(argv, scans):
+    # The caps and checks live in cdescent.contract, so a command loads
+    # the permutation scans of cdescent.perms only when it runs one.
+    code = (
+        "import sys\n"
+        "from cdescent import cli\n"
+        f"rc = cli.main({argv!r})\n"
+        "print(rc, 'cdescent.perms' in sys.modules)\n"
+    )
+    assert fresh(code).split()[-2:] == ["0", str(scans)]
+
+
+def test_route_modules_do_not_load_the_scans():
+    code = (
+        "import sys\n"
+        "from cdescent import formula, genocchi, poly, recursion, tableaux, tree\n"
+        "print('cdescent.perms' in sys.modules)\n"
+    )
+    assert fresh(code) == "False\n"
 
 
 def test_every_public_name_resolves_and_is_listed():
@@ -75,10 +114,10 @@ def test_unknown_attribute_raises_attribute_error():
 def test_submodules_resolve_as_attributes():
     code = (
         "import sys, cdescent\n"
-        "print(cdescent.perms.BUILD_CAP, cdescent.tree is sys.modules['cdescent.tree'])\n"
+        "print(cdescent.contract.BUILD_CAP, cdescent.tree is sys.modules['cdescent.tree'])\n"
         "print('cdescent.poly' in sys.modules, 'poly' in dir(cdescent))\n"
     )
-    assert fresh(code) == f"{cdescent.perms.BUILD_CAP} True\nFalse True\n"
+    assert fresh(code) == f"{cdescent.contract.BUILD_CAP} True\nFalse True\n"
 
 
 def test_star_import_binds_every_public_name():

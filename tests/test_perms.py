@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cdescent.contract as contract
 import cdescent.perms as perms_module
 from cdescent import (
     as_value_set,
@@ -36,7 +37,7 @@ from cdescent import (
     leaf_theta_inverse,
     nwexb_set,
 )
-from cdescent.perms import as_descent_set
+from cdescent.contract import as_descent_set
 from cdescent.poly import Poly
 from cdescent.verify import run_all
 from test_poly import _scatter_gn
@@ -254,7 +255,7 @@ containers = {
 }
 set_sizes = st.one_of(
     st.integers(1, 24),
-    st.sampled_from([True, False, 2.0, 0, -1, perms_module.COUNT_MAX_N, perms_module.COUNT_MAX_N + 1]),
+    st.sampled_from([True, False, 2.0, 0, -1, contract.COUNT_MAX_N, contract.COUNT_MAX_N + 1]),
     st.integers(1, 24).map(Small),
     st.integers(1, 24).map(Index),
 )
@@ -275,7 +276,7 @@ def test_as_value_mask_is_as_value_set_as_a_mask(drawn, n):
     def fresh():  # a new container per call, so a generator is read once by each
         return values if kind == "string" else containers[kind](values)
 
-    mask = outcome(lambda: perms_module.as_value_mask(fresh(), n=n))
+    mask = outcome(lambda: contract.as_value_mask(fresh(), n=n))
     expected = outcome(lambda: as_value_set(fresh(), n=n))
     if isinstance(mask, int):
         assert type(mask) is int and perms_module._members(mask) == expected
@@ -288,8 +289,8 @@ def test_shared_keys_ascend_by_bitmask(n):
     # Entry k of either list is the set of the bits of k: values from 2
     # for the table's keys, x-variables from 1 with their count for gn's.
     sets = [tuple(v + 2 for v in perms_module._members(mask)) for mask in range(2 ** (n - 1))]
-    keys = list(perms_module._value_set_keys(n))
-    monomials = list(perms_module._monomial_keys(n))
+    keys = list(contract._value_set_keys(n))
+    monomials = list(contract._monomial_keys(n))
     assert keys[: len(sets)] == sets
     assert monomials[: len(sets)] == [(tuple(v - 1 for v in s), len(s)) for s in sets]
 
@@ -297,8 +298,8 @@ def test_shared_keys_ascend_by_bitmask(n):
 @pytest.fixture
 def fresh_keys(monkeypatch):
     # Both shared key lists as a fresh process has them: the empty set alone.
-    monkeypatch.setattr(perms_module._value_set_keys, "_keys", [()])
-    monkeypatch.setattr(perms_module._monomial_keys, "_keys", [((), 0)])
+    monkeypatch.setattr(contract._value_set_keys, "_keys", [()])
+    monkeypatch.setattr(contract._monomial_keys, "_keys", [((), 0)])
 
 
 def _references(n):
@@ -311,7 +312,7 @@ def test_shared_keys_grow_in_any_call_order(fresh_keys):
         table, terms = _references(n)
         assert list(cdes_insertion_table(n).items()) == table, n
         assert list(gn(n).terms().items()) == terms, n
-    assert len(perms_module._value_set_keys._keys) == len(perms_module._monomial_keys._keys) == 2**15
+    assert len(contract._value_set_keys._keys) == len(contract._monomial_keys._keys) == 2**15
 
 
 def test_shared_keys_leave_each_result_independent(fresh_keys):
@@ -366,9 +367,9 @@ bounds = st.none() | st.integers(-3, 3)
     bounds,
 )
 def test_check_ints_names_the_first_element_check_int_refuses(values, low, high):
-    refusals = [outcome(lambda v=v: perms_module.check_int("entry", v, low, high)) for v in values]
+    refusals = [outcome(lambda v=v: contract.check_int("entry", v, low, high)) for v in values]
     first = next((refusal for refusal in refusals if refusal is not None), None)
-    assert outcome(lambda: perms_module.check_ints("entry", values, low, high)) == first
+    assert outcome(lambda: contract.check_ints("entry", values, low, high)) == first
 
 
 # The count routes that check their set with as_value_mask.

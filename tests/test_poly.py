@@ -15,7 +15,7 @@ from cdescent import (
     iter_value_sets,
     tau,
 )
-from cdescent.perms import TABLE_MAX_N
+from cdescent.contract import TABLE_MAX_N
 from cdescent.verify import REFERENCE_COUNTS
 from test_recursion import _first_call_peak_bytes
 

@@ -21,7 +21,8 @@ from cdescent import (
     cdes_recursive,
     iter_value_sets,
 )
-from cdescent.perms import COUNT_MAX_N, RECURSION_CAP, TABLE_MAX_N, _members, as_value_mask
+from cdescent.contract import COUNT_MAX_N, RECURSION_CAP, RECURSION_MAX_SIZE, TABLE_MAX_N, as_value_mask
+from cdescent.perms import _members
 from cdescent import recursion
 from cdescent.recursion import _CAP_FREE_BITS, _FIELD_BITS, _insertion_counts, _work
 
@@ -85,12 +86,18 @@ def test_too_deep_recursion_raises_value_error():
     filled = dict(cache)
     assert filled
     # Every child is one element smaller, so |S| sets the depth: a dense
-    # set of 1000 elements needs more frames than the limit allows.
+    # set at the size cap fits under the limit from the top of a stack,
+    # but not below as many frames as the limit leaves above the cap.
+    limit = sys.getrecursionlimit()
+    dense = iter(range(RECURSION_MAX_SIZE + 1, 1, -1))
+
+    def deep(frames):
+        return deep(frames - 1) if frames else cdes_recursive(RECURSION_MAX_SIZE + 1, dense, cache)
+
     with pytest.raises(ValueError) as refused:
-        cdes_recursive(1001, iter(range(1001, 1, -1)), cache)
+        deep(limit - RECURSION_MAX_SIZE)
     assert str(refused.value) == (
-        "the recursion for |S| = 1000 exceeds the interpreter's depth limit "
-        f"{sys.getrecursionlimit()}"
+        f"the recursion for |S| = {RECURSION_MAX_SIZE} exceeds the interpreter's depth limit {limit}"
     )
     # Only completed values were published, so the cache stays usable.
     assert cache.items() >= filled.items()
@@ -98,16 +105,31 @@ def test_too_deep_recursion_raises_value_error():
     assert cdes_recursive(12, (3, 5, 8), cache) == cdes_formula(12, (3, 5, 8))
 
 
+def test_size_cap_refuses_before_any_state():
+    # A dense set at the cap is answered from inside the test runner,
+    # whose own frames come first; one element more is refused in the
+    # one message of every cap, whatever the depth, and nothing is cached.
+    assert RECURSION_MAX_SIZE == 900
+    assert cdes_recursive(901, range(2, 902)) == 1
+    for n in (902, 1001, 5000):
+        cache = {}
+        with pytest.raises(ValueError) as refused:
+            cdes_recursive(n, range(2, n + 1), cache)
+        assert str(refused.value) == (
+            f"|S| = {n - 1} exceeds the recursion cap RECURSION_MAX_SIZE = {RECURSION_MAX_SIZE}"
+        )
+        assert cache == {}
+
+
 def test_depth_limit_landmarks():
-    # The recursion takes one frame per element of S but the last, so the
-    # depth limit decides which dense sets it accepts.  Called from the
-    # top of a fresh interpreter, under the default limit of 1000 frames:
-    # [33, 64], [41, 80], [49, 96] and [2, 990] fit, [2, 1010] does not.
-    # Interpreters count the frames near the limit slightly differently,
-    # so both dense landmarks stay ten elements clear of it.
+    # The recursion takes one frame per element of S but the last, and
+    # the size cap keeps that within the default limit of 1000 frames.
+    # Called from the top of a fresh interpreter, [33, 64], [41, 80],
+    # [49, 96] and [2, 901] fit; [2, 902], [2, 990] and [2, 1010] are
+    # refused by the cap, before the depth limit is reached.
     code = """
 from cdescent import cdes_recursive
-for n, low in ((64, 33), (80, 41), (96, 49), (990, 2), (1010, 2)):
+for n, low in ((64, 33), (80, 41), (96, 49), (901, 2), (902, 2), (990, 2), (1010, 2)):
     try:
         print(cdes_recursive(n, range(low, n + 1)) > 0)
     except ValueError as refused:
@@ -127,7 +149,7 @@ for n, low in ((64, 33), (80, 41), (96, 49), (990, 2), (1010, 2)):
         "True",
         "True",
         "True",
-        "the recursion for |S| = 1009 exceeds the interpreter's depth limit 1000",
+        *(f"|S| = {size} exceeds the recursion cap RECURSION_MAX_SIZE = 900" for size in (901, 989, 1009)),
     ]
 
 

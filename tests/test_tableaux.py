@@ -16,7 +16,7 @@ from cdescent import (
     partition_type,
     shape_to_descent_set,
 )
-from cdescent.perms import BOX_CAP, TRANSFER_CAP
+from cdescent.contract import BOX_CAP, TRANSFER_CAP
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from cdescent import (
     tree_weight_traversal,
 )
 from cdescent.formula import cube_sum
-from cdescent.perms import BUILD_CAP
+from cdescent.contract import BUILD_CAP
 
 value_sets = st.sets(st.integers(2, 14), max_size=7).map(lambda s: tuple(sorted(s)))
 shapes = st.lists(st.integers(1, 6), min_size=1, max_size=5).map(
