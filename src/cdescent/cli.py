@@ -24,13 +24,22 @@ start-up for its own routes and not for the whole package.  The caps and
 checks come from ``contract``, so only ``count --method brute``,
 ``count --all-methods`` and ``verify`` load the permutation scans of
 ``perms``.
+
+Each command and its options are described once, in ``COMMANDS``.
+``main`` parses a well-formed call from that table without loading
+argparse: the command, then its options each at most once as ``--name
+value`` or a bare flag, ints in ASCII digits, no value that starts with
+'-', every required option given.  Any other argv (``--help``, ``--n=5``,
+an abbreviation, a repeated option, a missing or malformed value) loads
+argparse, and ``build_parser`` builds its parser from the same table, so
+help, refusals and exit codes are argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+import types
 from collections.abc import Sequence
 
 from .contract import DEFAULT_ENUMERATION_CAP, _show, check_int, iter_value_sets
@@ -246,86 +255,149 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+FLAG = "flag"  # the kind of an option that takes no value
+
+
+def option(flag: str, kind=str, *, default=None, required: bool = False, help: str | None = None) -> tuple:
+    """One row of a command's option table: ``(flag, kind, default,
+    required, help)``.  ``kind`` is int, str, ``FLAG`` (a bare switch,
+    default False) or a tuple of choices."""
+    return flag, kind, False if kind is FLAG else default, required, help
+
+
+FORMAT = option("--format", ("text", "json", "csv"), default="text", help="output format (default text)")
+THREADS = option(
+    "--threads", int, default=1,
+    help="accepted and ignored, kept for callers that pass it: every command"
+    " runs in one process (default 1)",
+)
+N = option("--n", int, required=True)
+
+# Each command as name: (handler, summary, options), the options in the
+# order that its --help lists them.  Both parse_plain and build_parser
+# read this table.
+COMMANDS = {
+    "count": (cmd_count, "count permutations with a given descent-value set", (
+        FORMAT, THREADS, N,
+        option("--set", default="", help="comma-separated ascending values, empty for the empty set"),
+        option(
+            "--method", COUNT_METHODS, default="formula",
+            help="typed and tree print the closed form (formula) under the paper's"
+            " other statements; recursion and brute are independent routes",
+        ),
+        option("--all-methods", FLAG, help="run every applicable method; exit 2 on disagreement"),
+    )),
+    "table": (cmd_table, "full count table for subsets of [2, n]", (FORMAT, N)),
+    "poly": (cmd_poly, "generating polynomial of order n", (FORMAT, N)),
+    "tree": (cmd_tree, "signed weight of the generating tree for a gap sequence", (
+        FORMAT,
+        option("--gaps", required=True, help="comma-separated nonnegative exponents"),
+        option("--show", FLAG, help="dump the tree (text format only)"),
+    )),
+    "tableaux": (cmd_tableaux, "count valid 0/1 fillings of a shape", (
+        FORMAT,
+        option("--shape", required=True, help="comma-separated weakly decreasing row lengths"),
+        option(
+            "--method", ("formula", "transfer", "brute"), default="formula",
+            help="formula: the alternating sum, 2^width terms (work <= SUM_CAP);"
+            " transfer: column by column, exponential in rows; brute: the naive search"
+            " (boxes <= BOX_CAP)",
+        ),
+    )),
+    "genocchi": (cmd_genocchi, "generalized Genocchi number of order k", (
+        FORMAT,
+        option("--k", int, required=True),
+        N,
+        option("--brute", FLAG, help="cross-check by permutation enumeration; exit 2 on mismatch"),
+    )),
+    "verify": (cmd_verify, "run the cross-method verification suite", (
+        FORMAT, THREADS, option("--max-n", int, default=6),
+    )),
+}
+
+
+def parse_plain(argv: Sequence[str]) -> types.SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` returns, for a call in the
+    plain spelling: a command, then each of its options at most once, as
+    ``--name value`` or a bare flag.  A value may not start with '-'; an
+    int is written in ASCII digits that ``int`` converts under the
+    interpreter's digit limit, a choice is one of the listed ones, and
+    every required option is present.  None for any other argv, which
+    argparse parses instead."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, options = COMMANDS[argv[0]]
+    kinds = {row[0]: row[1] for row in options}
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        kind = kinds.get(flag)
+        if kind is None or flag in given:
+            return None
+        if kind is FLAG:
+            given[flag] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        if kind is int:
+            if not (value.isascii() and value.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # more digits than the interpreter converts
+                return None
+        elif kind is not str and value not in kind:
+            return None
+        given[flag] = value
+    values = {"command": argv[0], "func": func}
+    for flag, _, default, required, _ in options:
+        if required and flag not in given:
+            return None
+        values[flag[2:].replace("-", "_")] = given.get(flag, default)
+    return types.SimpleNamespace(**values)
+
+
+def build_parser():
+    """The argparse parser of every command in ``COMMANDS``."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cdescent",
         description="Exact enumeration of permutations by circular descent set.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, summary: str, *, threads: bool = False) -> argparse.ArgumentParser:
-        # One command's parser, its shared flags first.
+    for name, (func, summary, options) in COMMANDS.items():
         p = sub.add_parser(name, help=summary)
-        p.add_argument(
-            "--format", choices=("text", "json", "csv"), default="text",
-            help="output format (default text)",
-        )
-        if threads:
-            p.add_argument(
-                "--threads", type=int, default=1,
-                help="accepted and ignored, kept for callers that pass it: every command"
-                " runs in one process (default 1)",
-            )
-        return p
-
-    p = command("count", "count permutations with a given descent-value set", threads=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--set", default="", help="comma-separated ascending values, empty for the empty set")
-    p.add_argument(
-        "--method", choices=COUNT_METHODS, default="formula",
-        help="typed and tree print the closed form (formula) under the paper's"
-        " other statements; recursion and brute are independent routes",
-    )
-    p.add_argument("--all-methods", action="store_true", help="run every applicable method; exit 2 on disagreement")
-    p.set_defaults(func=cmd_count)
-
-    p = command("table", "full count table for subsets of [2, n]")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_table)
-
-    p = command("poly", "generating polynomial of order n")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_poly)
-
-    p = command("tree", "signed weight of the generating tree for a gap sequence")
-    p.add_argument("--gaps", required=True, help="comma-separated nonnegative exponents")
-    p.add_argument("--show", action="store_true", help="dump the tree (text format only)")
-    p.set_defaults(func=cmd_tree)
-
-    p = command("tableaux", "count valid 0/1 fillings of a shape")
-    p.add_argument("--shape", required=True, help="comma-separated weakly decreasing row lengths")
-    p.add_argument(
-        "--method", choices=("formula", "transfer", "brute"), default="formula",
-        help="formula: the alternating sum, 2^width terms (work <= SUM_CAP);"
-        " transfer: column by column, exponential in rows; brute: the naive search"
-        " (boxes <= BOX_CAP)",
-    )
-    p.set_defaults(func=cmd_tableaux)
-
-    p = command("genocchi", "generalized Genocchi number of order k")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--brute", action="store_true", help="cross-check by permutation enumeration; exit 2 on mismatch")
-    p.set_defaults(func=cmd_genocchi)
-
-    p = command("verify", "run the cross-method verification suite", threads=True)
-    p.add_argument("--max-n", type=int, default=6)
-    p.set_defaults(func=cmd_verify)
-
+        for flag, kind, default, required, help in options:
+            if kind is FLAG:
+                p.add_argument(flag, action="store_true", help=help)
+            elif kind is int:
+                p.add_argument(flag, type=int, default=default, required=required, help=help)
+            elif kind is str:
+                p.add_argument(flag, default=default, required=required, help=help)
+            else:
+                p.add_argument(flag, choices=kind, default=default, required=required, help=help)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
+    if argv is None:
+        argv = sys.argv[1:]
+    # argparse is imported only for a call that parse_plain leaves to it:
+    # help, a refusal, or any spelling other than the plain one.
+    args = parse_plain(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else 1
     # Every input is capped, so no answer takes long to print in full.
     digit_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        if "threads" in args:
+        if hasattr(args, "threads"):
             check_int("--threads", args.threads, 1)
         code = args.func(args)
         sys.stdout.flush()  # a closed reader fails here, not at exit

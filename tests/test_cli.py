@@ -574,9 +574,110 @@ def test_verify_failure_exits_2(capsys, monkeypatch):
     assert "failed" in err
 
 
-def test_help_exits_0(capsys):
-    rc, _, _ = run(capsys, "--help")
-    assert rc == 0
+# --help of the top level ("") and of each command, as argparse printed it
+# from the hand-built parser before build_parser read the command table.
+# Pinned 200 columns wide, so that no line wraps and the text does not
+# depend on how a Python version wraps long usage lines.
+HELP_TEXT = {
+    "": """\
+usage: cdescent [-h] {count,table,poly,tree,tableaux,genocchi,verify} ...
+
+Exact enumeration of permutations by circular descent set.
+
+positional arguments:
+  {count,table,poly,tree,tableaux,genocchi,verify}
+    count               count permutations with a given descent-value set
+    table               full count table for subsets of [2, n]
+    poly                generating polynomial of order n
+    tree                signed weight of the generating tree for a gap sequence
+    tableaux            count valid 0/1 fillings of a shape
+    genocchi            generalized Genocchi number of order k
+    verify              run the cross-method verification suite
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "count": """\
+usage: cdescent count [-h] [--format {text,json,csv}] [--threads THREADS] --n N [--set SET] [--method {formula,typed,recursion,tree,brute}] [--all-methods]
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json,csv}
+                        output format (default text)
+  --threads THREADS     accepted and ignored, kept for callers that pass it: every command runs in one process (default 1)
+  --n N
+  --set SET             comma-separated ascending values, empty for the empty set
+  --method {formula,typed,recursion,tree,brute}
+                        typed and tree print the closed form (formula) under the paper's other statements; recursion and brute are independent routes
+  --all-methods         run every applicable method; exit 2 on disagreement
+""",
+    "table": """\
+usage: cdescent table [-h] [--format {text,json,csv}] --n N
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json,csv}
+                        output format (default text)
+  --n N
+""",
+    "poly": """\
+usage: cdescent poly [-h] [--format {text,json,csv}] --n N
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json,csv}
+                        output format (default text)
+  --n N
+""",
+    "tree": """\
+usage: cdescent tree [-h] [--format {text,json,csv}] --gaps GAPS [--show]
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json,csv}
+                        output format (default text)
+  --gaps GAPS           comma-separated nonnegative exponents
+  --show                dump the tree (text format only)
+""",
+    "tableaux": """\
+usage: cdescent tableaux [-h] [--format {text,json,csv}] --shape SHAPE [--method {formula,transfer,brute}]
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json,csv}
+                        output format (default text)
+  --shape SHAPE         comma-separated weakly decreasing row lengths
+  --method {formula,transfer,brute}
+                        formula: the alternating sum, 2^width terms (work <= SUM_CAP); transfer: column by column, exponential in rows; brute: the naive search (boxes <= BOX_CAP)
+""",
+    "genocchi": """\
+usage: cdescent genocchi [-h] [--format {text,json,csv}] --k K --n N [--brute]
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json,csv}
+                        output format (default text)
+  --k K
+  --n N
+  --brute               cross-check by permutation enumeration; exit 2 on mismatch
+""",
+    "verify": """\
+usage: cdescent verify [-h] [--format {text,json,csv}] [--threads THREADS] [--max-n MAX_N]
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json,csv}
+                        output format (default text)
+  --threads THREADS     accepted and ignored, kept for callers that pass it: every command runs in one process (default 1)
+  --max-n MAX_N
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_TEXT))
+def test_help_prints_the_pinned_text(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "200")
+    assert run(capsys, *filter(None, [command]), "--help") == (0, HELP_TEXT[command], "")
 
 
 # Each command's own flags, as (required, optional).
@@ -590,12 +691,17 @@ COMMAND_FLAGS = {
     "verify": ((), ("--max-n", "--threads")),
 }
 SWITCHES = ("--all-methods", "--show", "--brute")
-# Small or malformed values, as (parsed by argparse, refused by it).  No
-# number exceeds 3, so every call stays small under the default caps:
-# n! <= 6 permutations, (k*n)! <= 720 for genocchi --brute, verify
-# --max-n <= 3, and never a large --threads.
-NUMBERS = (("-3", "-1", "0", "1", "2", "3"), ("", "x", "1.5"))
+# Small or malformed values, as (common, rare): a rare value is one that
+# argparse refuses, or an int that argparse parses but parse_plain leaves
+# to it ('+3', ' 3', Arabic-Indic three).  No number exceeds 3, so every
+# call stays small under the default caps: n! <= 6 permutations, (k*n)!
+# <= 720 for genocchi --brute, verify --max-n <= 3, and never a large
+# --threads.  '²' is a digit that int() refuses, and 5,000 digits are
+# more than it converts before main lifts the digit limit.
+NUMBERS = (("-3", "-1", "0", "1", "2", "3"), ("", "x", "1.5", "²", "9" * 5000, "+3", " 3", "٣"))
 SETS = (("", "2", "3", "2,3", "3,2", "2,2", "1,3", "0", "-1", "x", "2,,3"), ())
+# Tokens that no plain call holds.
+STRAYS = ("--help", "-h", "--", "stray", "--nope")
 VALUES = {
     "--set": SETS,
     "--gaps": SETS,
@@ -623,8 +729,25 @@ def argvs(draw):
     for flag in draw(st.permutations(flags)):
         argv.append(flag)
         if flag not in SWITCHES:
-            parsed, refused = VALUES.get(flag, NUMBERS)
-            argv.append(draw(st.sampled_from(refused if refused and rarely() else parsed)))
+            common, rare = VALUES.get(flag, NUMBERS)
+            argv.append(draw(st.sampled_from(rare if rare and rarely() else common)))
+    # One time in ten, a spelling that only argparse parses or refuses:
+    # a stray token, or a flag joined to its value by '=', abbreviated, or
+    # given twice.
+    if rarely():
+        at = [i for i, token in enumerate(argv) if token in ALL_FLAGS]
+        edit = draw(st.sampled_from(("stray", "joined", "abbreviated", "repeated")))
+        if edit == "stray" or not at:
+            argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(STRAYS)))
+        else:
+            i = draw(st.sampled_from(at))
+            end = i + 1 if argv[i] in SWITCHES else i + 2
+            if edit == "joined" and end == i + 2:
+                argv[i:end] = ["=".join(argv[i:end])]
+            elif edit == "abbreviated" and len(argv[i]) > 3:
+                argv[i] = argv[i][: draw(st.integers(3, len(argv[i]) - 1))]
+            else:
+                argv += argv[i:end]
     return argv
 
 
@@ -640,3 +763,67 @@ def test_fuzzed_argv_exits_0_1_or_2(argv):
         # A validation error, not an argparse one: one line, nothing printed.
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         assert out.getvalue() == "", argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs())
+def test_plain_parse_matches_argparse(argv):
+    # Whenever the table parser takes a call, argparse reads it the same.
+    args = cli.parse_plain(argv)
+    if args is not None:
+        assert vars(args) == vars(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--n", "9", "--set", "3,5", "--method", "recursion", "--all-methods", "--threads", "2", "--format", "csv"],
+        ["verify"],
+        ["tree", "--show", "--gaps", ""],
+        ["genocchi", "--n", "003", "--k", "2", "--brute"],
+    ],
+)
+def test_plain_calls_skip_argparse(argv):
+    args = cli.parse_plain(argv)
+    assert args is not None
+    assert vars(args) == vars(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "value",
+    # isdigit() but not int(); ASCII digits past the digit limit; the rest
+    # are ints that only argparse reads.
+    ["²", "9" * 5000, "+3", " 3", "٣", "3 "],
+    ids=["superscript", "5000 digits", "plus", "leading space", "arabic-indic", "trailing space"],
+)
+def test_int_spellings_beyond_ascii_digits_are_left_to_argparse(capsys, value):
+    argv = ["count", "--n", value, "--set", "3"]
+    assert cli.parse_plain(argv) is None
+    rc, out, err = run(capsys, *argv)
+    if value in ("²", "9" * 5000):
+        assert (rc, out) == (1, "") and err.startswith("usage: ")
+        assert f"argument --n: invalid int value: '{value}'" in err
+    else:
+        assert (rc, out, err) == (0, "3\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--n=9", "--set=3,5"],
+        ["count", "--n", "9", "--set", "3,5", "--met", "recursion"],
+        ["count", "--n", "5", "--n", "9", "--set", "3,5"],
+        ["count", "--n", "9", "--set", "3,5", "--"],
+        ["count", "--set", "3,5"],
+        ["count", "--n", "9", "--method", "nope"],
+        ["count", "--n", "9", "--all-methods", "--all-methods"],
+        ["count", "--n", "9", "--set"],
+        ["count", "--n", "9", "--set", "-1"],
+        ["count", "--n", "9", "stray"],
+        ["Count", "--n", "9"],
+        ["--help"],
+        [],
+    ],
+)
+def test_other_spellings_are_left_to_argparse(argv):
+    assert cli.parse_plain(argv) is None

@@ -50,21 +50,25 @@ def test_text_count_loads_only_its_route():
     assert unwanted.isdisjoint(loaded)
 
 
-@pytest.mark.parametrize(
-    "argv, scans",
-    [
-        *((["count", "--n", "5", "--set", "3,5", "--method", m], False) for m in ("formula", "typed", "tree", "recursion")),
-        (["tree", "--gaps", "2,1"], False),
-        (["tableaux", "--shape", "3,2,1"], False),
-        (["genocchi", "--k", "2", "--n", "4", "--brute"], False),
-        (["table", "--n", "4"], False),
-        (["poly", "--n", "3"], False),
-        (["count", "--n", "5", "--set", "3,5", "--method", "brute"], True),
-        (["count", "--n", "5", "--set", "3,5", "--all-methods"], True),
-        (["verify", "--max-n", "2"], True),
-    ],
-    ids=lambda argv: " ".join(argv) if isinstance(argv, list) else None,
-)
+# Well-formed calls, each with whether it runs a permutation scan.
+CALLS = [
+    *((["count", "--n", "5", "--set", "3,5", "--method", m], False) for m in ("formula", "typed", "tree", "recursion")),
+    (["tree", "--gaps", "2,1"], False),
+    (["tableaux", "--shape", "3,2,1"], False),
+    (["genocchi", "--k", "2", "--n", "4", "--brute"], False),
+    (["table", "--n", "4"], False),
+    (["poly", "--n", "3"], False),
+    (["count", "--n", "5", "--set", "3,5", "--method", "brute"], True),
+    (["count", "--n", "5", "--set", "3,5", "--all-methods"], True),
+    (["verify", "--max-n", "2"], True),
+]
+
+
+def call_id(argv):
+    return " ".join(argv) if isinstance(argv, list) else None
+
+
+@pytest.mark.parametrize("argv, scans", CALLS, ids=call_id)
 def test_only_brute_counts_and_verify_load_the_scans(argv, scans):
     # The caps and checks live in cdescent.contract, so a command loads
     # the permutation scans of cdescent.perms only when it runs one.
@@ -75,6 +79,33 @@ def test_only_brute_counts_and_verify_load_the_scans(argv, scans):
         "print(rc, 'cdescent.perms' in sys.modules)\n"
     )
     assert fresh(code).split()[-2:] == ["0", str(scans)]
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in CALLS], ids=call_id)
+def test_well_formed_calls_do_not_load_argparse(argv):
+    # A plain call is parsed from the command table; argparse, and the
+    # gettext and locale it brings, load only for the calls left to it.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from cdescent import cli\n"
+        f"rc = cli.main({argv!r})\n"
+        "print(rc, *sorted({'argparse', 'gettext', 'locale'} & set(sys.modules) - before))\n"
+    )
+    assert fresh(code).splitlines()[-1] == "0"
+
+
+def test_other_calls_are_left_to_argparse():
+    code = (
+        "import contextlib, io\n"
+        "from cdescent import cli\n"
+        "for argv in (['--help'], ['count', '--n', 'x', '--set', '3']):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        rc = cli.main(argv)\n"
+        "    print(rc, out.getvalue().startswith('usage: '), err.getvalue().startswith('usage: '))\n"
+    )
+    assert fresh(code) == "0 True False\n1 False True\n"
 
 
 def test_route_modules_do_not_load_the_scans():
