@@ -18,7 +18,7 @@ from cdescent import (
     tree_weight_sum,
     tree_weight_traversal,
 )
-from cdescent.cli import format_tree
+from cdescent.cli_extra import format_tree
 
 print("The tree of height 2, as `height label sign` lines:")
 print(format_tree(build_tree(2)))

@@ -19,11 +19,15 @@ repeating-label child first; the sign is ``+`` on label-incrementing
 edges, ``-`` on label-repeating ones, and ``+`` for the root.
 
 Each command imports only the modules it runs, inside its ``cmd_*``
-function (``json`` and ``csv`` only for those formats), so a call pays
-start-up for its own routes and not for the whole package.  The caps and
-checks come from ``contract``, so only ``count --method brute``,
-``count --all-methods`` and ``verify`` load the permutation scans of
-``perms``.
+function, so a call pays start-up for its own routes and not for the
+whole package.  The caps and checks come from ``contract``, so only
+``count --method brute``, ``count --all-methods`` and ``verify`` load the
+permutation scans of ``perms``.  Run with no bytecode cache, a call
+compiles every module it loads, so the code that no small text call runs
+lives in ``cli_extra``: the ``table``, ``poly`` and ``verify`` handlers,
+the tree dump, the json and csv records and the argparse parser.  Only
+those commands, ``tree --show``, ``--format json|csv`` and the calls
+left to argparse load it.
 
 Each command and its options are described once, in ``COMMANDS``.
 ``main`` parses a well-formed call from that table without loading
@@ -31,8 +35,8 @@ argparse: the command, then its options each at most once as ``--name
 value`` or a bare flag, ints in ASCII digits, no value that starts with
 '-', every required option given.  Any other argv (``--help``, ``--n=5``,
 an abbreviation, a repeated option, a missing or malformed value) loads
-argparse, and ``build_parser`` builds its parser from the same table, so
-help, refusals and exit codes are argparse's own.
+argparse, and ``cli_extra.build_parser`` builds its parser from the same
+table, so help, refusals and exit codes are argparse's own.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import sys
 import types
 from collections.abc import Sequence
 
-from .contract import DEFAULT_ENUMERATION_CAP, _show, check_int, iter_value_sets
+from .contract import DEFAULT_ENUMERATION_CAP, _show, check_int
 
 COUNT_METHODS = ("formula", "typed", "recursion", "tree", "brute")
 
@@ -81,46 +85,18 @@ def parse_shape(text: str) -> tuple[int, ...]:
     return check_shape(_parse_ints(text, "shape"))
 
 
-def format_set(s: tuple[int, ...]) -> str:
-    return "{" + ",".join(str(v) for v in s) + "}"
-
-
-def format_tree(root) -> str:
-    """Dump a ``tree.TreeNode`` and its descendants, one per line."""
-    lines: list[str] = []
-
-    def visit(node, sign: str) -> None:
-        lines.append("  " * node.height + f"{node.height} {node.label} {sign}")
-        for child in node.children:
-            visit(child, "+" if child.label > node.label else "-")
-
-    visit(root, "+")
-    return "\n".join(lines)
-
-
 def _emit(args, query: dict, result, rows: list[dict] | None = None) -> None:
-    """Print one record.  ``rows`` drives the csv rendering, and the text
-    one unless the result is a string, which text prints bare."""
-    if args.format == "json":
-        import json
+    """Print one record.  In text a string result prints bare, else each
+    of ``rows`` as its values; json and csv are ``cli_extra.emit``'s."""
+    if args.format != "text":
+        from .cli_extra import emit
 
-        print(json.dumps({"query": query, "result": result}, indent=2))
-    elif args.format == "csv":
-        import csv
-
-        writer = csv.writer(sys.stdout)
-        if rows is None:
-            writer.writerow(["result"])
-            writer.writerow([result])
-        else:
-            writer.writerow(rows[0].keys())
-            for row in rows:
-                writer.writerow(row.values())
+        emit(args, query, result, rows)
     elif isinstance(result, str):
         print(result)
     else:
         for row in rows:
-            print(" ".join(str(v) for v in row.values()))
+            print(*row.values())
 
 
 def _cross_check(args, query: dict, values: dict[str, int]) -> int:
@@ -164,29 +140,6 @@ def cmd_count(args) -> int:
     return 0
 
 
-def cmd_table(args) -> int:
-    from .recursion import cdes_insertion_table
-
-    table = cdes_insertion_table(args.n)
-    ordered = [(s, table[s]) for s in iter_value_sets(args.n)]
-    rows = [{"set": format_set(s), "count": str(c)} for s, c in ordered]
-    result = [{"set": list(s), "count": str(c)} for s, c in ordered]
-    _emit(args, {"command": "table", "n": args.n}, result, rows)
-    return 0
-
-
-def cmd_poly(args) -> int:
-    from .poly import gn
-
-    g = gn(args.n)
-    rows = [
-        {"xvars": ",".join(str(i) for i in xv), "ydeg": ydeg, "coefficient": str(c)}
-        for (xv, ydeg), c in g.sorted_terms()
-    ]
-    _emit(args, {"command": "poly", "n": args.n}, str(g), rows)
-    return 0
-
-
 def cmd_tree(args) -> int:
     from .tree import build_tree, tree_weight_sum
 
@@ -196,6 +149,8 @@ def cmd_tree(args) -> int:
     weight = tree_weight_sum(gaps)
     _emit(args, {"command": "tree", "gaps": list(gaps)}, str(weight))
     if root is not None:
+        from .cli_extra import format_tree
+
         print(format_tree(root))
     return 0
 
@@ -232,37 +187,31 @@ def cmd_genocchi(args) -> int:
     return _cross_check(args, {**query, "brute": True}, {"recursion": value, "brute": brute})
 
 
+# table, poly and verify run from cli_extra, with the rest of the code
+# that no small text call runs; these load it when their command runs.
+def cmd_table(args) -> int:
+    from .cli_extra import cmd_table
+
+    return cmd_table(args)
+
+
+def cmd_poly(args) -> int:
+    from .cli_extra import cmd_poly
+
+    return cmd_poly(args)
+
+
 def cmd_verify(args) -> int:
-    from . import verify
+    from .cli_extra import cmd_verify
 
-    results = verify.run_all(args.max_n, workers=args.threads)
-    rows = [
-        {"check": r.name, "status": "PASS" if r.passed else "FAIL", "detail": r.detail}
-        for r in results
-    ]
-    result = [{"check": r.name, "passed": r.passed, "detail": r.detail} for r in results]
-    if args.format == "text":
-        for row in rows:
-            print(f"{row['status']} {row['check']} ({row['detail']})")
-    else:
-        _emit(args, {"command": "verify", "max_n": args.max_n}, result, rows)
-    failed = [r for r in results if not r.passed]
-    if failed:
-        print(f"error: {len(failed)} check(s) failed", file=sys.stderr)
-        return 2
-    if args.format == "text":
-        print(f"all {len(results)} checks passed")
-    return 0
-
-
-FLAG = "flag"  # the kind of an option that takes no value
+    return cmd_verify(args)
 
 
 def option(flag: str, kind=str, *, default=None, required: bool = False, help: str | None = None) -> tuple:
     """One row of a command's option table: ``(flag, kind, default,
-    required, help)``.  ``kind`` is int, str, ``FLAG`` (a bare switch,
+    required, help)``.  ``kind`` is int, str, bool (a bare switch,
     default False) or a tuple of choices."""
-    return flag, kind, False if kind is FLAG else default, required, help
+    return flag, kind, False if kind is bool else default, required, help
 
 
 FORMAT = option("--format", ("text", "json", "csv"), default="text", help="output format (default text)")
@@ -274,8 +223,8 @@ THREADS = option(
 N = option("--n", int, required=True)
 
 # Each command as name: (handler, summary, options), the options in the
-# order that its --help lists them.  Both parse_plain and build_parser
-# read this table.
+# order that its --help lists them.  Both parse_plain and
+# cli_extra.build_parser read this table.
 COMMANDS = {
     "count": (cmd_count, "count permutations with a given descent-value set", (
         FORMAT, THREADS, N,
@@ -285,14 +234,14 @@ COMMANDS = {
             help="typed and tree print the closed form (formula) under the paper's"
             " other statements; recursion and brute are independent routes",
         ),
-        option("--all-methods", FLAG, help="run every applicable method; exit 2 on disagreement"),
+        option("--all-methods", bool, help="run every applicable method; exit 2 on disagreement"),
     )),
     "table": (cmd_table, "full count table for subsets of [2, n]", (FORMAT, N)),
     "poly": (cmd_poly, "generating polynomial of order n", (FORMAT, N)),
     "tree": (cmd_tree, "signed weight of the generating tree for a gap sequence", (
         FORMAT,
         option("--gaps", required=True, help="comma-separated nonnegative exponents"),
-        option("--show", FLAG, help="dump the tree (text format only)"),
+        option("--show", bool, help="dump the tree (text format only)"),
     )),
     "tableaux": (cmd_tableaux, "count valid 0/1 fillings of a shape", (
         FORMAT,
@@ -308,7 +257,7 @@ COMMANDS = {
         FORMAT,
         option("--k", int, required=True),
         N,
-        option("--brute", FLAG, help="cross-check by permutation enumeration; exit 2 on mismatch"),
+        option("--brute", bool, help="cross-check by permutation enumeration; exit 2 on mismatch"),
     )),
     "verify": (cmd_verify, "run the cross-method verification suite", (
         FORMAT, THREADS, option("--max-n", int, default=6),
@@ -317,13 +266,13 @@ COMMANDS = {
 
 
 def parse_plain(argv: Sequence[str]) -> types.SimpleNamespace | None:
-    """What ``build_parser().parse_args(argv)`` returns, for a call in the
-    plain spelling: a command, then each of its options at most once, as
-    ``--name value`` or a bare flag.  A value may not start with '-'; an
-    int is written in ASCII digits that ``int`` converts under the
-    interpreter's digit limit, a choice is one of the listed ones, and
-    every required option is present.  None for any other argv, which
-    argparse parses instead."""
+    """What ``cli_extra.build_parser(COMMANDS).parse_args(argv)`` returns,
+    for a call in the plain spelling: a command, then each of its options
+    at most once, as ``--name value`` or a bare flag.  A value may not
+    start with '-'; an int is written in ASCII digits that ``int``
+    converts under the interpreter's digit limit, a choice is one of the
+    listed ones, and every required option is present.  None for any
+    other argv, which argparse parses instead."""
     if not argv or argv[0] not in COMMANDS:
         return None
     func, _, options = COMMANDS[argv[0]]
@@ -334,7 +283,7 @@ def parse_plain(argv: Sequence[str]) -> types.SimpleNamespace | None:
         kind = kinds.get(flag)
         if kind is None or flag in given:
             return None
-        if kind is FLAG:
+        if kind is bool:
             given[flag] = True
             continue
         value = next(tokens, None)
@@ -358,30 +307,6 @@ def parse_plain(argv: Sequence[str]) -> types.SimpleNamespace | None:
     return types.SimpleNamespace(**values)
 
 
-def build_parser():
-    """The argparse parser of every command in ``COMMANDS``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="cdescent",
-        description="Exact enumeration of permutations by circular descent set.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, summary, options) in COMMANDS.items():
-        p = sub.add_parser(name, help=summary)
-        for flag, kind, default, required, help in options:
-            if kind is FLAG:
-                p.add_argument(flag, action="store_true", help=help)
-            elif kind is int:
-                p.add_argument(flag, type=int, default=default, required=required, help=help)
-            elif kind is str:
-                p.add_argument(flag, default=default, required=required, help=help)
-            else:
-                p.add_argument(flag, choices=kind, default=default, required=required, help=help)
-        p.set_defaults(func=func)
-    return parser
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -389,8 +314,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     # help, a refusal, or any spelling other than the plain one.
     args = parse_plain(argv)
     if args is None:
+        from .cli_extra import build_parser
+
         try:
-            args = build_parser().parse_args(argv)
+            args = build_parser(COMMANDS).parse_args(argv)
         except SystemExit as exc:
             return 0 if exc.code in (0, None) else 1
     # Every input is capped, so no answer takes long to print in full.

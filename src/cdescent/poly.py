@@ -17,7 +17,7 @@ import math
 import operator
 from collections.abc import Iterable, Mapping
 
-from .contract import TABLE_MAX_N, _monomial_keys, as_descent_set, check_cap, check_distinct, check_int, check_ints
+from .contract import TABLE_MAX_N, as_descent_set, check_cap, check_distinct, check_int, check_ints
 
 Monomial = tuple[tuple[int, ...], int]
 
@@ -85,12 +85,23 @@ class Poly:
 
     def evaluate(self, x: int | Mapping[int, int] = 1, y: int = 1) -> int:
         """Exact value with every x-variable set to ``x`` (or looked up in a
-        mapping) and y set to ``y``."""
+        mapping) and y set to ``y``.  Every value read is an integer; a
+        mapping needs one for each x-variable of the terms.
+
+        >>> gn(3).evaluate({1: 2, 2: 1}, y=3)
+        34
+        """
+        check_int("y", y)
         if isinstance(x, Mapping):
+            for i in sorted({i for xvars, _ in self._terms for i in xvars}):
+                if i not in x:
+                    raise ValueError(f"no value given for x{i}")
+                check_int(f"x{i}", x[i])
             return sum(
                 coeff * y**ydeg * math.prod(x[i] for i in xvars)
                 for (xvars, ydeg), coeff in self._terms.items()
             )
+        check_int("x", x)
         return sum(
             coeff * y**ydeg * x ** len(xvars)
             for (xvars, ydeg), coeff in self._terms.items()
@@ -198,7 +209,7 @@ def gn(n: int) -> Poly:
     masks, so a pass takes either its runs or, where runs outnumber their
     length, the columns of entries 2^(j+1) apart: min(2^j, 2^(m-j-2))
     slice operations for each bit.  The ``Monomial`` keys come from the
-    shared key list ``contract._monomial_keys``, in the same ascending-bitmask
+    shared key list ``tablekeys._monomial_keys``, in the same ascending-bitmask
     order, read after the coefficients and paired with them.  The list is
     built once per process, grown to the largest n asked for, and every
     smaller n reads a prefix of it: it holds the keys of that polynomial,
@@ -212,7 +223,7 @@ def gn(n: int) -> Poly:
     ``insertion-vs-formula`` are independent checks only while neither
     route is derived from the other.  Here slices of a list are added;
     the insertion table shifts and masks packed fields of one int.  The
-    two share only how their key lists are kept (``contract._KeyList``),
+    two share only how their key lists are kept (``tablekeys._KeyList``),
     each family in its own list, and the checks read the keys off the
     formula table's own sets.
 
@@ -246,6 +257,8 @@ def gn(n: int) -> Poly:
                     )
     # The keys come last: the slice passes' temporaries never stand beside
     # the dict, nor beside keys that a first call lists.
+    from .tablekeys import _monomial_keys
+
     return _raw(dict(zip(_monomial_keys(n), coeffs)))
 
 

@@ -29,7 +29,7 @@ import math
 import sys
 from collections.abc import Iterable, Iterator
 
-from .contract import RECURSION_CAP, RECURSION_MAX_SIZE, TABLE_MAX_N, _value_set_keys, as_value_mask, check_cap, check_int
+from .contract import RECURSION_CAP, RECURSION_MAX_SIZE, TABLE_MAX_N, as_value_mask, check_cap, check_int
 
 # Minimum-element recursion cache: bitmask of S (element v at bit v) -> count.
 Cache = dict[int, int]
@@ -230,7 +230,7 @@ def cdes_insertion_table(n: int) -> dict[tuple[int, ...], int]:
     fields go above the old ones, as the masks with bit m - 2 set.  Every
     field holds less than m! <= 20! < 2^63, so no field ever carries into
     the next.  The fields are read once at the end and paired with the
-    sorted-tuple keys of the shared key list ``contract._value_set_keys``,
+    sorted-tuple keys of the shared key list ``tablekeys._value_set_keys``,
     listed in the same order: the table is ordered by ascending bitmask.
     The list is built once per process, grown to the largest n asked
     for, and every smaller table reads a prefix of it: it holds the keys
@@ -244,6 +244,8 @@ def cdes_insertion_table(n: int) -> dict[tuple[int, ...], int]:
     check_int("n", n, 1)
     check_cap("n", n, "table", "TABLE_MAX_N", TABLE_MAX_N)
     counts = _insertion_counts(n)
+    from .tablekeys import _value_set_keys
+
     return dict(zip(_value_set_keys(n), counts))
 
 

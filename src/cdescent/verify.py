@@ -41,7 +41,7 @@ coefficients indexed by bitmask, one pass per x-variable, while the
 insertion table gathers every new field in whole-int passes over its
 packed int.  The two share only how their keys are listed: each reads
 its own shared key list, built once per process
-(``contract._value_set_keys``, ``contract._monomial_keys``), and every check
+(``tablekeys._value_set_keys``, ``tablekeys._monomial_keys``), and every check
 reads its keys off the formula table, whose sets come from
 ``iter_value_sets``, so a wrong label cannot hide.
 ``gnk`` reads its slices off ``gn``, so ``poly-slice-reassembly``

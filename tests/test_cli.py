@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cdescent.cli as cli
+from cdescent.cli_extra import build_parser
 import cdescent.formula as formula
 import cdescent.genocchi as genocchi
 import cdescent.perms as perms
@@ -771,7 +772,7 @@ def test_plain_parse_matches_argparse(argv):
     # Whenever the table parser takes a call, argparse reads it the same.
     args = cli.parse_plain(argv)
     if args is not None:
-        assert vars(args) == vars(cli.build_parser().parse_args(argv))
+        assert vars(args) == vars(build_parser(cli.COMMANDS).parse_args(argv))
 
 
 @pytest.mark.parametrize(
@@ -786,7 +787,7 @@ def test_plain_parse_matches_argparse(argv):
 def test_plain_calls_skip_argparse(argv):
     args = cli.parse_plain(argv)
     assert args is not None
-    assert vars(args) == vars(cli.build_parser().parse_args(argv))
+    assert vars(args) == vars(build_parser(cli.COMMANDS).parse_args(argv))
 
 
 @pytest.mark.parametrize(

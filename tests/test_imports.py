@@ -108,6 +108,92 @@ def test_other_calls_are_left_to_argparse():
     assert fresh(code) == "0 True False\n1 False True\n"
 
 
+def run_as_main(argv: list[str]) -> tuple[int, set[str]]:
+    """Run ``python -m cdescent.cli *argv`` in a fresh interpreter, through
+    ``runpy`` as ``-m`` does; return its exit code and every module
+    loaded by its end.  The list is printed on the last line of stderr at
+    exit, after anything the call printed."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    code = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))\n"
+        f"sys.argv = ['-m', *{argv!r}]\n"
+        "runpy.run_module('cdescent.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path, "COLUMNS": "80"},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    return done.returncode, set(done.stderr.splitlines()[-1].split())
+
+
+# The small text calls of the benchmark's cli-verify workload.
+SMALL_CALLS = [
+    *(["count", "--n", "5", "--set", "3,5", "--method", m] for m in ("formula", "typed", "tree", "recursion")),
+    ["tree", "--gaps", "2,1"],
+    ["tableaux", "--shape", "3,2,1"],
+    ["genocchi", "--k", "2", "--n", "4", "--brute"],
+]
+
+
+@pytest.mark.parametrize("argv", SMALL_CALLS, ids=call_id)
+def test_small_text_calls_load_neither_cli_extra_nor_the_key_lists(argv):
+    # Run with no bytecode cache, a call compiles every module it loads.
+    rc, loaded = run_as_main(argv)
+    assert rc == 0
+    assert "cdescent.contract" in loaded
+    assert {"cdescent.cli_extra", "cdescent.tablekeys"}.isdisjoint(loaded)
+
+
+# Every command in each --format, then --help and the calls left to
+# argparse, with the exit code of each.
+MAIN_CALLS = [
+    *(
+        ([*call, "--format", fmt], 0)
+        for fmt in ("text", "json", "csv")
+        for call in (
+            ["count", "--n", "9", "--set", "3,5"],
+            ["table", "--n", "4"],
+            ["poly", "--n", "3"],
+            ["tree", "--gaps", "2,1", "--show"],
+            ["tableaux", "--shape", "3,2,1"],
+            ["genocchi", "--k", "2", "--n", "4", "--brute"],
+            ["verify", "--max-n", "4"],
+        )
+    ),
+    (["--help"], 0),
+    (["tableaux", "--help"], 0),
+    (["count", "--n", "x", "--set", "3"], 1),
+]
+
+
+@pytest.mark.parametrize("argv, code", MAIN_CALLS, ids=lambda v: call_id(v) if isinstance(v, list) else None)
+def test_no_call_imports_the_running_cli(argv, code):
+    # Under -m the running module is __main__: an import of cdescent.cli
+    # would compile cli.py a second time.  Only the small text calls
+    # leave cli_extra unloaded.
+    rc, loaded = run_as_main(argv)
+    assert rc == code
+    assert "cdescent.cli" not in loaded
+    small = argv[0] in ("count", "tableaux", "genocchi") and argv[-1] == "text"
+    assert ("cdescent.cli_extra" in loaded) is not small
+
+
+def test_key_lists_load_with_the_whole_tables_only():
+    code = (
+        "import sys\n"
+        "from cdescent import cdes_recursive, gn, cdes_insertion_table\n"
+        "cdes_recursive(9, (3, 5))\n"
+        "before = 'cdescent.tablekeys' in sys.modules\n"
+        "gn(3)\n"
+        "print(before, 'cdescent.tablekeys' in sys.modules)\n"
+    )
+    assert fresh(code) == "False True\n"
+
+
 def test_route_modules_do_not_load_the_scans():
     code = (
         "import sys\n"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import cdescent.contract as contract
 import cdescent.perms as perms_module
+import cdescent.tablekeys as tablekeys
 from cdescent import (
     as_value_set,
     brute_cdes_count,
@@ -289,8 +290,8 @@ def test_shared_keys_ascend_by_bitmask(n):
     # Entry k of either list is the set of the bits of k: values from 2
     # for the table's keys, x-variables from 1 with their count for gn's.
     sets = [tuple(v + 2 for v in perms_module._members(mask)) for mask in range(2 ** (n - 1))]
-    keys = list(contract._value_set_keys(n))
-    monomials = list(contract._monomial_keys(n))
+    keys = list(tablekeys._value_set_keys(n))
+    monomials = list(tablekeys._monomial_keys(n))
     assert keys[: len(sets)] == sets
     assert monomials[: len(sets)] == [(tuple(v - 1 for v in s), len(s)) for s in sets]
 
@@ -298,8 +299,8 @@ def test_shared_keys_ascend_by_bitmask(n):
 @pytest.fixture
 def fresh_keys(monkeypatch):
     # Both shared key lists as a fresh process has them: the empty set alone.
-    monkeypatch.setattr(contract._value_set_keys, "_keys", [()])
-    monkeypatch.setattr(contract._monomial_keys, "_keys", [((), 0)])
+    monkeypatch.setattr(tablekeys._value_set_keys, "_keys", [()])
+    monkeypatch.setattr(tablekeys._monomial_keys, "_keys", [((), 0)])
 
 
 def _references(n):
@@ -312,7 +313,7 @@ def test_shared_keys_grow_in_any_call_order(fresh_keys):
         table, terms = _references(n)
         assert list(cdes_insertion_table(n).items()) == table, n
         assert list(gn(n).terms().items()) == terms, n
-    assert len(contract._value_set_keys._keys) == len(contract._monomial_keys._keys) == 2**15
+    assert len(tablekeys._value_set_keys._keys) == len(tablekeys._monomial_keys._keys) == 2**15
 
 
 def test_shared_keys_leave_each_result_independent(fresh_keys):

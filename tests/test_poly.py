@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import pytest
@@ -77,6 +78,32 @@ def test_evaluate():
     g = gn(7)
     for x, y in [(0, 0), (1, 1), (-2, 3), (5, -1)]:
         assert g.evaluate(x, y) == g.evaluate(dict.fromkeys(range(1, 7), x), y)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1.5,), "x must be an integer: 1.5"),
+        ((True,), "x must be an integer: True"),
+        ((2, 1.5), "y must be an integer: 1.5"),
+        ((2, False), "y must be an integer: False"),
+        (({1: 2, 2: True},), "x2 must be an integer: True"),
+        (({1: 2.0, 2: 1},), "x1 must be an integer: 2.0"),
+        (({1: 2},), "no value given for x2"),
+        (({3: 1},), "no value given for x1"),
+    ],
+)
+def test_evaluate_refuses_what_is_not_an_integer(args, message):
+    # Every integer argument refuses a bool and a float, and a mapping
+    # names the variable that it leaves out.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        gn(3).evaluate(*args)
+
+
+def test_evaluate_reads_only_the_variables_of_the_terms():
+    assert gn(3).evaluate({1: 2, 2: 1, 7: 1.5}, 3) == 34
+    assert Poly.constant(5).evaluate({}) == 5
+    assert Poly().evaluate({}, 2) == 0
 
 
 def test_str_canonical():
